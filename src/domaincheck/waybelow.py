@@ -357,12 +357,7 @@ class ClassifyReport:
 
 def _classify_finite(p: FinitePoset) -> ClassifyReport:
     witnesses: dict = {}
-    dcpo = True
-    for d in p.iter_directed_masks():
-        if p.greatest_of_mask(d) is None:  # pragma: no cover - impossible by construction
-            dcpo = False
-            witnesses["dcpo"] = {"directed_set": p.ids_of(d)}
-            break
+    dcpo = True  # a finite directed set has a greatest element, its supremum
 
     continuous = True
     for x in range(p.n):

@@ -16,11 +16,14 @@ from hypothesis import given, strategies as st
 from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
 from domaincheck import topology as tp
+from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import (
     BackendUnsupported,
     IndexMismatch,
+    NetClassTooSmall,
     NotDirected,
     PreconditionFailed,
+    UnknownElement,
 )
 from domaincheck.order import build_finite_poset
 from domaincheck.sidenat import A, TOP, SIDE_NAT
@@ -318,12 +321,41 @@ def test_derived_topologies_on_diamond():
     )
 
 
+ORACLE_IDEAL_KINDS = [
+    ("eventual",),
+    ("trivial",),
+    ("finite",),
+    ("eventual", "density0", "trivial"),
+    (),
+]
+
+ORACLE_NET_CLASSES = [
+    cv.NetClass(),
+    cv.NetClass(omega_tracks=False),
+    cv.NetClass(max_index_size=1, max_track_period=2),
+    cv.NetClass(max_track_period=0),
+]
+
+
 def test_derived_naive_matches_reduced():
-    small = build_finite_poset("vee", ["z", "x", "y"], [("z", "x"), ("z", "y")])
-    for mode in ("liminf", "family", "eventual"):
-        naive = cv.derive_convergence_topology(small, mode, method="naive")
-        reduced = cv.derive_convergence_topology(small, mode, method="reduced")
-        assert naive.opens == reduced.opens
+    """The trap-set derivation equals the net-by-net definition on every
+    poset of size at most 3, in every mode, ideal mix and net class."""
+    posets = [p for n in (1, 2, 3) for p in generate_all_posets(n)]
+    for p, mode, kinds, netclass in product(
+        posets, ("liminf", "family", "eventual"), ORACLE_IDEAL_KINDS, ORACLE_NET_CLASSES
+    ):
+        naive = cv.derive_convergence_topology(
+            p, mode, ideal_kinds=kinds, netclass=netclass, method="naive"
+        )
+        reduced = cv.derive_convergence_topology(p, mode, ideal_kinds=kinds, netclass=netclass)
+        assert naive.opens == reduced.opens, (p.name, mode, kinds, netclass)
+
+
+def test_reduced_derivation_rejects_bad_input():
+    with pytest.raises(UnknownElement):
+        cv.derive_convergence_topology(DIAMOND, "family", ideal_kinds=("eventual", "cofinite"))
+    with pytest.raises(NetClassTooSmall):
+        cv.derive_convergence_topology(DIAMOND, "family", netclass=cv.NetClass(max_index_size=0))
 
 
 def test_netclass_generation():

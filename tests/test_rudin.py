@@ -11,6 +11,7 @@ from domaincheck import topology as tp
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import NotDirectedFamily, PreconditionFailed
 from domaincheck.order import build_finite_poset
+from domaincheck.waybelow import smyth_leq
 
 DIAMOND = build_finite_poset(
     "diamond",
@@ -28,6 +29,24 @@ def test_family_directedness():
     assert rd.is_directed_family(DIAMOND, fam)
     anti = [DIAMOND.mask_of(["l"]), DIAMOND.mask_of(["r"])]
     assert not rd.is_directed_family(DIAMOND, anti)
+
+
+def test_directed_family_matches_pairwise_smyth_definition():
+    """The up-set test equals the literal definition, every pair dominated
+    by a member in the Smyth preorder, on every family of one to three
+    antichains over every poset of size at most 4."""
+    for n in (1, 2, 3, 4):
+        for p in generate_all_posets(n):
+            antichains = list(p.iter_antichain_masks())
+            for k in (1, 2, 3):
+                for fam in combinations(antichains, k):
+                    literal = all(
+                        any(smyth_leq(p, f, h) and smyth_leq(p, g, h) for h in fam)
+                        for f in fam
+                        for g in fam
+                    )
+                    assert rd.is_directed_family(p, fam) == literal, (p.name, fam)
+    assert not rd.is_directed_family(DIAMOND, ())
 
 
 def test_extract_diamond_golden():
