@@ -25,7 +25,7 @@ from . import topology as tp
 from . import waybelow as wb
 from . import sidenat as sn
 from .errors import DomainCheckError, UnknownElement
-from .order import FinitePoset, bits, poset_from_json
+from .order import FinitePoset, poset_from_json
 from .sidenat import SIDE_NAT, A, TOP, SideNat
 
 Backend = FinitePoset | SideNat
@@ -61,10 +61,6 @@ def _parse_point(p: Backend, raw: str):
     if raw not in p.elements:
         raise UnknownElement(f"{raw!r} is not an element of {p.name!r}")
     return raw
-
-
-def _parse_side_members(raw_sets: list[list]) -> list[tuple]:
-    return [tuple(sn.parse_side_element(str(e)) for e in s) for s in raw_sets]
 
 
 def _emit(obj: dict) -> None:

@@ -210,9 +210,6 @@ class FiniteNet:
     index: FinitePoset
     values: tuple
 
-    def value_at_ix(self, j: int):
-        return self.values[j]
-
 
 def finite_net(index: FinitePoset, values: Iterable) -> FiniteNet:
     vals = tuple(values)
@@ -392,7 +389,8 @@ def converges_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = 
     set: the trap condition for a directed set with supremum above ``x``
     is at least as strong at the supremum, whose upper set sits inside
     the limit's.  ``exhaustive=True`` quantifies over every directed
-    subset instead; the suites assert the two always agree.
+    subset instead; ``test_finite_exhaustive_agrees_with_principal``
+    checks that the two agree on every poset of size at most 3.
 
     On the side-point dcpo the only shapes that are not dominated by the
     principal witness are unbounded sets of naturals, handled by the
@@ -427,7 +425,11 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: 
     family over the limit again dominates on finite backends.  The side
     backend has two extra undominated shapes, the all-singletons schema
     (whose upper sets intersect in the top alone, hence work for any
-    limit) and, for the side point, the pair schema.
+    limit) and, for the side point, the pair schema.  On finite backends
+    ``exhaustive=True`` quantifies over every Smyth-directed family of at
+    most ``topology.FAMILY_BOUND`` antichains instead;
+    ``test_finite_exhaustive_agrees_with_principal`` checks that the two
+    agree on every poset of size at most 3.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
@@ -448,7 +450,7 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: 
         if _eventually_inside(p, net, p.up[ix], idl):
             return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
         return Verdict(False, {"point": p.elements[ix]})
-    for fam, ups in tp._directed_antichain_families(p, 4):
+    for fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
         meet = p.universe
         for u in ups:
             meet &= u

@@ -31,10 +31,6 @@ class BackendUnsupported(DomainCheckError):
     """The requested operation is not available on this backend."""
 
 
-class NonRepresentableSet(DomainCheckError):
-    """A set of naturals falls outside the supported residue-class algebra."""
-
-
 class IndexMismatch(DomainCheckError):
     """A net, ideal, or level set refers to a different index set."""
 

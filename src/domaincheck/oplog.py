@@ -35,12 +35,6 @@ def logged(name: str) -> Callable[[F], F]:
     return deco
 
 
-def record(name: str) -> None:
-    """Register and count an operation that is not a single function."""
-    _ALL.add(name)
-    _CALLS[name] += 1
-
-
 def all_ops() -> frozenset[str]:
     return frozenset(_ALL)
 
@@ -55,8 +49,3 @@ def missing_ops() -> frozenset[str]:
 
 def call_counts() -> dict[str, int]:
     return dict(_CALLS)
-
-
-def reset() -> None:
-    """Clear call counts.  Registered names stay registered."""
-    _CALLS.clear()

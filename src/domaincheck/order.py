@@ -10,8 +10,9 @@ arithmetic and enumeration loops stay tight.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import combinations
 
 from .oplog import logged
 from .errors import CycleError, DuplicateElement, NotDirected, UnknownElement
@@ -23,6 +24,17 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def smyth_directed(ups: Sequence[int]) -> bool:
+    """Smyth-directedness of a family given by its members' upper sets.
+
+    ``f <= k`` in the Smyth preorder iff ``up(k) <= up(f)``, so a pair
+    ``f, g`` is dominated by ``k`` iff ``up(k) <= up(f) & up(g)``.  A
+    member dominates itself, so only distinct pairs are tested.  The empty
+    family is not directed.
+    """
+    return bool(ups) and all(any(k & ~(u & v) == 0 for k in ups) for u, v in combinations(ups, 2))
 
 
 @dataclass(frozen=True)
@@ -112,9 +124,6 @@ class FinitePoset:
                 out |= 1 << i
         return out
 
-    def is_antichain_mask(self, mask: int) -> bool:
-        return self.min_mask(mask) == mask
-
     # -- directedness --------------------------------------------------
 
     def greatest_of_mask(self, mask: int) -> int | None:
@@ -174,10 +183,9 @@ class FinitePoset:
             if self.up_of_mask(mask) == mask:
                 yield mask
 
-    def iter_antichain_masks(self, *, nonempty: bool = True) -> Iterator[int]:
-        for mask in range(self.universe + 1):
-            if mask == 0 and nonempty:
-                continue
+    def iter_antichain_masks(self) -> Iterator[int]:
+        """All nonempty antichains."""
+        for mask in range(1, self.universe + 1):
             if self.min_mask(mask) == mask:
                 yield mask
 

@@ -13,27 +13,17 @@ checks on randomized families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotDirectedFamily, NoWitness, PreconditionFailed
 from .oplog import logged
-from .order import FinitePoset, bits
+from .order import FinitePoset, bits, smyth_directed
 from .waybelow import smyth_leq  # noqa: F401  (perfbench/tracer.py wraps rudin.smyth_leq)
 
 
 @logged("rudin.family_directed")
 def is_directed_family(p: FinitePoset, fam: tuple[int, ...]) -> bool:
-    """Smyth-directedness: each pair of members dominates a third.
-
-    ``f <= k`` in the Smyth preorder iff ``up(k) <= up(f)``, so a pair
-    ``f, g`` is dominated by ``k`` iff ``up(k) <= up(f) & up(g)``.  Each
-    member's upper set is computed once, and a member dominates itself,
-    so only distinct pairs are tested.
-    """
-    if not fam:
-        return False
-    ups = [p.up_of_mask(f) for f in fam]
-    return all(any(k & ~(u & v) == 0 for k in ups) for u, v in combinations(ups, 2))
+    """Smyth-directedness of a family of masks (see :func:`smyth_directed`)."""
+    return smyth_directed([p.up_of_mask(f) for f in fam])
 
 
 def _tightest_member(p: FinitePoset, fam: tuple[int, ...]) -> int:

@@ -29,10 +29,6 @@ A = "a"
 TOP = "inf"
 
 
-def is_nat(e: SideElement) -> bool:
-    return isinstance(e, int)
-
-
 def side_leq(x: SideElement, y: SideElement) -> bool:
     return y == TOP or x == y or (isinstance(x, int) and isinstance(y, int) and x <= y)
 

@@ -19,14 +19,13 @@ from itertools import combinations
 
 from . import sidenat as sn
 from . import topology as tp
-from .errors import NotDirected, PreconditionFailed
+from .errors import PreconditionFailed
 from .oplog import logged
-from .order import FinitePoset, bits
+from .order import FinitePoset, smyth_directed
 from .sidenat import (
     A,
     EMPTY,
     FULL,
-    SIDE_NAT,
     TOP,
     SideElement,
     SideNat,
@@ -236,8 +235,9 @@ class SideFamily:
         Concrete members are checked pairwise.  Schema members with
         parameters beyond the stabilization bound produce intersections
         of a fixed shape, so a single representative at the bound covers
-        every larger parameter; see the suite that cross-checks this
-        against sampled concrete prefixes.
+        every larger parameter.  ``test_side_family_is_directed_matches_prefixes``
+        compares this with the literal pairwise definition on finite
+        prefixes.
         """
         k = self._stab()
         ms = self.members_upto(k + 2)
@@ -280,7 +280,8 @@ def side_family(
             raise PreconditionFailed("family members must be nonempty")
         if mm not in norm and not fam._schema_covers(mm):
             norm.append(mm)
-    return SideFamily(tuple(sorted(norm)), singletons_from, pairs_from)
+    norm.sort(key=lambda m: tuple(map(sn.element_sort_key, m)))
+    return SideFamily(tuple(norm), singletons_from, pairs_from)
 
 
 @logged("waybelow.fin")
@@ -369,17 +370,11 @@ def _classify_finite(p: FinitePoset) -> ClassifyReport:
 
     quasi = True
     for x in range(p.n):
-        fam = fin_of(p, x)
+        ups = [p.up_of_mask(f) for f in fin_of(p, x)]
         meet_ups = p.universe
-        ok = bool(fam)
-        for f, g in combinations(fam, 2):
-            bound = p.up_of_mask(f) & p.up_of_mask(g)
-            if not any(p.up_of_mask(e) & ~bound == 0 for e in fam):
-                ok = False
-                break
-        for f in fam:
-            meet_ups &= p.up_of_mask(f)
-        if not ok or meet_ups != p.up[x]:
+        for u in ups:
+            meet_ups &= u
+        if not smyth_directed(ups) or meet_ups != p.up[x]:
             quasi = False
             witnesses["quasi_continuous"] = {"point": p.elements[x]}
             break

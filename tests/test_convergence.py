@@ -274,17 +274,37 @@ def test_diamond_alternating_l_r_frozen():
     )
 
 
+def _nets_and_ideals(p):
+    """Every net over a directed index of size <= 3 under the eventual and
+    trivial ideals, and every constant-track net of period <= 2 under all
+    four ideal kinds."""
+    from domaincheck.corpus import directed_index_posets
+
+    for idx in directed_index_posets(3):
+        ideals = [cv.ideal(kind, idx) for kind in ("eventual", "trivial")]
+        for values in product(p.elements, repeat=idx.n):
+            net = cv.finite_net(idx, values)
+            for idl in ideals:
+                yield net, idl
+    for period in (1, 2):
+        for values in product(p.elements, repeat=period):
+            net = cv.track_net(*(cv.const_track(v) for v in values))
+            for kind in cv.IDEAL_KINDS:
+                yield net, cv.ideal(kind)
+
+
 def test_finite_exhaustive_agrees_with_principal():
-    idl = cv.ideal("eventual", CHAIN2)
-    for values in product(DIAMOND.elements, repeat=2):
-        net = cv.finite_net(CHAIN2, values)
-        for x in DIAMOND.elements:
-            fast = cv.converges_liminf(DIAMOND, net, x, idl).holds
-            slow = cv.converges_liminf(DIAMOND, net, x, idl, exhaustive=True).holds
-            assert fast == slow
-            fast_f = cv.converges_family_liminf(DIAMOND, net, x, idl).holds
-            slow_f = cv.converges_family_liminf(DIAMOND, net, x, idl, exhaustive=True).holds
-            assert fast_f == slow_f
+    compared = 0
+    for n in range(1, 4):
+        for p in generate_all_posets(n):
+            for net, idl in _nets_and_ideals(p):
+                for x in p.elements:
+                    for mode in (cv.converges_liminf, cv.converges_family_liminf):
+                        fast = mode(p, net, x, idl).holds
+                        slow = mode(p, net, x, idl, exhaustive=True).holds
+                        assert fast == slow, (mode.__name__, p.name, net, x, idl.kind)
+                        compared += 1
+    assert compared == 5976
 
 
 def test_finite_eventual_liminf_is_tail_value():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from domaincheck import suites
+from collections import Counter
+
+from domaincheck import oplog, suites
 from domaincheck.errors import UnknownSuite
 
 
@@ -78,3 +80,15 @@ def test_finite_collapse_suite_green_small():
 def test_continuity_suite_green_small():
     rep = suites.run_suite("continuity-criterion", max_size=3, seed=0)
     assert rep.ok
+
+
+def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
+    # Every op already counted earlier in the process, and a registry whose
+    # only suite calls nothing: the run itself exercises no suite op.
+    monkeypatch.setattr(oplog, "_CALLS", Counter({op: 1 for op in oplog.all_ops()}))
+    monkeypatch.setattr(suites, "SUITES", {"noop": lambda run, ctx: None})
+    rep = suites.run_suite("all", max_size=1)
+    assert not rep.ok
+    (coverage,) = [f for f in rep.failures if f["case"] == "coverage:all-ops"]
+    assert "rudin.extract" in coverage["missing"]
+    assert "suites.run" not in coverage["missing"]

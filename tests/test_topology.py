@@ -6,6 +6,7 @@ import pytest
 
 from domaincheck import sidenat as sn
 from domaincheck import topology as tp
+from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import TooLarge
 from domaincheck.order import build_finite_poset
 from domaincheck.sidenat import A, TOP
@@ -37,11 +38,12 @@ def test_scott_opens_frozen():
 
 
 def test_scott_is_upper_family():
-    sc = tp.scott_topology(DIAMOND)
-    definitional = frozenset(
-        m for m in range(DIAMOND.universe + 1) if DIAMOND.is_upper_mask(m)
-    )
-    assert sc.opens == definitional
+    for n in range(1, 5):
+        for p in generate_all_posets(n):
+            definitional = frozenset(
+                m for m in range(p.universe + 1) if tp._scott_open_definitional(p, m)
+            )
+            assert tp.scott_topology(p).opens == definitional, p.name
 
 
 def test_lower_topology():

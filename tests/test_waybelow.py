@@ -123,3 +123,35 @@ def test_classify_side():
     assert not rep.is_meet_continuous
     # the side point is the continuity witness: nothing is way below it
     assert rep.witnesses["continuous"]["point"] == "a"
+
+
+def test_side_family_sorts_mixed_members():
+    for members in ([(0,), (A,)], [(TOP,), (1,)]):
+        fam = wb.side_family(members)
+        assert fam == wb.side_family(list(reversed(members)))
+        assert isinstance(fam.explicit[0][0], int)
+
+
+def _literal_prefix_directed(fam, k: int) -> bool:
+    """Each pair of members below ``k`` is dominated by a member below ``k + 4``."""
+    def up(m):
+        return sn.up_closure(sn.side_set_of(m))
+
+    pairs = fam.members_upto(k)
+    witnesses = [up(h) for h in fam.members_upto(k + 4)]
+    return bool(pairs) and all(
+        any(sn.diff(w, sn.inter(up(f), up(g))).is_empty for w in witnesses)
+        for f in pairs
+        for g in pairs
+    )
+
+
+def test_side_family_is_directed_matches_prefixes():
+    families = [wb.fin_of(SIDE_NAT, x) for x in (A, TOP, *range(6))]
+    families += [wb.side_family([(2,), (3, A)]), wb.side_family([(0,)], pairs_from=2)]
+    verdicts = []
+    for fam in families:
+        verdicts.append(fam.is_directed())
+        for k in (3, 6, 9):
+            assert _literal_prefix_directed(fam, k) == verdicts[-1], (fam, k)
+    assert verdicts == [True] * 8 + [False, False]
