@@ -68,7 +68,14 @@ def _emit(obj: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = suites.run_suite(args.suite, max_size=args.max_size, seed=args.seed)
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("DOMAINCHECK_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise DomainCheckError(f"DOMAINCHECK_SEED must be an integer, not {raw!r}") from None
+    report = suites.run_suite(args.suite, max_size=args.max_size, seed=seed)
     sys.stdout.write(suites.emit_report(report, args.format).decode())
     return 0 if report.ok else 1
 
@@ -143,6 +150,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     p = _resolve_backend(args.poset)
     net = cv.net_from_json(Path(args.net).read_text())
     ideal_spec = json.loads(Path(args.ideal).read_text())
+    if not isinstance(ideal_spec, dict):
+        raise DomainCheckError("the ideal JSON must be an object with a 'kind' field")
     idl = cv.ideal(ideal_spec["kind"], cv.net_index(net))
     x = _parse_point(p, args.point)
     if args.mode == "liminf":
@@ -183,11 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_seed = int(os.environ.get("DOMAINCHECK_SEED", "0"))
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, help="suite name or 'all'")
     v.add_argument("--max-size", type=int, default=5, help="largest exhaustive poset size")
-    v.add_argument("--seed", type=int, default=default_seed)
+    v.add_argument("--seed", type=int, help="sampling seed (default: $DOMAINCHECK_SEED or 0)")
     v.add_argument("--format", choices=("json", "text"), default="json")
     v.set_defaults(fn=_cmd_verify)
 

@@ -351,6 +351,46 @@ def _eventually_inside(p: Backend, net: Net, region, idl: Ideal) -> bool:
     return ideal_member(idl, exception_set(p, net, region))
 
 
+def _trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
+    """Masks that decide trapping on a finite backend: the net is trapped
+    in ``region`` up to ``idl`` iff some mask ``t`` has ``t & ~region == 0``.
+
+    Under the trivial ideal every exception set is negligible, so the
+    empty mask traps.  A finite-index net under the eventual ideal is
+    trapped iff it stays inside on some upper set ``index.up[j]``, so each
+    ``j`` contributes the values taken there.  A constant-track net under
+    a proper ideal is trapped iff its exception set, a union of residue
+    classes, is finite, that is, empty: the mask is the union of its
+    track values.  ``test_trap_masks_match_exception_sets`` checks this
+    against ``ideal_member(idl, exception_set(...))``.  Values are
+    validated as :func:`exception_set` validates them, so a foreign value
+    raises :class:`UnknownElement` and an ascending track
+    :class:`BackendUnsupported`, whatever the ideal.
+    """
+    if isinstance(net, FiniteNet):
+        points = [1 << p.index(v) for v in net.values]
+        if idl.kind == "trivial":
+            return (0,)
+        masks = []
+        for up in net.index.up:
+            t = 0
+            for j in bits(up):
+                t |= points[j]
+            masks.append(t)
+        return tuple(masks)
+    union = 0
+    for track in net.tracks:
+        if track[0] == CONST:
+            union |= 1 << p.index(track[1])
+    if any(track[0] != CONST for track in net.tracks):
+        raise BackendUnsupported("ascending tracks only exist on the side-point dcpo")
+    return (0,) if idl.kind == "trivial" else (union,)
+
+
+def _trapped(masks: tuple[int, ...], region: int) -> bool:
+    return any(t & ~region == 0 for t in masks)
+
+
 # -- verdicts ---------------------------------------------------------------
 
 
@@ -390,7 +430,9 @@ def converges_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = 
     is at least as strong at the supremum, whose upper set sits inside
     the limit's.  ``exhaustive=True`` quantifies over every directed
     subset instead; ``test_finite_exhaustive_agrees_with_principal``
-    checks that the two agree on every poset of size at most 3.
+    checks that the two agree on every poset of size at most 3.  The
+    principal path decides trapping from the net's trap masks, computed
+    once, as ``test_trap_masks_match_exception_sets`` checks.
 
     On the side-point dcpo the only shapes that are not dominated by the
     principal witness are unbounded sets of naturals, handled by the
@@ -405,7 +447,7 @@ def converges_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = 
         return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
     if not exhaustive:
-        if _eventually_inside(p, net, p.up[ix], idl):
+        if _trapped(_trap_masks(p, net, idl), p.up[ix]):
             return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
         return Verdict(False, {"point": p.elements[ix]})
     for d in p.iter_directed_masks():
@@ -429,7 +471,9 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: 
     ``exhaustive=True`` quantifies over every Smyth-directed family of at
     most ``topology.FAMILY_BOUND`` antichains instead;
     ``test_finite_exhaustive_agrees_with_principal`` checks that the two
-    agree on every poset of size at most 3.
+    agree on every poset of size at most 3.  The principal path decides
+    trapping from the net's trap masks, computed once, as
+    ``test_trap_masks_match_exception_sets`` checks.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
@@ -447,7 +491,7 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: 
         return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
     if not exhaustive:
-        if _eventually_inside(p, net, p.up[ix], idl):
+        if _trapped(_trap_masks(p, net, idl), p.up[ix]):
             return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
         return Verdict(False, {"point": p.elements[ix]})
     for fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
@@ -468,7 +512,11 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
 
     Finite backends take an explicit :class:`Topology`; the side-point
     backend takes a kind name and checks the binding neighborhood family,
-    which decides all neighborhoods once level sets are stable."""
+    which decides all neighborhoods once level sets are stable.  On finite
+    backends the net's trap masks are computed once and each open is
+    tested against them with one AND, as
+    ``test_trap_masks_match_exception_sets`` checks.
+    """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
         if not isinstance(topo, str):
@@ -481,8 +529,9 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     if isinstance(topo, str):
         topo = tp.finite_topology(p, topo)
     bit = 1 << (p.index(x) if isinstance(x, str) else x)
+    masks = _trap_masks(p, net, idl)
     for u in sorted(topo.opens):
-        if u & bit and not _eventually_inside(p, net, u, idl):
+        if u & bit and not _trapped(masks, u):
             return Verdict(False, {"open": list(p.ids_of(u))})
     return Verdict(True, {"kind": topo.kind})
 
@@ -557,9 +606,11 @@ def _side_schema_modes(p: SideNat, net: Net, idl: Ideal, pair: bool) -> tuple[st
 def eventual_family(p: Backend, net: Net, idl: Ideal):
     """Every finite set whose upper closure traps the net up to the ideal.
 
-    Finite backends return antichain masks.  The side-point backend
-    returns the :class:`SideGiFamily` closed form, decided on the net's
-    stabilization window.
+    Finite backends return antichain masks, each tested against the
+    net's trap masks, computed once, as
+    ``test_trap_masks_match_exception_sets`` checks.  The side-point
+    backend returns the :class:`SideGiFamily` closed form, decided on the
+    net's stabilization window.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
@@ -569,9 +620,8 @@ def eventual_family(p: Backend, net: Net, idl: Ideal):
             has_side_single=_eventually_inside(p, net, sn.up_set(A), idl),
             has_top_single=_eventually_inside(p, net, sn.up_set(TOP), idl),
         )
-    return tuple(
-        f for f in p.iter_antichain_masks() if _eventually_inside(p, net, p.up_of_mask(f), idl)
-    )
+    masks = _trap_masks(p, net, idl)
+    return tuple(f for f in p.iter_antichain_masks() if _trapped(masks, p.up_of_mask(f)))
 
 
 @logged("convergence.eventual_liminf")
@@ -800,6 +850,8 @@ def net_to_json(net: Net) -> str:
 
 def net_from_json(text: str) -> Net:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise PreconditionFailed("a net JSON document must be an object")
     if data.get("index") == "omega":
         if "period" in data and data["period"] != len(data["tracks"]):
             raise IndexMismatch(

@@ -14,6 +14,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import convergence as cv
 from . import corpus as cp
@@ -177,17 +178,15 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     point family-converges to that point."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
-        waydowns = [
-            [g for g in p.iter_antichain_masks() if wb.set_way_below(p, g, 1 << ix)]
+        waydown_ups = [
+            [p.up_of_mask(g) for g in p.iter_antichain_masks() if wb.set_way_below(p, g, 1 << ix)]
             for ix in range(p.n)
         ]
         for i in range(200):
             net, idl = _sample_net(p, rng)
             x = rng.randrange(p.n)
-            premise = all(
-                cv.ideal_member(idl, cv.exception_set(p, net, p.up_of_mask(g)))
-                for g in waydowns[x]
-            )
+            masks = cv._trap_masks(p, net, idl)
+            premise = all(cv._trapped(masks, u) for u in waydown_ups[x])
             if premise:
                 ok = cv.converges_family_liminf(p, net, x, idl).holds
                 run.check(f"{name}:{i}", ok, _triple_witness(p, net, x, idl))
@@ -548,19 +547,26 @@ def _all_value_tuples(p: FinitePoset, n: int):
     return product(p.elements, repeat=n)
 
 
+@lru_cache(maxsize=None)
+def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
+    """The indexes ``_sample_net`` draws from, each with its eventual and
+    trivial ideals, and the four ideals on the naturals, built once."""
+    finite = tuple(
+        (idx, (cv.ideal("eventual", idx), cv.ideal("trivial", idx)))
+        for idx in cp.directed_index_posets(3)
+    )
+    return finite, tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
+
+
 def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[cv.Net, cv.Ideal]:
-    indexes = cp.directed_index_posets(3)
+    finite, omega = _sampling_ideals()
     if rng.random() < 0.5:
-        idx = indexes[rng.randrange(len(indexes))]
+        idx, ideals = finite[rng.randrange(len(finite))]
         values = tuple(p.elements[rng.randrange(p.n)] for _ in range(idx.n))
-        net: cv.Net = cv.FiniteNet(idx, values)
-        kind = ("eventual", "trivial")[rng.randrange(2)]
-        return net, cv.ideal(kind, idx)
+        return cv.FiniteNet(idx, values), ideals[rng.randrange(2)]
     period = 1 + rng.randrange(3)
     tracks = tuple(cv.const_track(p.elements[rng.randrange(p.n)]) for _ in range(period))
-    net = cv.TrackNet(period, tracks)
-    kind = ("eventual", "finite", "density0", "trivial")[rng.randrange(4)]
-    return net, cv.ideal(kind)
+    return cv.TrackNet(period, tracks), omega[rng.randrange(4)]
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

@@ -171,6 +171,42 @@ def test_verify_env_seed(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
+def test_verify_bad_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DOMAINCHECK_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "sidenat", "--max-size", "2")
+    assert code == 2 and err.startswith("error:") and "DOMAINCHECK_SEED" in err and not out
+
+
+@pytest.mark.parametrize(
+    "net_doc, ideal_doc",
+    [
+        ({"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}, ["eventual"]),
+        (["omega"], {"kind": "eventual"}),
+    ],
+    ids=["ideal-not-object", "net-not-object"],
+)
+def test_converge_non_object_json_is_usage_error(tmp_path, capsys, net_doc, ideal_doc):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(net_doc))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(ideal_doc))
+    code, out, err = run_cli(
+        capsys,
+        "converge",
+        "--mode",
+        "family",
+        "--poset",
+        "diamond",
+        "--net",
+        str(net),
+        "--ideal",
+        str(ideal),
+        "--point",
+        "top",
+    )
+    assert code == 2 and err.startswith("error:") and "object" in err and not out
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,

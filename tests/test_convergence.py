@@ -323,6 +323,49 @@ def test_trivial_ideal_converges_everywhere():
         assert cv.converges_family_liminf(DIAMOND, net, x, idl).holds
 
 
+def test_trap_masks_match_exception_sets():
+    """The per-net trap masks decide trapping exactly as the definitional
+    exception set and ideal membership do, for every poset of size at most
+    3, net of the class, compatible ideal and region."""
+    netclass = cv.NetClass(max_index_size=3, max_track_period=3)
+    compared = 0
+    for n in range(1, 4):
+        for p in generate_all_posets(n):
+            for net in cv.generate_nets(p, netclass):
+                for idl in cv._net_ideals(net, cv.IDEAL_KINDS):
+                    masks = cv._trap_masks(p, net, idl)
+                    for region in range(p.universe + 1):
+                        slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
+                        fast = any(t & ~region == 0 for t in masks)
+                        assert fast == slow, (p.name, net, idl.kind, region)
+                        compared += 1
+    assert compared == 12360
+
+
+def _finite_predicates(p, net, x, idl):
+    yield lambda: cv.converges_liminf(p, net, x, idl)
+    yield lambda: cv.converges_family_liminf(p, net, x, idl)
+    yield lambda: cv.converges_topological(p, net, x, idl, tp.scott_topology(p))
+    yield lambda: cv.eventual_family(p, net, idl)
+    yield lambda: cv.is_eventual_liminf(p, net, x, idl)
+
+
+@pytest.mark.parametrize("kind", cv.IDEAL_KINDS)
+def test_finite_predicates_reject_foreign_values_and_ascending_tracks(kind):
+    bad = [
+        (cv.track_net(cv.const_track("top"), cv.const_track("nowhere")), UnknownElement),
+        (cv.track_net(cv.const_track("top"), cv.ascend_track()), BackendUnsupported),
+        (cv.track_net(cv.ascend_track(), cv.const_track("nowhere")), UnknownElement),
+    ]
+    if kind in ("eventual", "trivial"):
+        bad.append((cv.finite_net(CHAIN2, ["top", "nowhere"]), UnknownElement))
+    for net, error in bad:
+        idl = cv.ideal(kind, cv.net_index(net))
+        for call in _finite_predicates(DIAMOND, net, "l", idl):
+            with pytest.raises(error):
+                call()
+
+
 # -- derived topologies ---------------------------------------------------------
 
 
