@@ -408,7 +408,8 @@ class Verdict:
 
 
 def _check_compat(net: Net, idl: Ideal) -> None:
-    if net_index(net) != idl.index:
+    index = net_index(net)
+    if index is not idl.index and index != idl.index:
         raise IndexMismatch("net and ideal must share an index set")
 
 
@@ -512,10 +513,19 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
 
     Finite backends take an explicit :class:`Topology`; the side-point
     backend takes a kind name and checks the binding neighborhood family,
-    which decides all neighborhoods once level sets are stable.  On finite
-    backends the net's trap masks are computed once and each open is
-    tested against them with one AND, as
-    ``test_trap_masks_match_exception_sets`` checks.
+    which decides all neighborhoods once level sets are stable.
+
+    A finite topology is closed under intersections, so every open around
+    ``x`` contains the minimal neighbourhood ``m(x)``
+    (:attr:`Topology.neighborhoods`), and trapping is monotone in the
+    region: the net converges iff it is trapped in ``m(x)``, tested with
+    the net's trap masks as ``test_trap_masks_match_exception_sets``
+    checks.  The witness is the same as that of a scan of the opens in
+    increasing mask order: every open around ``x`` is a superset of
+    ``m(x)``, hence no smaller as a mask, so ``m(x)`` comes first and
+    fails whenever any of them fails.  ``test_topological_matches_open_scan``
+    compares the two.  A family of opens whose ``m(x)`` is not open
+    raises :class:`PreconditionFailed`.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
@@ -528,11 +538,11 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
         return Verdict(True, {"kind": topo, "checked_opens": len(tp.side_binding_opens(topo, x, stab))})
     if isinstance(topo, str):
         topo = tp.finite_topology(p, topo)
-    bit = 1 << (p.index(x) if isinstance(x, str) else x)
+    ix = p.index(x) if isinstance(x, str) else x
     masks = _trap_masks(p, net, idl)
-    for u in sorted(topo.opens):
-        if u & bit and not _trapped(masks, u):
-            return Verdict(False, {"open": list(p.ids_of(u))})
+    m = topo.neighborhoods[ix]
+    if not _trapped(masks, m):
+        return Verdict(False, {"open": list(p.ids_of(m))})
     return Verdict(True, {"kind": topo.kind})
 
 
@@ -848,19 +858,28 @@ def net_to_json(net: Net) -> str:
     )
 
 
+def _net_value(v):
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise PreconditionFailed(f"net values must be element ids or naturals, got {v!r}")
+    return v
+
+
 def net_from_json(text: str) -> Net:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise PreconditionFailed("a net JSON document must be an object")
     if data.get("index") == "omega":
-        if "period" in data and data["period"] != len(data["tracks"]):
-            raise IndexMismatch(
-                f"declared period {data['period']} but {len(data['tracks'])} tracks"
-            )
+        docs = data["tracks"]
+        if not isinstance(docs, list) or not all(isinstance(t, dict) for t in docs):
+            raise PreconditionFailed("'tracks' must be a list of objects")
+        if "period" in data and data["period"] != len(docs):
+            raise IndexMismatch(f"declared period {data['period']} but {len(docs)} tracks")
         tracks = []
-        for t in data["tracks"]:
+        for t in docs:
+            if "kind" not in t:
+                raise PreconditionFailed(f"track {t!r} has no 'kind'")
             if t["kind"] == CONST:
-                tracks.append(const_track(t["value"]))
+                tracks.append(const_track(_net_value(t["value"])))
             elif t["kind"] == ASCEND:
                 tracks.append(ascend_track())
             else:
@@ -870,7 +889,9 @@ def net_from_json(text: str) -> Net:
 
     index = poset_from_json(json.dumps(data["index"]))
     mapping = data["map"]
+    if not isinstance(mapping, dict):
+        raise PreconditionFailed("'map' must be an object from index points to values")
     missing = [e for e in index.elements if e not in mapping]
     if missing:
         raise IndexMismatch(f"net map is missing index points {missing}")
-    return finite_net(index, [mapping[e] for e in index.elements])
+    return finite_net(index, [_net_value(mapping[e]) for e in index.elements])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .oplog import logged
-from .errors import CycleError, DuplicateElement, NotDirected, UnknownElement
+from .errors import CycleError, DuplicateElement, NotDirected, PreconditionFailed, UnknownElement
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -235,4 +235,16 @@ def poset_to_json(p: FinitePoset) -> str:
 
 def poset_from_json(text: str) -> FinitePoset:
     data = json.loads(text)
-    return build_finite_poset(data["name"], data["elements"], [tuple(pair) for pair in data["le"]])
+    if not isinstance(data, dict):
+        raise PreconditionFailed("a poset JSON document must be an object")
+    name, elements, le = data["name"], data["elements"], data["le"]
+    if not isinstance(name, str):
+        raise PreconditionFailed("'name' must be a string")
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise PreconditionFailed("'elements' must be a list of element ids")
+    if not isinstance(le, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(e, str) for e in pair)
+        for pair in le
+    ):
+        raise PreconditionFailed("'le' must be a list of [x, y] pairs of element ids")
+    return build_finite_poset(name, elements, [tuple(pair) for pair in le])

@@ -472,14 +472,25 @@ def _side_antichain_pairs(bound: int):
 def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
     """On finite posets the approximation relations collapse: way below is
     the order, set way below is the Smyth preorder, the Lawson topology is
-    discrete, and the Scott topology is the family of upper sets."""
+    discrete, and the Scott topology is the family of upper sets.
+
+    Way-below is computed here by its definition, over every directed
+    subset (``waybelow._set_way_below_definitional``), and compared with
+    both the closed form that ``set_way_below`` uses and the relation it
+    collapses to."""
     for name, p in ctx.corpus.items():
         ok_pts = all(
-            wb.point_way_below(p, x, y) == p.leq(x, y) for x in p.elements for y in p.elements
+            wb._set_way_below_definitional(p, (x,), (y,))
+            == wb.point_way_below(p, x, y)
+            == p.leq(x, y)
+            for x in p.elements
+            for y in p.elements
         )
         run.check(f"{name}:points", ok_pts)
         ok_sets = all(
-            wb.set_way_below(p, g, h) == wb.smyth_leq(p, g, h)
+            wb._set_way_below_definitional(p, g, h)
+            == wb.set_way_below(p, g, h)
+            == wb.smyth_leq(p, g, h)
             for g in p.iter_antichain_masks()
             for h in p.iter_antichain_masks()
         )

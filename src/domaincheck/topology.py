@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import sidenat as sn
@@ -45,6 +46,30 @@ class Topology:
     def __post_init__(self) -> None:
         if 0 not in self.opens or self.poset.universe not in self.opens:
             raise PreconditionFailed(f"{self.kind} on {self.poset.name!r}: missing empty set or carrier")
+
+    @cached_property
+    def neighborhoods(self) -> tuple[int, ...]:
+        """The minimal open neighbourhood ``m(x)`` of each point: the
+        intersection of the opens containing it.
+
+        A finite topology is closed under intersections, so ``m(x)`` is
+        itself open.  Raises :class:`PreconditionFailed` when it is not,
+        which happens only for a family that is not closed under
+        intersection.
+        """
+        out = []
+        for x in range(self.poset.n):
+            m = self.poset.universe
+            for u in self.opens:
+                if u >> x & 1:
+                    m &= u
+            if m not in self.opens:
+                raise PreconditionFailed(
+                    f"{self.kind} on {self.poset.name!r}: the opens around "
+                    f"{self.poset.elements[x]!r} intersect to a set that is not open"
+                )
+            out.append(m)
+        return tuple(out)
 
     @logged("topology.interior")
     def interior(self, mask: int) -> int:

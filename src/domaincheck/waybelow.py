@@ -1,8 +1,12 @@
 """Way-below relations, approximating families, and domain classification.
 
-On a finite poset everything here is literal brute force: the way-below
-condition quantifies over all directed subsets, and those are enumerated
-outright.  On the side-point dcpo the quantifier runs over infinitely
+On a finite poset every directed set contains its supremum, so the
+way-below condition collapses to the Smyth preorder: ``g << h`` iff
+``up(h) <= up(g)``, and :func:`set_way_below` decides it in closed form.
+:func:`_set_way_below_definitional` keeps the literal quantification over
+all directed subsets; the ``finite-collapse`` suite and
+``test_finite_set_way_below_matches_definition`` check the closed form
+against it.  On the side-point dcpo the quantifier runs over infinitely
 many directed sets, but every directed set falls into one of a handful
 of shapes (a finite set of naturals, an unbounded set of naturals, the
 singleton of the side point, or anything containing the top), and each
@@ -67,17 +71,30 @@ def set_way_below(p: Backend, g, h) -> bool:
     """``g`` is way below ``h``: every directed set whose supremum lands
     in ``up(h)`` already meets ``up(g)``.
 
-    The finite backend checks the definition against every directed
-    subset.  The side-point backend applies the closed rule: ``up(h)``
-    inside ``up(g)``, and ``g`` must contain a natural, because an
-    unbounded set of naturals is directed with supremum at the top and
-    only a natural in ``g`` puts its upper set in the way.
+    On a finite backend every directed set contains its supremum, so the
+    condition is the Smyth preorder ``up(h) <= up(g)``: a singleton
+    ``{y}`` with ``y`` in ``up(h)`` is directed and must meet ``up(g)``,
+    and conversely a directed set whose supremum is in ``up(h)`` contains
+    that supremum.  :func:`_set_way_below_definitional` enumerates every
+    directed subset instead; the ``finite-collapse`` suite and
+    ``test_finite_set_way_below_matches_definition`` compare the two.
+    The side-point backend applies the closed rule: ``up(h)`` inside
+    ``up(g)``, and ``g`` must contain a natural, because an unbounded set
+    of naturals is directed with supremum at the top and only a natural
+    in ``g`` puts its upper set in the way.
     """
     if isinstance(p, SideNat):
         ge, he = _as_elems(g), _as_elems(h)
         if not he:
             return True
         return any(isinstance(e, int) for e in ge) and _side_subset(_side_upset(he), _side_upset(ge))
+    gm, hm = _as_mask(p, g), _as_mask(p, h)
+    return p.up_of_mask(hm) & ~p.up_of_mask(gm) == 0
+
+
+def _set_way_below_definitional(p: FinitePoset, g, h) -> bool:
+    """Way-below on a finite poset, by the definition: no directed subset
+    with supremum in ``up(h)`` misses ``up(g)``."""
     gm, hm = _as_mask(p, g), _as_mask(p, h)
     upg, uph = p.up_of_mask(gm), p.up_of_mask(hm)
     for d in p.iter_directed_masks():

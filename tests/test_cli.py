@@ -207,6 +207,48 @@ def test_converge_non_object_json_is_usage_error(tmp_path, capsys, net_doc, idea
     assert code == 2 and err.startswith("error:") and "object" in err and not out
 
 
+CHAIN2_DOC = {"name": "chain2", "elements": ["c0", "c1"], "le": [["c0", "c1"]]}
+
+
+@pytest.mark.parametrize(
+    "net_doc",
+    [
+        {"index": "omega", "tracks": [1]},
+        {"index": CHAIN2_DOC, "map": 5},
+        {"index": "omega", "tracks": [{"value": "top"}]},
+        {"index": {"name": "bad", "elements": ["c0"], "le": [5]}, "map": {"c0": "top"}},
+        {"index": "omega", "tracks": [{"kind": "const", "value": ["top"]}]},
+    ],
+    ids=[
+        "track-not-object",
+        "map-not-object",
+        "track-without-kind",
+        "index-pair-not-list",
+        "value-not-scalar",
+    ],
+)
+def test_converge_malformed_net_is_usage_error(tmp_path, capsys, net_doc):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(net_doc))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"kind": "eventual"}))
+    code, out, err = run_cli(
+        capsys,
+        "converge",
+        "--mode",
+        "family",
+        "--poset",
+        "diamond",
+        "--net",
+        str(net),
+        "--ideal",
+        str(ideal),
+        "--point",
+        "top",
+    )
+    assert code == 2 and err.startswith("error:") and not out
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,

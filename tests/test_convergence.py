@@ -366,6 +366,55 @@ def test_finite_predicates_reject_foreign_values_and_ascending_tracks(kind):
                 call()
 
 
+def _scan_opens(p, net, ix, idl, topo):
+    """Topological convergence by the definition: scan the opens around the
+    point in increasing mask order for one that does not trap the net."""
+    for u in sorted(topo.opens):
+        if u >> ix & 1 and not cv.ideal_member(idl, cv.exception_set(p, net, u)):
+            return cv.Verdict(False, {"open": list(p.ids_of(u))})
+    return cv.Verdict(True, {"kind": topo.kind})
+
+
+def test_topological_matches_open_scan():
+    """Deciding topological convergence at the minimal neighbourhood gives
+    the verdict and the witness of the literal scan over the opens, for
+    every poset of size at most 3, six kinds of topology, every net of the
+    class with every compatible ideal, and every point."""
+    netclass = cv.NetClass(max_index_size=3, max_track_period=2)
+    compared = 0
+    for n in range(1, 4):
+        for p in generate_all_posets(n):
+            topologies = [
+                tp.scott_topology(p),
+                tp.lower_topology(p),
+                tp.lawson_topology(p),
+                tp.discrete_topology(p),
+                tp.indiscrete_topology(p),
+                cv.derive_convergence_topology(p, "family"),
+            ]
+            for net in cv.generate_nets(p, netclass):
+                for idl in cv._net_ideals(net, cv.IDEAL_KINDS):
+                    for topo in topologies:
+                        for ix in range(p.n):
+                            fast = cv.converges_topological(p, net, ix, idl, topo)
+                            assert fast == _scan_opens(p, net, ix, idl, topo), (
+                                p.name, net, idl.kind, topo.kind, ix,
+                            )
+                            compared += 1
+    assert compared == 17928
+
+
+def test_topology_neighborhoods_reject_non_closed_opens():
+    """Opens that are not closed under intersection leave some point
+    without a minimal neighbourhood, and the predicate refuses to answer."""
+    p = build_finite_poset("antichain3", ["a", "b", "c"], [])
+    ab, ac = p.mask_of(["a", "b"]), p.mask_of(["a", "c"])
+    topo = tp.Topology(p, "hand-built", frozenset({0, ab, ac, p.universe}))
+    net = cv.track_net(cv.const_track("a"))
+    with pytest.raises(PreconditionFailed):
+        cv.converges_topological(p, net, "b", cv.ideal("eventual"), topo)
+
+
 # -- derived topologies ---------------------------------------------------------
 
 
