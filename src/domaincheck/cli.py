@@ -178,7 +178,12 @@ def _cmd_rudin(args: argparse.Namespace) -> int:
     fam_spec = json.loads(Path(args.family).read_text())
     if isinstance(p, SideNat):
         raise DomainCheckError("directed transversals are extracted on finite posets")
-    members = [p.mask_of(s) for s in fam_spec["sets"]]
+    sets = fam_spec.get("sets") if isinstance(fam_spec, dict) else None
+    if not isinstance(sets, list) or not all(
+        isinstance(s, list) and all(isinstance(e, str) for e in s) for s in sets
+    ):
+        raise DomainCheckError("the family JSON must be an object whose 'sets' is a list of id lists")
+    members = [p.mask_of(s) for s in sets]
     report = rd.extract_directed(p, members)
     _emit(report.to_dict(p))
     return 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from .oplog import logged
 from .errors import CycleError, DuplicateElement, NotDirected, PreconditionFailed, UnknownElement
@@ -29,12 +28,17 @@ def bits(mask: int) -> Iterator[int]:
 def smyth_directed(ups: Sequence[int]) -> bool:
     """Smyth-directedness of a family given by its members' upper sets.
 
-    ``f <= k`` in the Smyth preorder iff ``up(k) <= up(f)``, so a pair
-    ``f, g`` is dominated by ``k`` iff ``up(k) <= up(f) & up(g)``.  A
-    member dominates itself, so only distinct pairs are tested.  The empty
-    family is not directed.
+    ``f <= k`` in the Smyth preorder iff ``up(k) <= up(f)``.  A finite
+    family is directed iff the meet of the upper sets is one of them: such
+    an ``up(k)`` lies inside ``u & v`` for every pair, and conversely a
+    member above all others (found by induction on pairs) has the meet as
+    its upper set.  The empty family is not directed.  Checked against the
+    pairwise definition by ``test_directed_family_matches_pairwise_smyth_definition``.
     """
-    return bool(ups) and all(any(k & ~(u & v) == 0 for k in ups) for u, v in combinations(ups, 2))
+    meet = -1
+    for u in ups:
+        meet &= u
+    return bool(ups) and meet in ups
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ class Topology:
 
         A finite topology is closed under intersections, so ``m(x)`` is
         itself open.  Raises :class:`PreconditionFailed` when it is not,
-        which happens only for a family that is not closed under
-        intersection.
+        i.e. for a family not closed under intersection, which is how the
+        ``topology-axioms`` suite reads it.
         """
         out = []
         for x in range(self.poset.n):

@@ -154,6 +154,25 @@ def test_rudin_extraction(tmp_path, capsys):
     assert d["directed_set"] == ["l", "top"]
 
 
+@pytest.mark.parametrize(
+    "fam_doc",
+    [[1], {"sets": [5]}, {"sets": "l"}, {"sets": [["l"], "r"]}, {"sets": [["l", 5]]}, {}],
+    ids=[
+        "not-object",
+        "member-not-list",
+        "sets-not-list",
+        "member-is-string",
+        "id-not-string",
+        "sets-missing",
+    ],
+)
+def test_rudin_malformed_family_is_usage_error(tmp_path, capsys, fam_doc):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(fam_doc))
+    code, out, err = run_cli(capsys, "rudin", "--poset", "diamond", "--family", str(fam))
+    assert code == 2 and err.startswith("error:") and not out
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "sidenat", "--format", "json")
     assert code == 0 and json.loads(out)["failures"] == []

@@ -32,13 +32,14 @@ def test_family_directedness():
 
 
 def test_directed_family_matches_pairwise_smyth_definition():
-    """The up-set test equals the literal definition, every pair dominated
-    by a member in the Smyth preorder, on every family of one to three
-    antichains over every poset of size at most 4."""
+    """The greatest-member test equals the literal definition, every pair
+    dominated by a member in the Smyth preorder, on every family of one
+    to ``tp.FAMILY_BOUND`` antichains over every poset of size at most 4,
+    the families the naive family topology enumerates."""
     for n in (1, 2, 3, 4):
         for p in generate_all_posets(n):
             antichains = list(p.iter_antichain_masks())
-            for k in (1, 2, 3):
+            for k in range(1, tp.FAMILY_BOUND + 1):
                 for fam in combinations(antichains, k):
                     literal = all(
                         any(smyth_leq(p, f, h) and smyth_leq(p, g, h) for h in fam)
@@ -121,18 +122,23 @@ def test_exhaustive_extraction_size_four():
 
 
 def test_corollary_exhaustive_scott_opens():
-    for p in generate_all_posets(3):
-        sc = tp.scott_topology(p)
-        antichains = list(p.iter_antichain_masks())
-        for k in (1, 2):
-            for fam in combinations(antichains, k):
-                if not rd.is_directed_family(p, fam):
-                    continue
-                meet = p.universe
-                for f in fam:
-                    meet &= p.up_of_mask(f)
-                for u in sc.opens:
-                    if meet & ~u:
+    """The corollary finds its member for every Scott open that contains
+    the meet, on every directed family of at most three antichains over
+    every poset of size at most 4; the ``rudin`` suite calls it only for
+    the meet itself."""
+    for n in (1, 2, 3, 4):
+        for p in generate_all_posets(n):
+            sc = tp.scott_topology(p)
+            antichains = list(p.iter_antichain_masks())
+            for k in (1, 2, 3):
+                for fam in combinations(antichains, k):
+                    if not rd.is_directed_family(p, fam):
                         continue
-                    member = rd.rudin_corollary(p, fam, u)
-                    assert p.up_of_mask(member) & ~u == 0
+                    meet = p.universe
+                    for f in fam:
+                        meet &= p.up_of_mask(f)
+                    for u in sc.opens:
+                        if meet & ~u:
+                            continue
+                        member = rd.rudin_corollary(p, fam, u)
+                        assert p.up_of_mask(member) & ~u == 0

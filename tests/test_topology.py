@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
+from domaincheck import suites
 from domaincheck import topology as tp
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import TooLarge
@@ -61,6 +63,44 @@ def test_family_liminf_topology_is_scott():
     sc = tp.scott_topology(DIAMOND)
     assert tp.family_liminf_topology(DIAMOND, method="naive").opens == sc.opens
     assert tp.family_liminf_topology(DIAMOND, method="reduced").opens == sc.opens
+
+
+def _closed_pairwise(opens) -> bool:
+    return all((u | v) in opens and (u & v) in opens for u in opens for v in opens)
+
+
+def test_closed_by_neighborhoods_matches_pairwise_closure():
+    """The minimal-neighbourhood closure check of ``topology-axioms``
+    equals the literal pairwise union/intersection loop on the five
+    kinds that suite checks, on every poset of size at most 4, and on
+    each family left when one proper open is removed from them."""
+    rejected = 0
+    for n in range(1, 5):
+        for p in generate_all_posets(n):
+            kinds = (
+                tp.scott_topology(p),
+                tp.lower_topology(p),
+                tp.lawson_topology(p),
+                tp.family_liminf_topology(p),
+                cv.derive_convergence_topology(p, "family"),
+            )
+            for topo in kinds:
+                assert suites._closed_by_neighborhoods(topo), (p.name, topo.kind)
+                assert _closed_pairwise(topo.opens), (p.name, topo.kind)
+                for u in topo.opens - {0, p.universe}:
+                    cut = tp.Topology(p, topo.kind, topo.opens - {u})
+                    closed = _closed_pairwise(cut.opens)
+                    assert suites._closed_by_neighborhoods(cut) == closed, (p.name, topo.kind, u)
+                    rejected += not closed
+    assert rejected > 0
+    # Hand-built families on the three-point antichain: one lacks the
+    # union {a, b}, the other the intersection {b}, so m(b) is not open.
+    anti = build_finite_poset("anti3", ["a", "b", "c"], [])
+    no_union = tp.Topology(anti, "hand", frozenset({0, 0b001, 0b010, 0b111}))
+    no_meet = tp.Topology(anti, "hand", frozenset({0, 0b011, 0b110, 0b111}))
+    for topo in (no_union, no_meet):
+        assert not _closed_pairwise(topo.opens)
+        assert suites._closed_by_neighborhoods(topo) is False
 
 
 def test_interior_closure_duality():
