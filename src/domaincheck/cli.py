@@ -5,8 +5,9 @@ listing the poset corpus, classifying a poset, tabulating the way-below
 relation, printing a topology, checking a single convergence instance,
 and extracting a directed transversal from a family of sets.
 
-Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage or input errors.
+Exit codes: 0 on success, 1 when a verification suite reports failures
+or the reader closes standard output before the output is written, 2 on
+usage or input errors.
 """
 
 from __future__ import annotations
@@ -67,7 +68,14 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _check_max_size(max_size: int) -> int:
+    if max_size < 1:
+        raise DomainCheckError(f"--max-size must be at least 1, not {max_size}")
+    return max_size
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    max_size = _check_max_size(args.max_size)
     seed = args.seed
     if seed is None:
         raw = os.environ.get("DOMAINCHECK_SEED", "0")
@@ -75,14 +83,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed = int(raw)
         except ValueError:
             raise DomainCheckError(f"DOMAINCHECK_SEED must be an integer, not {raw!r}") from None
-    report = suites.run_suite(args.suite, max_size=args.max_size, seed=seed)
+    report = suites.run_suite(args.suite, max_size=max_size, seed=seed)
     sys.stdout.write(suites.emit_report(report, args.format).decode())
     return 0 if report.ok else 1
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for name, p in cp.all_corpus(args.max_size).items():
+        for name, p in cp.all_corpus(_check_max_size(args.max_size)).items():
             sys.stdout.write(f"{name} {p.n}\n")
         return 0
     raise DomainCheckError(f"unknown corpus action {args.action!r}")
@@ -244,7 +252,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``domaincheck corpus list | head -1``).
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except DomainCheckError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

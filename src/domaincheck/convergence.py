@@ -355,6 +355,16 @@ def _trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     """Masks that decide trapping on a finite backend: the net is trapped
     in ``region`` up to ``idl`` iff some mask ``t`` has ``t & ~region == 0``.
 
+    Posets, nets and ideals are immutable, so the masks are computed once
+    per (backend, net, ideal) and reused while the same three objects come
+    back: the net keeps one slot holding the backend and the ideal it was
+    last asked about, compared by identity, and their masks.  So the
+    predicates of one (net, ideal) triple and every point tried for one net
+    share a computation, and nothing outlives the net.  A call that raises
+    stores nothing.  ``test_trap_mask_reuse_is_keyed_on_all_three`` reuses
+    nets across posets with the same ids in different orders and across
+    ideals, and compares with the definitional check.
+
     Under the trivial ideal every exception set is negligible, so the
     empty mask traps.  A finite-index net under the eventual ideal is
     trapped iff it stays inside on some upper set ``index.up[j]``, so each
@@ -367,6 +377,15 @@ def _trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     raises :class:`UnknownElement` and an ascending track
     :class:`BackendUnsupported`, whatever the ideal.
     """
+    cached = net.__dict__.get("_trap_slot")
+    if cached is not None and cached[0] is p and cached[1] is idl:
+        return cached[2]
+    masks = _build_trap_masks(p, net, idl)
+    object.__setattr__(net, "_trap_slot", (p, idl, masks))
+    return masks
+
+
+def _build_trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     if isinstance(net, FiniteNet):
         points = [1 << p.index(v) for v in net.values]
         if idl.kind == "trivial":
@@ -432,8 +451,10 @@ def converges_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = 
     the limit's.  ``exhaustive=True`` quantifies over every directed
     subset instead; ``test_finite_exhaustive_agrees_with_principal``
     checks that the two agree on every poset of size at most 3.  The
-    principal path decides trapping from the net's trap masks, computed
-    once, as ``test_trap_masks_match_exception_sets`` checks.
+    principal path decides trapping from the net's trap masks
+    (:func:`_trap_masks`: built once per backend, net and ideal and reused
+    by the other predicates, as ``test_trap_masks_match_exception_sets``
+    and ``test_trap_mask_reuse_is_keyed_on_all_three`` check).
 
     On the side-point dcpo the only shapes that are not dominated by the
     principal witness are unbounded sets of naturals, handled by the
@@ -473,8 +494,10 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: 
     most ``topology.FAMILY_BOUND`` antichains instead;
     ``test_finite_exhaustive_agrees_with_principal`` checks that the two
     agree on every poset of size at most 3.  The principal path decides
-    trapping from the net's trap masks, computed once, as
-    ``test_trap_masks_match_exception_sets`` checks.
+    trapping from the net's trap masks (:func:`_trap_masks`: built once
+    per backend, net and ideal and reused by the other predicates, as
+    ``test_trap_masks_match_exception_sets`` and
+    ``test_trap_mask_reuse_is_keyed_on_all_three`` check).
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
@@ -519,13 +542,14 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     ``x`` contains the minimal neighbourhood ``m(x)``
     (:attr:`Topology.neighborhoods`), and trapping is monotone in the
     region: the net converges iff it is trapped in ``m(x)``, tested with
-    the net's trap masks as ``test_trap_masks_match_exception_sets``
-    checks.  The witness is the same as that of a scan of the opens in
-    increasing mask order: every open around ``x`` is a superset of
-    ``m(x)``, hence no smaller as a mask, so ``m(x)`` comes first and
-    fails whenever any of them fails.  ``test_topological_matches_open_scan``
-    compares the two.  A family of opens whose ``m(x)`` is not open
-    raises :class:`PreconditionFailed`.
+    the net's trap masks (:func:`_trap_masks`, reused per backend, net and
+    ideal; ``test_trap_masks_match_exception_sets`` and
+    ``test_trap_mask_reuse_is_keyed_on_all_three``).  The witness is the
+    same as that of a scan of the opens in increasing mask order: every
+    open around ``x`` is a superset of ``m(x)``, hence no smaller as a
+    mask, so ``m(x)`` comes first and fails whenever any of them fails.
+    ``test_topological_matches_open_scan`` compares the two.  A family of
+    opens whose ``m(x)`` is not open raises :class:`PreconditionFailed`.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
@@ -616,9 +640,11 @@ def _side_schema_modes(p: SideNat, net: Net, idl: Ideal, pair: bool) -> tuple[st
 def eventual_family(p: Backend, net: Net, idl: Ideal):
     """Every finite set whose upper closure traps the net up to the ideal.
 
-    Finite backends return antichain masks, each tested against the
-    net's trap masks, computed once, as
-    ``test_trap_masks_match_exception_sets`` checks.  The side-point
+    Finite backends return antichain masks, each tested through its
+    cached upper set (:attr:`FinitePoset.antichain_ups`) against the net's
+    trap masks (:func:`_trap_masks`, reused per backend, net and ideal;
+    ``test_trap_masks_match_exception_sets`` and
+    ``test_trap_mask_reuse_is_keyed_on_all_three``).  The side-point
     backend returns the :class:`SideGiFamily` closed form, decided on the
     net's stabilization window.
     """
@@ -631,7 +657,7 @@ def eventual_family(p: Backend, net: Net, idl: Ideal):
             has_top_single=_eventually_inside(p, net, sn.up_set(TOP), idl),
         )
     masks = _trap_masks(p, net, idl)
-    return tuple(f for f in p.iter_antichain_masks() if _trapped(masks, p.up_of_mask(f)))
+    return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if _trapped(masks, u))
 
 
 @logged("convergence.eventual_liminf")
@@ -800,9 +826,7 @@ def derive_convergence_topology(
         traps.update(
             m for m in range(1, p.universe + 1) if bin(m).count("1") <= netclass.max_track_period
         )
-    antichain_ups = (
-        tuple(p.up_of_mask(f) for f in p.iter_antichain_masks()) if mode == "eventual" else ()
-    )
+    antichain_ups = p.antichain_ups if mode == "eventual" else ()
     constraints = [(t, _limits_of_trap(p, t, antichain_ups)) for t in traps]
     opens = [
         mask

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .oplog import logged
 from .errors import CycleError, DuplicateElement, NotDirected, PreconditionFailed, UnknownElement
@@ -48,6 +49,12 @@ class FinitePoset:
     ``up[i]`` and ``down[i]`` include ``i`` itself.  Instances are built
     through :func:`build_finite_poset`, which closes and validates the
     relation; the constructor trusts its inputs.
+
+    The poset is immutable, so its antichains, their upper sets and its
+    upper sets are computed once, on first use, as cached tuples
+    (:attr:`antichain_masks`, :attr:`antichain_ups`, :attr:`upper_masks`);
+    ``test_cached_artefacts_match_literal_scans`` compares them with the
+    literal scans over all ``2**n`` masks.
     """
 
     name: str
@@ -182,16 +189,43 @@ class FinitePoset:
                     break
                 sub = (sub - 1) & below
 
+    @cached_property
+    def antichain_masks(self) -> tuple[int, ...]:
+        """All nonempty antichains, in increasing mask order.
+
+        Built by highest element: the antichains whose highest element is
+        ``i`` are ``{i}`` and ``a | {i}`` for each earlier antichain ``a``
+        of elements incomparable with ``i``.  Each such block is sorted and
+        lies above every earlier one, so the tuple is sorted.
+        """
+        out: list[int] = []
+        for i in range(self.n):
+            comparable = self.up[i] | self.down[i]
+            bit = 1 << i
+            out += [bit] + [a | bit for a in out if a & comparable == 0]
+        return tuple(out)
+
+    @cached_property
+    def antichain_ups(self) -> tuple[int, ...]:
+        """``up_of_mask`` of each member of :attr:`antichain_masks`, in the same order."""
+        return tuple(self.up_of_mask(a) for a in self.antichain_masks)
+
+    @cached_property
+    def upper_masks(self) -> tuple[int, ...]:
+        """All upper sets, in increasing mask order.
+
+        A nonempty upper set is the upper set of its minimal elements, an
+        antichain, and distinct antichains have distinct upper sets, so
+        these are exactly the empty set and :attr:`antichain_ups`.
+        """
+        return tuple(sorted((0, *self.antichain_ups)))
+
     def iter_upper_masks(self) -> Iterator[int]:
-        for mask in range(self.universe + 1):
-            if self.up_of_mask(mask) == mask:
-                yield mask
+        return iter(self.upper_masks)
 
     def iter_antichain_masks(self) -> Iterator[int]:
         """All nonempty antichains."""
-        for mask in range(1, self.universe + 1):
-            if self.min_mask(mask) == mask:
-                yield mask
+        return iter(self.antichain_masks)
 
 
 @logged("order.build_poset")

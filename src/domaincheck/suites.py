@@ -268,7 +268,12 @@ def _suite_family_topology_is_scott(run: _Run, ctx: _Ctx) -> None:
 def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     """Family lim-inf convergence coincides with Scott-topological ideal
     convergence; lim-inf convergence implies it; the trivial ideal makes
-    every net converge to every point."""
+    every net converge to every point.
+
+    Lim-inf convergence is decided only on triples whose family verdict
+    is False: "lim-inf implies family" cannot fail where family holds, so
+    the verdicts and the failures are those of deciding it everywhere.
+    The three predicates of a triple share the net's trap masks."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
@@ -281,7 +286,7 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
             if fam != topo:
                 run.check(f"{name}:{i}:scott", False, _triple_witness(p, net, x, idl))
                 continue
-            if cv.converges_liminf(p, net, x, idl).holds and not fam:
+            if not fam and cv.converges_liminf(p, net, x, idl).holds:
                 run.check(f"{name}:{i}:liminf", False, _triple_witness(p, net, x, idl))
                 continue
             if idl.kind == "trivial":

@@ -174,10 +174,9 @@ def _directed_antichain_families(p: FinitePoset, family_bound: int):
     """Smyth-directed families of at most ``family_bound`` antichains,
     each with its members' upper sets, by size and then in
     ``combinations`` order."""
-    chains = tuple(p.iter_antichain_masks())
-    ups = {f: p.up_of_mask(f) for f in chains}
+    ups = dict(zip(p.antichain_masks, p.antichain_ups))
     for size in range(1, family_bound + 1):
-        for fam in combinations(chains, size):
+        for fam in combinations(p.antichain_masks, size):
             fam_ups = tuple(ups[f] for f in fam)
             if smyth_directed(fam_ups):
                 yield fam, fam_ups

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -180,6 +183,51 @@ def test_verify_exit_codes(capsys):
     assert code == 1 and json.loads(out)["passed"] == 0
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2 and "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "rudin", "--max-size", "-1"),
+        ("verify", "--suite", "rudin", "--max-size", "0"),
+        ("corpus", "list", "--max-size", "0"),
+        ("corpus", "list", "--max-size", "-3"),
+    ],
+)
+def test_max_size_below_one_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and "--max-size" in err and not out
+
+
+def _cli_to(stdout, *argv):
+    """Run the CLI in a fresh interpreter with ``stdout`` as its standard
+    output; return the exit code and the standard error bytes."""
+    code = f"from domaincheck.cli import main; raise SystemExit(main({list(argv)!r}))"
+    cmd = [sys.executable, "-c", code]
+    proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [("corpus", "list"), ("verify", "--suite", "sidenat", "--max-size", "2")]
+)
+def test_closed_stdout_is_not_an_error(argv):
+    """A reader that stops early, as in ``domaincheck corpus list | head -1``,
+    gets no ``error:`` line: the read end is closed before the child writes."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _cli_to(write_end, *argv)
+    finally:
+        os.close(write_end)
+    assert code == 1 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_other_stdout_errors_stay_usage_errors():
+    with open("/dev/full", "wb") as full:
+        code, err = _cli_to(full, "corpus", "list")
+    assert code == 2 and err.startswith(b"error:")
 
 
 def test_verify_env_seed(capsys, monkeypatch):

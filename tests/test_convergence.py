@@ -342,6 +342,65 @@ def test_trap_masks_match_exception_sets():
     assert compared == 12360
 
 
+def test_trap_mask_reuse_is_keyed_on_all_three():
+    """Trap masks are reused only for the same backend, net and ideal.
+
+    The same net objects meet every poset of size 3 and a copy of each
+    listing the same ids in reverse order, under every compatible ideal
+    (one object per kind and index, shared by the nets on that index).
+    The triples run in three orders, each with a different component
+    changing between consecutive calls, and every answer is compared with
+    the definitional check.  A net with cached masks then meets a poset
+    lacking one of its values and must raise, on every call.
+    """
+    posets = []
+    for p in generate_all_posets(3):
+        le = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
+        posets += [p, build_finite_poset(f"{p.name}-reversed", p.elements[::-1], le)]
+    nets = list(cv.generate_nets(posets[0], cv.NetClass(max_index_size=2, max_track_period=2)))
+    ideals = {}
+    for net in nets:
+        ideals.setdefault(cv.net_index(net), tuple(cv._net_ideals(net, cv.IDEAL_KINDS)))
+
+    def ideals_of(net):
+        return ideals[cv.net_index(net)]
+
+    orders = [
+        [(p, net, idl) for p in posets for net in nets for idl in ideals_of(net)],
+        [(p, net, idl) for net in nets for idl in ideals_of(net) for p in posets],
+        [
+            (p, net, idl)
+            for p in posets
+            for index, group in ideals.items()
+            for idl in group
+            for net in nets
+            if cv.net_index(net) == index
+        ],
+    ]
+    compared = 0
+    for order in orders:
+        for p, net, idl in order:
+            masks = cv._trap_masks(p, net, idl)
+            for region in range(p.universe + 1):
+                slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
+                assert any(t & ~region == 0 for t in masks) == slow, (p.name, net, idl.kind, region)
+                compared += 1
+    assert compared == 3 * 10 * 72 * 8
+
+    small = generate_all_posets(2)[0]
+    for net in nets:
+        values = net.values if isinstance(net, cv.FiniteNet) else [t[1] for t in net.tracks]
+        if "e2" not in values:
+            continue
+        for idl in ideals_of(net):
+            cv._trap_masks(posets[0], net, idl)
+            for _ in range(2):
+                with pytest.raises(UnknownElement):
+                    cv._trap_masks(small, net, idl)
+                with pytest.raises(UnknownElement):
+                    cv.converges_family_liminf(small, net, "e0", idl)
+
+
 def _finite_predicates(p, net, x, idl):
     yield lambda: cv.converges_liminf(p, net, x, idl)
     yield lambda: cv.converges_family_liminf(p, net, x, idl)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from domaincheck.corpus import generate_all_posets, named_posets
 from domaincheck.errors import CycleError, DuplicateElement, UnknownElement
 from domaincheck.order import bits, build_finite_poset, poset_from_json, poset_to_json
 
@@ -72,6 +73,21 @@ def test_antichain_masks():
     assert ("l", "r") in chains
     assert ("bot", "top") not in chains
     assert all(len(c) >= 1 for c in chains)
+
+
+def test_cached_artefacts_match_literal_scans():
+    """The cached antichains, their upper sets and the upper sets equal the
+    literal scans over all ``2**n`` masks, in the same order, on every
+    poset of size at most 4, every named corpus poset and the empty one."""
+    posets = [p for n in range(1, 5) for p in generate_all_posets(n)]
+    posets += [*named_posets().values(), build_finite_poset("empty", [], [])]
+    for p in posets:
+        antichains = tuple(m for m in range(1, p.universe + 1) if p.min_mask(m) == m)
+        uppers = tuple(m for m in range(p.universe + 1) if p.up_of_mask(m) == m)
+        assert p.antichain_masks == tuple(p.iter_antichain_masks()) == antichains, p.name
+        assert p.antichain_ups == tuple(p.up_of_mask(m) for m in antichains), p.name
+        assert p.upper_masks == tuple(p.iter_upper_masks()) == uppers, p.name
+    assert "cube" in {p.name for p in posets}
 
 
 def test_duplicate_element_rejected():
