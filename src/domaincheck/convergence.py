@@ -31,6 +31,7 @@ from math import lcm
 
 from . import sidenat as sn
 from . import topology as tp
+from . import waybelow as wb
 from .errors import (
     BackendUnsupported,
     IndexMismatch,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .oplog import logged
 from .order import FinitePoset, bits
-from .sidenat import A, TOP, SideElement, SideNat, SideSet, sideset
+from .sidenat import A, TOP, SideNat, SideSet
 from .topology import Topology
 
 Backend = FinitePoset | SideNat
@@ -286,29 +287,18 @@ def ideal_member(idl: Ideal, level: OmegaSet | int) -> bool:
 # -- level and exception sets ------------------------------------------------
 
 
-def _finite_region_test(p: FinitePoset, region: int):
-    def inside(v) -> bool:
-        return bool(region >> p.index(v) & 1)
-
-    return inside
-
-
-def _side_region_test(region: SideSet):
-    def inside(v) -> bool:
-        return v in region
-
-    return inside
-
-
 @logged("convergence.exception_set")
 def exception_set(p: Backend, net: Net, region) -> OmegaSet | int:
     """Positions where the net's value lies outside ``region``."""
     if isinstance(p, SideNat):
         if not isinstance(region, SideSet):
             raise IndexMismatch("regions of the side-point dcpo must be SideSets")
-        inside = _side_region_test(region)
+        inside = region.__contains__
     else:
-        inside = _finite_region_test(p, region)
+
+        def inside(v) -> bool:
+            return bool(region >> p.index(v) & 1)
+
     if isinstance(net, FiniteNet):
         out = 0
         for j in range(net.index.n):
@@ -351,19 +341,34 @@ def _eventually_inside(p: Backend, net: Net, region, idl: Ideal) -> bool:
     return ideal_member(idl, exception_set(p, net, region))
 
 
-def _trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
+def _net_slot(p: Backend, net: Net, idl: Ideal):
+    """The per-net artefact that decides trapping for a (backend, net,
+    ideal) triple: trap masks on a finite backend
+    (:func:`_build_trap_masks`), the eventually-below family on the
+    side-point dcpo (:func:`_build_side_family`).
+
+    Posets, nets and ideals are immutable, so the artefact is built once
+    and reused while the same three objects come back: the net keeps one
+    slot holding the backend and the ideal it was last asked about,
+    compared by identity, and their artefact.  So the predicates of one
+    (net, ideal) triple and every point tried for one net share a
+    computation, and nothing outlives the net.  A call that raises stores
+    nothing.  ``test_trap_mask_reuse_is_keyed_on_all_three`` reuses nets
+    across posets with the same ids in different orders and across
+    ideals, and compares with the definitional check.
+    """
+    cached = net.__dict__.get("_trap_slot")
+    if cached is not None and cached[0] is p and cached[1] is idl:
+        return cached[2]
+    build = _build_side_family if isinstance(p, SideNat) else _build_trap_masks
+    value = build(p, net, idl)
+    object.__setattr__(net, "_trap_slot", (p, idl, value))
+    return value
+
+
+def _build_trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     """Masks that decide trapping on a finite backend: the net is trapped
     in ``region`` up to ``idl`` iff some mask ``t`` has ``t & ~region == 0``.
-
-    Posets, nets and ideals are immutable, so the masks are computed once
-    per (backend, net, ideal) and reused while the same three objects come
-    back: the net keeps one slot holding the backend and the ideal it was
-    last asked about, compared by identity, and their masks.  So the
-    predicates of one (net, ideal) triple and every point tried for one net
-    share a computation, and nothing outlives the net.  A call that raises
-    stores nothing.  ``test_trap_mask_reuse_is_keyed_on_all_three`` reuses
-    nets across posets with the same ids in different orders and across
-    ideals, and compares with the definitional check.
 
     Under the trivial ideal every exception set is negligible, so the
     empty mask traps.  A finite-index net under the eventual ideal is
@@ -377,15 +382,6 @@ def _trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     raises :class:`UnknownElement` and an ascending track
     :class:`BackendUnsupported`, whatever the ideal.
     """
-    cached = net.__dict__.get("_trap_slot")
-    if cached is not None and cached[0] is p and cached[1] is idl:
-        return cached[2]
-    masks = _build_trap_masks(p, net, idl)
-    object.__setattr__(net, "_trap_slot", (p, idl, masks))
-    return masks
-
-
-def _build_trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     if isinstance(net, FiniteNet):
         points = [1 << p.index(v) for v in net.values]
         if idl.kind == "trivial":
@@ -408,6 +404,33 @@ def _build_trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
 
 def _trapped(masks: tuple[int, ...], region: int) -> bool:
     return any(t & ~region == 0 for t in masks)
+
+
+def _build_side_family(p: SideNat, net: Net, idl: Ideal) -> wb.SideFamily:
+    """The eventually-below family on the side-point dcpo: every antichain
+    ``{n}``, ``{a}``, ``{inf}`` or ``{n, a}`` whose upper set traps the net
+    up to the ideal.
+
+    The regions of ``{n}`` and ``{n, a}`` shrink as ``n`` grows, so their
+    statuses must shrink too, and past the stabilization bound they stop
+    changing: the window ``n <= stabilization_bound(net)`` makes each kind
+    an initial segment of explicit members or a full schema.
+    ``test_side_predicates_on_small_track_nets`` checks the predicates
+    that read the family against Scott-topological convergence.
+    """
+    window = range(stabilization_bound(net) + 1)
+    singles = [_eventually_inside(p, net, sn.up_set(n), idl) for n in window]
+    pairs = [_eventually_inside(p, net, sn.up_closure(sn.side_set_of((n, A))), idl) for n in window]
+    for statuses in (singles, pairs):
+        if any(later and not earlier for earlier, later in zip(statuses, statuses[1:])):
+            raise PreconditionFailed("level statuses must shrink as regions shrink")
+    explicit = [(e,) for e in (A, TOP) if _eventually_inside(p, net, sn.up_set(e), idl)]
+    explicit += [(n,) for n in window if singles[n]] + [(n, A) for n in window if pairs[n]]
+    return wb.side_family(
+        explicit,
+        singletons_from=0 if all(singles) else None,
+        pairs_from=0 if all(pairs) else None,
+    )
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -435,43 +458,42 @@ def _check_compat(net: Net, idl: Ideal) -> None:
 # -- lim-inf convergence ----------------------------------------------------
 
 
-def _side_chain_cond(p: SideNat, net: Net, idl: Ideal) -> bool:
-    s = stabilization_bound(net)
-    return all(_eventually_inside(p, net, sn.up_set(n), idl) for n in range(s + 1))
-
-
 @logged("convergence.liminf")
-def converges_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = False) -> Verdict:
+def converges_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
     """Lim-inf convergence: some directed set below the limit traps the net.
 
-    The finite backend's default path tests the principal witness, the
-    singleton of the limit itself, which subsumes every other directed
-    set: the trap condition for a directed set with supremum above ``x``
-    is at least as strong at the supremum, whose upper set sits inside
-    the limit's.  ``exhaustive=True`` quantifies over every directed
-    subset instead; ``test_finite_exhaustive_agrees_with_principal``
-    checks that the two agree on every poset of size at most 3.  The
-    principal path decides trapping from the net's trap masks
-    (:func:`_trap_masks`: built once per backend, net and ideal and reused
-    by the other predicates, as ``test_trap_masks_match_exception_sets``
-    and ``test_trap_mask_reuse_is_keyed_on_all_three`` check).
-
+    The finite backend tests the principal witness, the singleton of the
+    limit itself, which subsumes every other directed set: the trap
+    condition for a directed set with supremum above ``x`` is at least as
+    strong at the supremum, whose upper set sits inside the limit's.
     On the side-point dcpo the only shapes that are not dominated by the
-    principal witness are unbounded sets of naturals, handled by the
-    stabilized chain check.
+    principal witness are unbounded sets of naturals: ``{x}`` or every
+    ``{n}`` is in the net's eventually-below family.  Both backends read
+    the net's slot (:func:`_net_slot`).  Oracles:
+    ``test_finite_exhaustive_agrees_with_principal`` compares the finite
+    path with :func:`_converges_liminf_definitional` on every poset of
+    size at most 3, and ``test_side_predicates_on_small_track_nets``
+    checks the side path on every track net of period at most 2.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
-        if _eventually_inside(p, net, sn.up_set(x), idl):
+        fam = _net_slot(p, net, idl)
+        if fam.contains((x,)):
             return Verdict(True, {"directed_set": [str(x)], "shape": "principal"})
-        if _side_chain_cond(p, net, idl):
+        if fam.singletons_from == 0:
             return Verdict(True, {"shape": "natural_chain", "checked_upto": stabilization_bound(net)})
         return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
-    if not exhaustive:
-        if _trapped(_trap_masks(p, net, idl), p.up[ix]):
-            return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
-        return Verdict(False, {"point": p.elements[ix]})
+    if _trapped(_net_slot(p, net, idl), p.up[ix]):
+        return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
+    return Verdict(False, {"point": p.elements[ix]})
+
+
+def _converges_liminf_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
+    """Lim-inf convergence on a finite poset, by the definition: some
+    directed subset with supremum above ``x`` traps the net at each of its
+    points."""
+    ix = p.index(x) if isinstance(x, str) else x
     for d in p.iter_directed_masks():
         if not p.leq_ix(ix, p.directed_sup_mask(d)):
             continue
@@ -481,7 +503,7 @@ def converges_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = 
 
 
 @logged("convergence.family_liminf")
-def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: bool = False) -> Verdict:
+def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
     """Lim-inf convergence along a Smyth-directed family of finite sets.
 
     The family's upper sets must intersect inside the limit's upper set,
@@ -489,35 +511,36 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal, *, exhaustive: 
     family over the limit again dominates on finite backends.  The side
     backend has two extra undominated shapes, the all-singletons schema
     (whose upper sets intersect in the top alone, hence work for any
-    limit) and, for the side point, the pair schema.  On finite backends
-    ``exhaustive=True`` quantifies over every Smyth-directed family of at
-    most ``topology.FAMILY_BOUND`` antichains instead;
-    ``test_finite_exhaustive_agrees_with_principal`` checks that the two
-    agree on every poset of size at most 3.  The principal path decides
-    trapping from the net's trap masks (:func:`_trap_masks`: built once
-    per backend, net and ideal and reused by the other predicates, as
-    ``test_trap_masks_match_exception_sets`` and
-    ``test_trap_mask_reuse_is_keyed_on_all_three`` check).
+    limit) and, for the side point, the pair schema, each read from the
+    net's eventually-below family (:func:`_net_slot`).  Oracles:
+    ``test_finite_exhaustive_agrees_with_principal`` compares the finite
+    path with :func:`_converges_family_definitional` on every poset of
+    size at most 3, and ``test_side_predicates_on_small_track_nets``
+    compares the side path with Scott-topological convergence on every
+    track net of period at most 2.
     """
     _check_compat(net, idl)
     if isinstance(p, SideNat):
-        if _eventually_inside(p, net, sn.up_set(x), idl):
+        fam = _net_slot(p, net, idl)
+        if fam.contains((x,)):
             return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
-        if _side_chain_cond(p, net, idl):
+        if fam.singletons_from == 0:
             return Verdict(True, {"shape": "singleton_schema", "checked_upto": stabilization_bound(net)})
-        if x == A:
-            s = stabilization_bound(net)
-            if all(
-                _eventually_inside(p, net, sn.up_closure(sn.side_set_of((n, A))), idl)
-                for n in range(s + 1)
-            ):
-                return Verdict(True, {"shape": "pair_schema", "checked_upto": s})
+        if x == A and fam.pairs_from == 0:
+            return Verdict(True, {"shape": "pair_schema", "checked_upto": stabilization_bound(net)})
         return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
-    if not exhaustive:
-        if _trapped(_trap_masks(p, net, idl), p.up[ix]):
-            return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
-        return Verdict(False, {"point": p.elements[ix]})
+    if _trapped(_net_slot(p, net, idl), p.up[ix]):
+        return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
+    return Verdict(False, {"point": p.elements[ix]})
+
+
+def _converges_family_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
+    """Family lim-inf convergence on a finite poset, by the definition:
+    some Smyth-directed family of at most ``topology.FAMILY_BOUND``
+    antichains, whose upper sets meet inside ``up(x)``, traps the net at
+    each member."""
+    ix = p.index(x) if isinstance(x, str) else x
     for fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
         meet = p.universe
         for u in ups:
@@ -542,9 +565,7 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     ``x`` contains the minimal neighbourhood ``m(x)``
     (:attr:`Topology.neighborhoods`), and trapping is monotone in the
     region: the net converges iff it is trapped in ``m(x)``, tested with
-    the net's trap masks (:func:`_trap_masks`, reused per backend, net and
-    ideal; ``test_trap_masks_match_exception_sets`` and
-    ``test_trap_mask_reuse_is_keyed_on_all_three``).  The witness is the
+    the net's trap masks (:func:`_net_slot`).  The witness is the
     same as that of a scan of the opens in increasing mask order: every
     open around ``x`` is a superset of ``m(x)``, hence no smaller as a
     mask, so ``m(x)`` comes first and fails whenever any of them fails.
@@ -563,7 +584,7 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     if isinstance(topo, str):
         topo = tp.finite_topology(p, topo)
     ix = p.index(x) if isinstance(x, str) else x
-    masks = _trap_masks(p, net, idl)
+    masks = _net_slot(p, net, idl)
     m = topo.neighborhoods[ix]
     if not _trapped(masks, m):
         return Verdict(False, {"open": list(p.ids_of(m))})
@@ -573,90 +594,22 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
 # -- the eventually-below family and eventual lim-inf ------------------------
 
 
-@dataclass(frozen=True)
-class SideGiFamily:
-    """Closed form of the eventually-below family on the side-point dcpo.
-
-    Singleton members ``{n}`` and pair members ``{n, a}`` always form a
-    downward-closed pattern in ``n`` (regions shrink as ``n`` grows), so
-    each is either an initial segment ``n < bound`` or everything.
-    """
-
-    singles: tuple[str, int]
-    pairs: tuple[str, int]
-    has_side_single: bool
-    has_top_single: bool
-
-    def contains(self, member: Iterable[SideElement]) -> bool:
-        m = sn.antichain_of(member)
-        if m == (A,):
-            return self.has_side_single
-        if m == (TOP,):
-            return self.has_top_single
-        if len(m) == 1 and isinstance(m[0], int):
-            mode, bound = self.singles
-            return mode == "all" or m[0] < bound
-        if len(m) == 2 and isinstance(m[0], int) and m[1] == A:
-            mode, bound = self.pairs
-            return mode == "all" or m[0] < bound
-        return False
-
-    def members_upto(self, k: int) -> tuple[tuple[SideElement, ...], ...]:
-        out: list[tuple[SideElement, ...]] = []
-        mode, bound = self.singles
-        out.extend((n,) for n in range(k if mode == "all" else min(k, bound)))
-        if self.has_side_single:
-            out.append((A,))
-        if self.has_top_single:
-            out.append((TOP,))
-        mode, bound = self.pairs
-        out.extend((n, A) for n in range(k if mode == "all" else min(k, bound)))
-        return tuple(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "singles": list(self.singles),
-            "pairs": list(self.pairs),
-            "side_single": self.has_side_single,
-            "top_single": self.has_top_single,
-        }
-
-
-def _side_schema_modes(p: SideNat, net: Net, idl: Ideal, pair: bool) -> tuple[str, int]:
-    s = stabilization_bound(net)
-    statuses = []
-    for n in range(s + 1):
-        region = sn.up_closure(sn.side_set_of((n, A))) if pair else sn.up_set(n)
-        statuses.append(_eventually_inside(p, net, region, idl))
-    for earlier, later in zip(statuses, statuses[1:]):
-        if later and not earlier:
-            raise PreconditionFailed("level statuses must shrink as regions shrink")
-    if all(statuses):
-        return ("all", 0)
-    return ("upto", statuses.index(False))
-
-
 @logged("convergence.eventual_family")
 def eventual_family(p: Backend, net: Net, idl: Ideal):
     """Every finite set whose upper closure traps the net up to the ideal.
 
     Finite backends return antichain masks, each tested through its
     cached upper set (:attr:`FinitePoset.antichain_ups`) against the net's
-    trap masks (:func:`_trap_masks`, reused per backend, net and ideal;
-    ``test_trap_masks_match_exception_sets`` and
-    ``test_trap_mask_reuse_is_keyed_on_all_three``).  The side-point
-    backend returns the :class:`SideGiFamily` closed form, decided on the
-    net's stabilization window.
+    trap masks; ``test_trap_masks_match_exception_sets`` checks those.
+    The side-point backend returns the :class:`waybelow.SideFamily` that
+    the side predicates read, whose oracle is
+    ``test_side_predicates_on_small_track_nets``.  Both come from the
+    net's slot (:func:`_net_slot`).
     """
     _check_compat(net, idl)
+    masks = _net_slot(p, net, idl)
     if isinstance(p, SideNat):
-        return SideGiFamily(
-            singles=_side_schema_modes(p, net, idl, pair=False),
-            pairs=_side_schema_modes(p, net, idl, pair=True),
-            has_side_single=_eventually_inside(p, net, sn.up_set(A), idl),
-            has_top_single=_eventually_inside(p, net, sn.up_set(TOP), idl),
-        )
-    masks = _trap_masks(p, net, idl)
+        return masks
     return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if _trapped(masks, u))
 
 
@@ -667,41 +620,32 @@ def is_eventual_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
 
     Both conditions are taken literally.  The first is family lim-inf
     convergence to ``x``; the second quantifies over the whole
-    eventually-below family, closed-form on the side backend.
+    eventually-below family: on finite backends member by member, in
+    antichain order, with cached upper sets; on the side backend through
+    the intersection of the members' upper sets.  Oracles: the
+    ``eventual-liminf-lawson`` suite compares the finite verdicts with
+    Lawson convergence, and ``test_side_predicates_on_small_track_nets``
+    checks that the side verdicts imply family convergence and pins their
+    count.
     """
     _check_compat(net, idl)
     first = converges_family_liminf(p, net, x, idl)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
     if isinstance(p, SideNat):
-        gi = eventual_family(p, net, idl)
-        requirements: list[tuple[str, bool]] = []
-        mode, bound = gi.singles
-        if mode == "all":
-            requirements.append(("all naturals", x == TOP))
-        elif bound > 0:
-            requirements.append((f"naturals below {bound}", sn.side_leq(bound - 1, x)))
-        if gi.has_side_single:
-            requirements.append(("side singleton", sn.side_leq(A, x)))
-        if gi.has_top_single:
-            requirements.append(("top singleton", x == TOP))
-        mode, bound = gi.pairs
-        if mode == "all":
-            requirements.append(("all pairs", x in sideset(has_a=True, has_top=True)))
-        elif bound > 0:
-            requirements.append(
-                ("pairs below " + str(bound), x in sn.up_closure(sn.side_set_of((bound - 1, A))))
-            )
-        for label, ok in requirements:
-            if not ok:
-                return Verdict(False, {"failed": label, "family": gi.to_dict()})
-        return Verdict(True, {"family": gi.to_dict()})
+        fam = _net_slot(p, net, idl)
+        if x not in fam.upset_intersection():
+            return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
+        return Verdict(True, {"family": fam.to_dict()})
     ix = p.index(x) if isinstance(x, str) else x
-    family = eventual_family(p, net, idl)
-    for f in family:
-        if not (p.up_of_mask(f) >> ix) & 1:
-            return Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
-    return Verdict(True, {"family_size": len(family)})
+    masks = _net_slot(p, net, idl)
+    size = 0
+    for f, u in zip(p.antichain_masks, p.antichain_ups):
+        if _trapped(masks, u):
+            if not u >> ix & 1:
+                return Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
+            size += 1
+    return Verdict(True, {"family_size": size})
 
 
 # -- net classes and induced topologies --------------------------------------
@@ -784,17 +728,16 @@ def derive_convergence_topology(
     *,
     ideal_kinds: tuple[str, ...] = ("eventual",),
     netclass: NetClass | None = None,
-    method: str = "reduced",
 ) -> Topology:
     """The finest topology in which every mode-convergent net converges.
 
     A set is open iff for every net in the class, every compatible ideal,
     and every mode-limit of the net inside the set, the net is trapped in
-    the set up to the ideal.  The naive method replays the convergence
-    predicates and exception sets definitionally over every net.
+    the set up to the ideal.  :func:`_derive_naive` replays the
+    convergence predicates and exception sets definitionally over every
+    net.
 
-    The reduced method enumerates trap sets instead of nets, using two
-    facts.  A finite directed index has a greatest element, whose upper
+    This function enumerates trap sets instead of nets, using two facts.  A finite directed index has a greatest element, whose upper
     set lies inside every other upper set, so under the eventual ideal a
     finite-index net is trapped in a region iff its value at the top is:
     it behaves exactly as the constant net at that value.  A constant-
@@ -804,17 +747,12 @@ def derive_convergence_topology(
     every nonempty value set of at most ``max_track_period`` points (with
     omega tracks and a proper ideal), each a region that traps its nets
     exactly when it contains the set.  ``test_derived_naive_matches_reduced``
-    checks the two methods against each other on every poset of size at
-    most 3.
+    checks the two against each other on every poset of size at most 3.
     """
     if mode not in _MODE_PREDICATES:
         raise UnknownElement(f"unknown convergence mode {mode!r}")
     if netclass is None:
         netclass = default_net_class(mode)
-    if method == "naive":
-        return _derive_naive(p, mode, ideal_kinds, netclass)
-    if method != "reduced":
-        raise UnknownElement(f"unknown derivation method {method!r}")
     if netclass.max_index_size < 1:
         raise NetClassTooSmall("net classes must include one-point indexes (constant nets)")
     for kind in ideal_kinds:
@@ -849,15 +787,14 @@ def _derive_naive(
                     limits |= 1 << ix
             if limits:
                 constraints.append((limits, net, idl))
-    opens = []
-    for mask in range(p.universe + 1):
-        ok = True
-        for limits, net, idl in constraints:
-            if limits & mask and not _eventually_inside(p, net, mask, idl):
-                ok = False
-                break
-        if ok:
-            opens.append(mask)
+    opens = [
+        mask
+        for mask in range(p.universe + 1)
+        if all(
+            not limits & mask or _eventually_inside(p, net, mask, idl)
+            for limits, net, idl in constraints
+        )
+    ]
     return Topology(p, f"net_{mode}", frozenset(opens))
 
 

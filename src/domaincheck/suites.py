@@ -185,7 +185,7 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
         for i in range(200):
             net, idl = _sample_net(p, rng)
             x = rng.randrange(p.n)
-            masks = cv._trap_masks(p, net, idl)
+            masks = cv._net_slot(p, net, idl)
             premise = all(cv._trapped(masks, u) for u in waydown_ups[x])
             if premise:
                 ok = cv.converges_family_liminf(p, net, x, idl).holds
@@ -194,27 +194,9 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     for label, net in _side_nets():
         gi = cv.eventual_family(SIDE_NAT, net, I)
         for x in (A, TOP, 0, 3):
-            premise = _side_waydown_trapped(gi, x)
-            if premise:
+            if gi.includes(wb.fin_of(SIDE_NAT, x)):
                 ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
                 run.check(f"side:{label}:{x}", ok)
-
-
-def _side_waydown_trapped(gi: cv.SideGiFamily, x) -> bool:
-    """Whether every finite set way below ``x`` traps the net (via the
-    closed-form eventually-below family).
-
-    The sets way below the side point are exactly the pairs, those below
-    the top are all singletons and all pairs, and those below a natural
-    are the singletons and pairs cut at it."""
-    if x == A:
-        return gi.pairs[0] == "all"
-    if x == TOP:
-        return gi.singles[0] == "all" and gi.pairs[0] == "all"
-    need = x + 1
-    singles_ok = gi.singles[0] == "all" or gi.singles[1] >= need
-    pairs_ok = gi.pairs[0] == "all" or gi.pairs[1] >= need
-    return singles_ok and pairs_ok
 
 
 def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
@@ -580,12 +562,12 @@ def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
 def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[cv.Net, cv.Ideal]:
     finite, omega = _sampling_ideals()
     if rng.random() < 0.5:
-        idx, ideals = finite[rng.randrange(len(finite))]
-        values = tuple(p.elements[rng.randrange(p.n)] for _ in range(idx.n))
-        return cv.FiniteNet(idx, values), ideals[rng.randrange(2)]
+        idx, ideals = rng.choice(finite)
+        values = tuple(rng.choice(p.elements) for _ in range(idx.n))
+        return cv.FiniteNet(idx, values), rng.choice(ideals)
     period = 1 + rng.randrange(3)
-    tracks = tuple(cv.const_track(p.elements[rng.randrange(p.n)]) for _ in range(period))
-    return cv.TrackNet(period, tracks), omega[rng.randrange(4)]
+    tracks = tuple(cv.const_track(rng.choice(p.elements)) for _ in range(period))
+    return cv.TrackNet(period, tracks), rng.choice(omega)
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

@@ -217,11 +217,21 @@ class SideFamily:
             out.extend((n,) for n in range(self.singletons_from, k))
         if self.pairs_from is not None:
             out.extend((n, A) for n in range(self.pairs_from, k))
-        seen: list[tuple[SideElement, ...]] = []
-        for m in out:
-            if m not in seen:
-                seen.append(m)
-        return tuple(seen)
+        return tuple(dict.fromkeys(out))
+
+    def includes(self, other: SideFamily) -> bool:
+        """Is every member of ``other`` a member of this family?  Past both
+        stabilization bounds membership is constant in ``n``, so a window
+        decides.  Oracle: ``test_side_family_includes_matches_prefixes``."""
+        k = max(self._stab(), other._stab())
+        return all(self.contains(m) for m in other.members_upto(k))
+
+    def to_dict(self) -> dict:
+        return {
+            "explicit": [[str(e) for e in m] for m in self.explicit],
+            "singletons_from": self.singletons_from,
+            "pairs_from": self.pairs_from,
+        }
 
     def _stab(self) -> int:
         data = [e for m in self.explicit for e in m if isinstance(e, int)]

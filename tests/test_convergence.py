@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
 from domaincheck import topology as tp
+from domaincheck import waybelow as wb
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import (
     BackendUnsupported,
@@ -214,14 +215,16 @@ def test_interleaved_converges_nowhere_else():
 
 def test_interleaved_eventual_family_frozen():
     gi = cv.eventual_family(SIDE_NAT, INTERLEAVED, EVENTUAL)
-    assert gi.singles == ("upto", 0)
-    assert gi.pairs == ("all", 0)
-    assert not gi.has_side_single and not gi.has_top_single
+    # every pair {n, a}, and no singleton: not {n}, {a} or {inf}
+    assert gi == wb.side_family(pairs_from=0)
     assert gi.contains((5, A)) and not gi.contains((5,)) and not gi.contains((A,))
+    assert not gi.contains((TOP,))
 
 
 def test_interleaved_eventual_liminf_only_at_side_point():
-    assert cv.is_eventual_liminf(SIDE_NAT, INTERLEAVED, A, EVENTUAL).holds
+    v = cv.is_eventual_liminf(SIDE_NAT, INTERLEAVED, A, EVENTUAL)
+    assert v.holds
+    assert v.witness == {"family": {"explicit": [], "singletons_from": None, "pairs_from": 0}}
     for x in (0, 3, TOP):
         assert not cv.is_eventual_liminf(SIDE_NAT, INTERLEAVED, x, EVENTUAL).holds
 
@@ -235,6 +238,36 @@ def test_ascending_net_converges_everywhere():
         assert v.holds
         assert cv.converges_family_liminf(SIDE_NAT, net, x, EVENTUAL).holds
     assert cv.converges_liminf(SIDE_NAT, net, A, EVENTUAL).witness["shape"] == "natural_chain"
+
+
+SMALL_TRACKS = [cv.const_track(v) for v in (0, 1, 2, 3, A, TOP)] + [cv.ascend_track()]
+
+
+def test_side_predicates_on_small_track_nets():
+    """On every track net of period at most 2 over {0, 1, 2, 3, a, inf,
+    ascend}, under every ideal kind, at every point of {a, inf, 0..4}:
+    family lim-inf convergence equals Scott-topological convergence (an
+    independent closed form over the binding opens), and lim-inf and
+    eventual lim-inf convergence each imply it.  The counts are frozen."""
+    nets = [cv.track_net(*c) for period in (1, 2) for c in product(SMALL_TRACKS, repeat=period)]
+    assert len(nets) == 56
+    triples = family = liminf = eventual = 0
+    for net in nets:
+        for kind in cv.IDEAL_KINDS:
+            idl = cv.ideal(kind)
+            for x in (A, TOP, 0, 1, 2, 3, 4):
+                fam = cv.converges_family_liminf(SIDE_NAT, net, x, idl).holds
+                lim = cv.converges_liminf(SIDE_NAT, net, x, idl).holds
+                ev = cv.is_eventual_liminf(SIDE_NAT, net, x, idl).holds
+                topo = cv.converges_topological(SIDE_NAT, net, x, idl, "scott").holds
+                assert fam == topo, (net, kind, x)
+                assert fam or not lim, (net, kind, x)
+                assert fam or not ev, (net, kind, x)
+                triples += 1
+                family += fam
+                liminf += lim
+                eventual += ev
+    assert (triples, family, liminf, eventual) == (1568, 776, 770, 200)
 
 
 def test_constant_net_converges_below_value():
@@ -299,9 +332,12 @@ def test_finite_exhaustive_agrees_with_principal():
         for p in generate_all_posets(n):
             for net, idl in _nets_and_ideals(p):
                 for x in p.elements:
-                    for mode in (cv.converges_liminf, cv.converges_family_liminf):
+                    for mode, oracle in (
+                        (cv.converges_liminf, cv._converges_liminf_definitional),
+                        (cv.converges_family_liminf, cv._converges_family_definitional),
+                    ):
                         fast = mode(p, net, x, idl).holds
-                        slow = mode(p, net, x, idl, exhaustive=True).holds
+                        slow = oracle(p, net, x, idl).holds
                         assert fast == slow, (mode.__name__, p.name, net, x, idl.kind)
                         compared += 1
     assert compared == 5976
@@ -333,7 +369,7 @@ def test_trap_masks_match_exception_sets():
         for p in generate_all_posets(n):
             for net in cv.generate_nets(p, netclass):
                 for idl in cv._net_ideals(net, cv.IDEAL_KINDS):
-                    masks = cv._trap_masks(p, net, idl)
+                    masks = cv._net_slot(p, net, idl)
                     for region in range(p.universe + 1):
                         slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
                         fast = any(t & ~region == 0 for t in masks)
@@ -380,7 +416,7 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
     compared = 0
     for order in orders:
         for p, net, idl in order:
-            masks = cv._trap_masks(p, net, idl)
+            masks = cv._net_slot(p, net, idl)
             for region in range(p.universe + 1):
                 slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
                 assert any(t & ~region == 0 for t in masks) == slow, (p.name, net, idl.kind, region)
@@ -393,10 +429,10 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
         if "e2" not in values:
             continue
         for idl in ideals_of(net):
-            cv._trap_masks(posets[0], net, idl)
+            cv._net_slot(posets[0], net, idl)
             for _ in range(2):
                 with pytest.raises(UnknownElement):
-                    cv._trap_masks(small, net, idl)
+                    cv._net_slot(small, net, idl)
                 with pytest.raises(UnknownElement):
                     cv.converges_family_liminf(small, net, "e0", idl)
 
@@ -515,9 +551,7 @@ def test_derived_naive_matches_reduced():
     for p, mode, kinds, netclass in product(
         posets, ("liminf", "family", "eventual"), ORACLE_IDEAL_KINDS, ORACLE_NET_CLASSES
     ):
-        naive = cv.derive_convergence_topology(
-            p, mode, ideal_kinds=kinds, netclass=netclass, method="naive"
-        )
+        naive = cv._derive_naive(p, mode, kinds, netclass)
         reduced = cv.derive_convergence_topology(p, mode, ideal_kinds=kinds, netclass=netclass)
         assert naive.opens == reduced.opens, (p.name, mode, kinds, netclass)
 

@@ -173,3 +173,23 @@ def test_side_family_is_directed_matches_prefixes():
         for k in (3, 6, 9):
             assert _literal_prefix_directed(fam, k) == verdicts[-1], (fam, k)
     assert verdicts == [True] * 8 + [False, False]
+
+
+def test_side_family_includes_matches_prefixes():
+    """``includes`` decides inclusion of possibly infinite families as the
+    literal member-by-member check does on a prefix far past every
+    parameter."""
+    families = [wb.fin_of(SIDE_NAT, x) for x in (A, TOP, *range(4))]
+    families += [
+        wb.side_family(explicit, singletons_from=s, pairs_from=q)
+        for explicit in ([], [(1,)], [(0, A), (A,)], [(TOP,), (2,)])
+        for s in (None, 0, 3)
+        for q in (None, 0, 2)
+    ]
+    included = 0
+    for big in families:
+        for small in families:
+            literal = all(big.contains(m) for m in small.members_upto(30))
+            assert big.includes(small) == literal, (big, small)
+            included += literal
+    assert 0 < included < len(families) ** 2
