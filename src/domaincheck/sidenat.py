@@ -41,6 +41,14 @@ def parse_side_element(text: str) -> SideElement:
     raise UnknownElement(f"{text!r} is not an element of side_nat")
 
 
+def check_side_element(v) -> SideElement:
+    """Return ``v`` if it is an element of the carrier: a natural, ``a`` or
+    ``inf``; raise :class:`UnknownElement` otherwise."""
+    if v == A or v == TOP or (type(v) is int and v >= 0):
+        return v
+    raise UnknownElement(f"{v!r} is not an element of side_nat")
+
+
 def format_side_element(e: SideElement) -> str:
     return str(e)
 

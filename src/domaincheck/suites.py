@@ -146,7 +146,7 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     for name, p in ctx.corpus.items():
         for i in range(200):
             net, idl = _sample_net(p, rng)
-            x = rng.randrange(p.n)
+            x = _below(rng, p.n)
             if cv.converges_liminf(p, net, x, idl).holds:
                 ok = cv.converges_family_liminf(p, net, x, idl).holds
                 run.check(f"{name}:{i}", ok, _triple_witness(p, net, x, idl))
@@ -184,7 +184,7 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
         ]
         for i in range(200):
             net, idl = _sample_net(p, rng)
-            x = rng.randrange(p.n)
+            x = _below(rng, p.n)
             masks = cv._net_slot(p, net, idl)
             premise = all(cv._trapped(masks, u) for u in waydown_ups[x])
             if premise:
@@ -262,7 +262,7 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
         trivial_checked = False
         for i in range(1000):
             net, idl = _sample_net(p, rng)
-            x = rng.randrange(p.n)
+            x = _below(rng, p.n)
             fam = cv.converges_family_liminf(p, net, x, idl).holds
             topo = cv.converges_topological(p, net, x, idl, sc).holds
             if fam != topo:
@@ -559,15 +559,40 @@ def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
     return finite, tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``.
+
+    This is the rejection loop over ``getrandbits`` that
+    ``Random._randbelow_with_getrandbits`` runs for ``rng.choice`` and
+    ``rng.randrange(n)`` on CPython 3.10 to 3.12, without their argument
+    handling, so it consumes the same bits, returns the same indexes and
+    leaves the same state.  ``test_sample_net_draws_match_random_choice``
+    compares it with those calls; the pinned sha256 of
+    ``test_small_all_report_bytes_are_pinned`` guards the report bytes.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[cv.Net, cv.Ideal]:
+    """A random (net, ideal) pair over ``p``: with even odds, a finite-index
+    net under its eventual or trivial ideal, or a constant-track net of
+    period 1 to 3 under one of the four ideals on the naturals.  Every
+    index is drawn through :func:`_below`, so the draws are those of
+    ``rng.choice`` over the same sequences and ``rng.randrange(3)``
+    (``test_sample_net_draws_match_random_choice``)."""
     finite, omega = _sampling_ideals()
+    elements, n = p.elements, p.n
     if rng.random() < 0.5:
-        idx, ideals = rng.choice(finite)
-        values = tuple(rng.choice(p.elements) for _ in range(idx.n))
-        return cv.FiniteNet(idx, values), rng.choice(ideals)
-    period = 1 + rng.randrange(3)
-    tracks = tuple(cv.const_track(rng.choice(p.elements)) for _ in range(period))
-    return cv.TrackNet(period, tracks), rng.choice(omega)
+        idx, ideals = finite[_below(rng, len(finite))]
+        values = tuple([elements[_below(rng, n)] for _ in range(idx.n)])
+        return cv.FiniteNet(idx, values), ideals[_below(rng, len(ideals))]
+    period = 1 + _below(rng, 3)
+    tracks = tuple([cv.const_track(elements[_below(rng, n)]) for _ in range(period)])
+    return cv.TrackNet(period, tracks), omega[_below(rng, len(omega))]
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

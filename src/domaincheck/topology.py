@@ -196,28 +196,46 @@ def family_liminf_topology(p: FinitePoset, *, method: str = "naive") -> Topology
 
     The ``reduced`` method returns the upper sets directly.  The two are
     compared by the verification suites rather than trusted here.
+
+    The ``naive`` method enumerates the families and decides every
+    candidate set at once: bit ``m`` of an integer with ``2**n`` bits
+    stands for the set ``m``.  A family's constraint holds at the sets
+    disjoint from its points ``x`` and at the supersets of each member's
+    upper set, so it is one such bitset, and the opens are the set bits
+    of the AND over all families.  ``test_family_topology_bitsets_match_mask_scan``
+    compares the opens with a scan of every set against every constraint.
     """
     _guard_size(p)
     if method == "reduced":
         return Topology(p, "glim", frozenset(p.iter_upper_masks()))
     if method != "naive":
         raise UnknownElement(f"unknown method {method!r}")
-    constraints = []
+    cells = p.universe + 1
+    everything = (1 << cells) - 1
+    # holding[i]: the sets that contain point i
+    holding = [sum(1 << m for m in range(cells) if m >> i & 1) for i in range(p.n)]
+    supersets: dict[int, int] = {}
+    opens = everything
     for _fam, ups in _directed_antichain_families(p, FAMILY_BOUND):
         meet = p.universe
         for u in ups:
             meet &= u
-        xmask = 0
+        good = everything
         for x in range(p.n):
             if meet & ~p.up[x] == 0:
-                xmask |= 1 << x
-        if xmask:
-            constraints.append((xmask, ups))
-    opens = []
-    for mask in range(p.universe + 1):
-        if all(not (xmask & mask) or any(u & ~mask == 0 for u in ups) for xmask, ups in constraints):
-            opens.append(mask)
-    return Topology(p, "glim", frozenset(opens))
+                good &= ~holding[x]
+        if good == everything:
+            continue
+        for u in ups:
+            sup = supersets.get(u)
+            if sup is None:
+                sup = everything
+                for i in bits(u):
+                    sup &= holding[i]
+                supersets[u] = sup
+            good |= sup
+        opens &= good
+    return Topology(p, "glim", frozenset(bits(opens)))
 
 
 # -- the side-point dcpo ---------------------------------------------------

@@ -316,6 +316,32 @@ def test_converge_malformed_net_is_usage_error(tmp_path, capsys, net_doc):
     assert code == 2 and err.startswith("error:") and not out
 
 
+@pytest.mark.parametrize("value", ["l", -1])
+@pytest.mark.parametrize("mode", ["family", "topo"])
+def test_converge_side_nat_rejects_foreign_net_values(tmp_path, capsys, mode, value):
+    """A track value that is not an element of the side-point dcpo is a
+    usage error, not a traceback or a verdict."""
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"index": "omega", "tracks": [{"kind": "const", "value": value}]}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"kind": "eventual"}))
+    code, out, err = run_cli(
+        capsys,
+        "converge",
+        "--mode",
+        mode,
+        "--poset",
+        "side_nat",
+        "--net",
+        str(net),
+        "--ideal",
+        str(ideal),
+        "--point",
+        "a",
+    )
+    assert code == 2 and err.startswith("error:") and "side_nat" in err and not out
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,

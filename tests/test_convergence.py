@@ -437,6 +437,14 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
                     cv.converges_family_liminf(small, net, "e0", idl)
 
 
+def test_verdict_to_dict_is_holds_and_witness():
+    """A verdict has two fields, and its JSON form holds exactly those."""
+    verdict = cv.converges_family_liminf(DIAMOND, cv.track_net(cv.const_track("top")), "l", EVENTUAL)
+    assert cv.Verdict._fields == ("holds", "witness")
+    assert verdict.to_dict() == {"holds": True, "witness": {"family": [["l"]], "shape": "principal"}}
+    assert cv.Verdict(False, {}).to_dict() == {"holds": False, "witness": {}}
+
+
 def _finite_predicates(p, net, x, idl):
     yield lambda: cv.converges_liminf(p, net, x, idl)
     yield lambda: cv.converges_family_liminf(p, net, x, idl)

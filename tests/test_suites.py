@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
-
+import hashlib
+import random
+import subprocess
+import sys
 from collections import Counter
 
-from domaincheck import oplog, suites
+import pytest
+
+from domaincheck import convergence as cv
+from domaincheck import corpus, oplog, suites
 from domaincheck.errors import UnknownSuite
 
 
@@ -92,3 +97,51 @@ def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
     (coverage,) = [f for f in rep.failures if f["case"] == "coverage:all-ops"]
     assert "rudin.extract" in coverage["missing"]
     assert "suites.run" not in coverage["missing"]
+
+
+def _sample_net_with_random_choice(p, rng):
+    """The sampler written with ``rng.choice`` and ``rng.randrange``."""
+    finite, omega = suites._sampling_ideals()
+    if rng.random() < 0.5:
+        idx, ideals = rng.choice(finite)
+        values = tuple(rng.choice(p.elements) for _ in range(idx.n))
+        return cv.FiniteNet(idx, values), rng.choice(ideals)
+    period = 1 + rng.randrange(3)
+    tracks = tuple(cv.const_track(rng.choice(p.elements)) for _ in range(period))
+    return cv.TrackNet(period, tracks), rng.choice(omega)
+
+
+def test_sample_net_draws_match_random_choice():
+    """``_sample_net`` and a point drawn through ``_below`` give the nets,
+    the ideals (the same objects), the points and the generator state of
+    the ``rng.choice``/``randrange`` formulation, draw by draw, for 5
+    seeds on every poset of the size-4 corpus (named posets of up to 8
+    elements included)."""
+    for seed in range(5):
+        for p in corpus.all_corpus(4).values():
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(300):
+                net, idl = suites._sample_net(p, fast)
+                x = suites._below(fast, p.n)
+                net_ref, idl_ref = _sample_net_with_random_choice(p, slow)
+                x_ref = slow.randrange(p.n)
+                assert (net, x) == (net_ref, x_ref) and idl is idl_ref, (seed, p.name)
+            assert fast.getstate() == slow.getstate(), (seed, p.name)
+
+
+# sha256 of ``verify --suite all --max-size 3 --seed 42`` on stdout.  A
+# change that alters the report bytes on purpose updates this value.
+SMALL_ALL_SHA256 = "98ed5f3921cb0a9b825bf36275c67634f146db439a2798cc1771c4f073f3fed2"
+
+
+def test_small_all_report_bytes_are_pinned():
+    """The fixed-seed report of every suite at size 3, in a fresh
+    interpreter, has pinned bytes: on each Python the tests run under,
+    the sampled suites draw the same triples."""
+    code = (
+        "from domaincheck.cli import main; raise SystemExit("
+        "main(['verify', '--suite', 'all', '--max-size', '3', '--seed', '42']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == SMALL_ALL_SHA256

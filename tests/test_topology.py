@@ -8,7 +8,7 @@ from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
 from domaincheck import suites
 from domaincheck import topology as tp
-from domaincheck.corpus import generate_all_posets
+from domaincheck.corpus import generate_all_posets, named_posets
 from domaincheck.errors import TooLarge
 from domaincheck.order import build_finite_poset
 from domaincheck.sidenat import A, TOP
@@ -63,6 +63,38 @@ def test_family_liminf_topology_is_scott():
     sc = tp.scott_topology(DIAMOND)
     assert tp.family_liminf_topology(DIAMOND, method="naive").opens == sc.opens
     assert tp.family_liminf_topology(DIAMOND, method="reduced").opens == sc.opens
+
+
+def _family_opens_by_mask_scan(p):
+    """The naive family topology's opens by the literal scan: every set
+    against every family's constraint."""
+    constraints = []
+    for _fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
+        meet = p.universe
+        for u in ups:
+            meet &= u
+        xmask = 0
+        for x in range(p.n):
+            if meet & ~p.up[x] == 0:
+                xmask |= 1 << x
+        if xmask:
+            constraints.append((xmask, ups))
+    return frozenset(
+        mask
+        for mask in range(p.universe + 1)
+        if all(not (xmask & mask) or any(u & ~mask == 0 for u in ups) for xmask, ups in constraints)
+    )
+
+
+def test_family_topology_bitsets_match_mask_scan():
+    """The bitset form of the naive family topology has the opens of the
+    per-set scan on every poset of size at most 4 and on every named
+    corpus poset of size at most 5."""
+    named = [p for p in named_posets().values() if p.n <= 5]
+    posets = [p for n in range(1, 5) for p in generate_all_posets(n)] + named
+    assert len(named) > 10
+    for p in posets:
+        assert tp.family_liminf_topology(p, method="naive").opens == _family_opens_by_mask_scan(p), p.name
 
 
 def _closed_pairwise(opens) -> bool:
