@@ -271,11 +271,7 @@ def ideal_member(idl: Ideal, level: OmegaSet | int) -> bool:
     if isinstance(idl.index, OmegaIndex):
         if not isinstance(level, OmegaSet):
             raise IndexMismatch("level sets over the naturals must be OmegaSets")
-        if idl.kind == "trivial":
-            return True
-        if idl.kind == "density0":
-            return level.density() == 0 and level.is_finite
-        return level.is_finite
+        return idl.kind == "trivial" or level.is_finite
     if not isinstance(level, int):
         raise IndexMismatch("level sets over a finite index must be masks")
     if idl.kind == "trivial":
@@ -667,6 +663,11 @@ def is_eventual_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
 # -- net classes and induced topologies --------------------------------------
 
 
+# The longest period of the constant-track nets a net class holds by
+# default, and so the largest value set a derivation traps on.
+TRACK_PERIOD = 3
+
+
 @dataclass(frozen=True)
 class NetClass:
     """The family of nets a derivation quantifies over.
@@ -678,7 +679,7 @@ class NetClass:
 
     max_index_size: int = 4
     omega_tracks: bool = True
-    max_track_period: int = 3
+    max_track_period: int = TRACK_PERIOD
 
 
 def generate_nets(p: FinitePoset, netclass: NetClass) -> Iterator[Net]:
@@ -695,31 +696,11 @@ def generate_nets(p: FinitePoset, netclass: NetClass) -> Iterator[Net]:
                 yield track_net(*(const_track(v) for v in combo))
 
 
-def _net_ideals(net: Net, ideal_kinds: tuple[str, ...]) -> Iterator[Ideal]:
-    for kind in ideal_kinds:
-        if isinstance(net, FiniteNet) and kind in ("finite", "density0"):
-            continue
-        yield ideal(kind, net_index(net))
-
-
 _MODE_PREDICATES = {
     "liminf": converges_liminf,
     "family": converges_family_liminf,
     "eventual": is_eventual_liminf,
 }
-
-
-def default_net_class(mode: str) -> NetClass:
-    """The class each mode's topology derivation quantifies over.
-
-    The eventual mode is restricted to finite-index nets: its conclusion
-    is sensitive to periodic nets on the naturals, and the verification
-    suites record those as explicit findings instead of burying them in
-    a derived topology.
-    """
-    if mode == "eventual":
-        return NetClass(omega_tracks=False)
-    return NetClass()
 
 
 def _limits_of_trap(p: FinitePoset, trap: int, antichain_ups: tuple[int, ...]) -> int:
@@ -738,71 +719,66 @@ def _limits_of_trap(p: FinitePoset, trap: int, antichain_ups: tuple[int, ...]) -
 
 
 @logged("convergence.derive_topology")
-def derive_convergence_topology(
-    p: FinitePoset,
-    mode: str,
-    *,
-    ideal_kinds: tuple[str, ...] = ("eventual",),
-    netclass: NetClass | None = None,
-) -> Topology:
+def derive_convergence_topology(p: FinitePoset, mode: str) -> Topology:
     """The finest topology in which every mode-convergent net converges.
 
-    A set is open iff for every net in the class, every compatible ideal,
-    and every mode-limit of the net inside the set, the net is trapped in
-    the set up to the ideal.  :func:`_derive_naive` replays the
-    convergence predicates and exception sets definitionally over every
-    net.
+    A set is open iff for every net in the class, under the eventual
+    ideal, and every mode-limit of the net inside the set, the net is
+    trapped in the set up to the ideal.  The class holds every net over a
+    finite directed index and, unless ``mode`` is ``"eventual"``, every
+    constant-track net on the naturals of period at most
+    :data:`TRACK_PERIOD`.  The eventual mode leaves the periodic
+    nets out: its conclusion is sensitive to them, and the verification
+    suites record those as explicit findings (``eventual-liminf-lawson``)
+    instead of burying them in a derived topology.
+    :func:`_derive_naive` replays the convergence predicates and
+    exception sets definitionally over every net of the class.
 
-    This function enumerates trap sets instead of nets, using two facts.  A finite directed index has a greatest element, whose upper
-    set lies inside every other upper set, so under the eventual ideal a
-    finite-index net is trapped in a region iff its value at the top is:
-    it behaves exactly as the constant net at that value.  A constant-
-    track net on the naturals under any proper ideal is trapped iff all
-    of its track values are.  The trivial ideal traps everything.  So
-    the class contributes the singletons (with the eventual ideal) and
-    every nonempty value set of at most ``max_track_period`` points (with
-    omega tracks and a proper ideal), each a region that traps its nets
-    exactly when it contains the set.  ``test_derived_naive_matches_reduced``
-    checks the two against each other on every poset of size at most 3.
+    This function enumerates trap sets instead of nets.  A finite
+    directed index has a greatest element, whose upper set lies inside
+    every other upper set, so under the eventual ideal a finite-index net
+    is trapped in a region iff its value at the top is: it behaves
+    exactly as the constant net at that value.  A constant-track net on
+    the naturals is trapped iff all of its track values are.  So the
+    class contributes the singletons and, outside the eventual mode,
+    every nonempty value set of at most ``TRACK_PERIOD`` points, each a
+    trap ``t`` whose nets are trapped in a region exactly when it
+    contains ``t``.
+
+    The condition "for every trap ``t`` with limits ``L``, either ``L``
+    misses ``U`` or ``t`` lies inside ``U``" holds exactly when
+    ``mins[x]`` lies inside ``U`` for every ``x`` in ``U``, where
+    ``mins[x]`` is the OR of the traps whose limits contain ``x``; so the
+    opens come from those neighbourhood masks.
+    ``test_derived_naive_matches_reduced`` compares this function with
+    :func:`_derive_naive` in every mode on every poset of size at most 4.
     """
     if mode not in _MODE_PREDICATES:
         raise UnknownElement(f"unknown convergence mode {mode!r}")
-    if netclass is None:
-        netclass = default_net_class(mode)
-    if netclass.max_index_size < 1:
-        raise NetClassTooSmall("net classes must include one-point indexes (constant nets)")
-    for kind in ideal_kinds:
-        ideal(kind)  # rejects unknown kinds
-    traps: set[int] = set()
-    if "eventual" in ideal_kinds:
-        traps.update(1 << ix for ix in range(p.n))
-    if netclass.omega_tracks and any(kind != "trivial" for kind in ideal_kinds):
-        traps.update(
-            m for m in range(1, p.universe + 1) if bin(m).count("1") <= netclass.max_track_period
-        )
-    antichain_ups = p.antichain_ups if mode == "eventual" else ()
-    constraints = [(t, _limits_of_trap(p, t, antichain_ups)) for t in traps]
-    opens = [
-        mask
-        for mask in range(p.universe + 1)
-        if all(not limits & mask or trap & ~mask == 0 for trap, limits in constraints)
-    ]
-    return Topology(p, f"net_{mode}", frozenset(opens))
+    if mode == "eventual":
+        traps = [1 << ix for ix in range(p.n)]
+        antichain_ups = p.antichain_ups
+    else:
+        traps = [m for m in range(1, p.universe + 1) if bin(m).count("1") <= TRACK_PERIOD]
+        antichain_ups = ()
+    mins = [0] * p.n
+    for t in traps:
+        for x in bits(_limits_of_trap(p, t, antichain_ups)):
+            mins[x] |= t
+    return tp._from_neighborhoods(p, mins, f"net_{mode}")
 
 
-def _derive_naive(
-    p: FinitePoset, mode: str, ideal_kinds: tuple[str, ...], netclass: NetClass
-) -> Topology:
+def _derive_naive(p: FinitePoset, mode: str) -> Topology:
     predicate = _MODE_PREDICATES[mode]
     constraints = []
-    for net in generate_nets(p, netclass):
-        for idl in _net_ideals(net, ideal_kinds):
-            limits = 0
-            for ix in range(p.n):
-                if predicate(p, net, ix, idl).holds:
-                    limits |= 1 << ix
-            if limits:
-                constraints.append((limits, net, idl))
+    for net in generate_nets(p, NetClass(omega_tracks=mode != "eventual")):
+        idl = ideal("eventual", net_index(net))
+        limits = 0
+        for ix in range(p.n):
+            if predicate(p, net, ix, idl).holds:
+                limits |= 1 << ix
+        if limits:
+            constraints.append((limits, net, idl))
     opens = [
         mask
         for mask in range(p.universe + 1)

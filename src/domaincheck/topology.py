@@ -89,9 +89,20 @@ def _guard_size(p: FinitePoset) -> None:
         raise TooLarge(f"topology enumeration over {p.n} elements is not supported")
 
 
+def _from_neighborhoods(p: FinitePoset, mins: list[int], kind: str) -> Topology:
+    """The topology whose opens are the sets ``U`` with ``mins[x]``
+    inside ``U`` for every ``x`` in ``U``."""
+    _guard_size(p)
+    opens = [
+        mask
+        for mask in range(p.universe + 1)
+        if all(mins[x] & ~mask == 0 for x in bits(mask))
+    ]
+    return Topology(p, kind, frozenset(opens))
+
+
 def topology_from_subbasis(p: FinitePoset, subbasis: Iterable[int], kind: str) -> Topology:
     """Generate the topology with the given subbasis via minimal neighborhoods."""
-    _guard_size(p)
     subs = tuple(subbasis)
     mins = []
     for i in range(p.n):
@@ -100,11 +111,7 @@ def topology_from_subbasis(p: FinitePoset, subbasis: Iterable[int], kind: str) -
             if s >> i & 1:
                 m &= s
         mins.append(m)
-    opens = []
-    for mask in range(p.universe + 1):
-        if all(mins[i] & ~mask == 0 for i in bits(mask)):
-            opens.append(mask)
-    return Topology(p, kind, frozenset(opens))
+    return _from_neighborhoods(p, mins, kind)
 
 
 def _scott_open_definitional(p: FinitePoset, mask: int) -> bool:
@@ -165,7 +172,7 @@ def discrete_topology(p: FinitePoset) -> Topology:
 # -- topology induced by family convergence -------------------------------
 
 
-# The largest family of antichains that the naive family topology and the
+# The largest family of antichains that the family topology and the
 # exhaustive family lim-inf path enumerate.
 FAMILY_BOUND = 4
 
@@ -183,59 +190,35 @@ def _directed_antichain_families(p: FinitePoset, family_bound: int):
 
 
 @logged("topology.family_liminf")
-def family_liminf_topology(p: FinitePoset, *, method: str = "naive") -> Topology:
+def family_liminf_topology(p: FinitePoset) -> Topology:
     """The topology induced by lim-inf convergence along directed families.
 
-    A set ``U`` is open iff for every Smyth-directed family ``fam`` and
-    every point ``x`` whose upper set absorbs the intersection of the
-    family's upper sets, ``x`` in ``U`` forces some member's upper set
-    inside ``U``.  A net converging along the family is trapped in each
-    member's upper set up to an ideal-small exception, and adversarial
-    nets realize exactly those traps, so this is the net-free reduction
-    of the convergence topology.
+    A set ``U`` is open iff for every Smyth-directed family and every
+    point ``x`` whose upper set absorbs the meet of the family's upper
+    sets, ``x`` in ``U`` forces some member's upper set inside ``U``.  A
+    net converging along the family is trapped in each member's upper set
+    up to an ideal-small exception, and adversarial nets realize exactly
+    those traps, so this is the net-free reduction of the convergence
+    topology.
 
-    The ``reduced`` method returns the upper sets directly.  The two are
-    compared by the verification suites rather than trusted here.
-
-    The ``naive`` method enumerates the families and decides every
-    candidate set at once: bit ``m`` of an integer with ``2**n`` bits
-    stands for the set ``m``.  A family's constraint holds at the sets
-    disjoint from its points ``x`` and at the supersets of each member's
-    upper set, so it is one such bitset, and the opens are the set bits
-    of the AND over all families.  ``test_family_topology_bitsets_match_mask_scan``
-    compares the opens with a scan of every set against every constraint.
+    A Smyth-directed family owns a member whose upper set is the meet
+    (:func:`~domaincheck.order.smyth_directed`), so "some member's upper
+    set lies inside ``U``" is "the meet lies inside ``U``".  Every family
+    is enumerated and its meet ORed into the neighbourhood mask of each
+    ``x`` it constrains.  ``test_family_topology_meets_match_member_scan``
+    compares the opens with the literal scan of every set against every
+    family's members.
     """
     _guard_size(p)
-    if method == "reduced":
-        return Topology(p, "glim", frozenset(p.iter_upper_masks()))
-    if method != "naive":
-        raise UnknownElement(f"unknown method {method!r}")
-    cells = p.universe + 1
-    everything = (1 << cells) - 1
-    # holding[i]: the sets that contain point i
-    holding = [sum(1 << m for m in range(cells) if m >> i & 1) for i in range(p.n)]
-    supersets: dict[int, int] = {}
-    opens = everything
+    mins = [0] * p.n
     for _fam, ups in _directed_antichain_families(p, FAMILY_BOUND):
         meet = p.universe
         for u in ups:
             meet &= u
-        good = everything
         for x in range(p.n):
             if meet & ~p.up[x] == 0:
-                good &= ~holding[x]
-        if good == everything:
-            continue
-        for u in ups:
-            sup = supersets.get(u)
-            if sup is None:
-                sup = everything
-                for i in bits(u):
-                    sup &= holding[i]
-                supersets[u] = sup
-            good |= sup
-        opens &= good
-    return Topology(p, "glim", frozenset(bits(opens)))
+                mins[x] |= meet
+    return _from_neighborhoods(p, mins, "glim")
 
 
 # -- the side-point dcpo ---------------------------------------------------

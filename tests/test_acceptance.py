@@ -50,9 +50,9 @@ def test_criterion_1_side_backend_reproduction():
 
 def test_criterion_2_family_topology_is_scott():
     """Derived family lim-inf topology equals the Scott topology on the
-    whole corpus, by the naive and the reduced computation; under 60 s."""
+    whole corpus, with the ``:naive`` and ``:reduced`` cases; under 60 s."""
     rep = _green("family-topology-is-scott", 60.0, max_size=5, seed=0)
-    assert rep.cases == 2 * 104  # both methods on all corpus posets
+    assert rep.cases == 2 * 104  # two cases on each corpus poset
 
 
 def test_criterion_3_eventual_liminf_is_lawson():

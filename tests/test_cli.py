@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+from domaincheck import topology as tp
 from domaincheck.cli import main
+from domaincheck.corpus import named_posets
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,31 @@ def test_topology_scott_diamond(capsys):
     assert d["opens"][0] == [] and d["opens"][-1] == ["bot", "l", "r", "top"]
     assert ["top"] in d["opens"]
     assert len(d["opens"]) == 6
+
+
+def test_topology_glim_prints_scott_opens(capsys):
+    """``--kind glim`` prints the Scott opens, which are the opens of the
+    enumerated family lim-inf topology, for every named poset of size at
+    most 5."""
+    named = {name: p for name, p in named_posets().items() if p.n <= 5}
+    assert len(named) > 10
+    for name, p in named.items():
+        printed = {}
+        for kind in ("glim", "scott"):
+            code, out, _ = run_cli(capsys, "topology", "--poset", name, "--kind", kind)
+            assert code == 0, (name, kind)
+            printed[kind] = json.loads(out)["opens"]
+        assert printed["glim"] == printed["scott"], name
+        family = {tuple(sorted(p.ids_of(u))) for u in tp.family_liminf_topology(p).opens}
+        assert {tuple(ids) for ids in printed["glim"]} == family, name
+
+
+def test_topology_glim_rejects_oversized_poset(tmp_path, capsys):
+    elements = [f"e{i}" for i in range(15)]
+    path = tmp_path / "antichain15.json"
+    path.write_text(json.dumps({"name": "antichain15", "elements": elements, "le": []}))
+    code, out, err = run_cli(capsys, "topology", "--poset", str(path), "--kind", "glim")
+    assert code == 2 and out == "" and "15 elements" in err
 
 
 def test_topology_rejects_side_nat(capsys):

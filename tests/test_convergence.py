@@ -39,6 +39,14 @@ CHAIN2 = build_finite_poset("chain2", ["c0", "c1"], [("c0", "c1")])
 
 EVENTUAL = cv.ideal("eventual")
 
+
+def _compatible_ideals(net):
+    """One ideal of each kind defined on the net's index, in kind order:
+    ``finite`` and ``density0`` exist only on the naturals."""
+    kinds = cv.IDEAL_KINDS if isinstance(net, cv.TrackNet) else ("eventual", "trivial")
+    return [cv.ideal(kind, cv.net_index(net)) for kind in kinds]
+
+
 # the interleaved net: naturals on even positions, the side point on odd
 INTERLEAVED = cv.track_net(cv.ascend_track(), cv.const_track(A))
 
@@ -368,7 +376,7 @@ def test_trap_masks_match_exception_sets():
     for n in range(1, 4):
         for p in generate_all_posets(n):
             for net in cv.generate_nets(p, netclass):
-                for idl in cv._net_ideals(net, cv.IDEAL_KINDS):
+                for idl in _compatible_ideals(net):
                     masks = cv._net_slot(p, net, idl)
                     for region in range(p.universe + 1):
                         slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
@@ -396,7 +404,7 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
     nets = list(cv.generate_nets(posets[0], cv.NetClass(max_index_size=2, max_track_period=2)))
     ideals = {}
     for net in nets:
-        ideals.setdefault(cv.net_index(net), tuple(cv._net_ideals(net, cv.IDEAL_KINDS)))
+        ideals.setdefault(cv.net_index(net), tuple(_compatible_ideals(net)))
 
     def ideals_of(net):
         return ideals[cv.net_index(net)]
@@ -496,7 +504,7 @@ def test_topological_matches_open_scan():
                 cv.derive_convergence_topology(p, "family"),
             ]
             for net in cv.generate_nets(p, netclass):
-                for idl in cv._net_ideals(net, cv.IDEAL_KINDS):
+                for idl in _compatible_ideals(net):
                     for topo in topologies:
                         for ix in range(p.n):
                             fast = cv.converges_topological(p, net, ix, idl, topo)
@@ -536,39 +544,19 @@ def test_derived_topologies_on_diamond():
     )
 
 
-ORACLE_IDEAL_KINDS = [
-    ("eventual",),
-    ("trivial",),
-    ("finite",),
-    ("eventual", "density0", "trivial"),
-    (),
-]
-
-ORACLE_NET_CLASSES = [
-    cv.NetClass(),
-    cv.NetClass(omega_tracks=False),
-    cv.NetClass(max_index_size=1, max_track_period=2),
-    cv.NetClass(max_track_period=0),
-]
-
-
 def test_derived_naive_matches_reduced():
     """The trap-set derivation equals the net-by-net definition on every
-    poset of size at most 3, in every mode, ideal mix and net class."""
-    posets = [p for n in (1, 2, 3) for p in generate_all_posets(n)]
-    for p, mode, kinds, netclass in product(
-        posets, ("liminf", "family", "eventual"), ORACLE_IDEAL_KINDS, ORACLE_NET_CLASSES
-    ):
-        naive = cv._derive_naive(p, mode, kinds, netclass)
-        reduced = cv.derive_convergence_topology(p, mode, ideal_kinds=kinds, netclass=netclass)
-        assert naive.opens == reduced.opens, (p.name, mode, kinds, netclass)
+    poset of size at most 4, in every mode's production net class."""
+    posets = [p for n in range(1, 5) for p in generate_all_posets(n)]
+    for p, mode in product(posets, ("liminf", "family", "eventual")):
+        naive = cv._derive_naive(p, mode)
+        reduced = cv.derive_convergence_topology(p, mode)
+        assert naive.opens == reduced.opens, (p.name, mode)
 
 
 def test_reduced_derivation_rejects_bad_input():
     with pytest.raises(UnknownElement):
-        cv.derive_convergence_topology(DIAMOND, "family", ideal_kinds=("eventual", "cofinite"))
-    with pytest.raises(NetClassTooSmall):
-        cv.derive_convergence_topology(DIAMOND, "family", netclass=cv.NetClass(max_index_size=0))
+        cv.derive_convergence_topology(DIAMOND, "cofinite")
 
 
 def test_netclass_generation():
@@ -578,8 +566,5 @@ def test_netclass_generation():
         cv.generate_nets(DIAMOND, cv.NetClass(max_index_size=1, max_track_period=1))
     )
     assert len(with_tracks) == 8
-
-
-def test_eventual_netclass_excludes_tracks():
-    assert not cv.default_net_class("eventual").omega_tracks
-    assert cv.default_net_class("family").omega_tracks
+    with pytest.raises(NetClassTooSmall):
+        list(cv.generate_nets(DIAMOND, cv.NetClass(max_index_size=0)))

@@ -35,7 +35,7 @@ def test_directed_family_matches_pairwise_smyth_definition():
     """The greatest-member test equals the literal definition, every pair
     dominated by a member in the Smyth preorder, on every family of one
     to ``tp.FAMILY_BOUND`` antichains over every poset of size at most 4,
-    the families the naive family topology enumerates."""
+    the families the family topology enumerates."""
     for n in (1, 2, 3, 4):
         for p in generate_all_posets(n):
             antichains = list(p.iter_antichain_masks())

@@ -61,13 +61,13 @@ def test_lawson_discrete_on_finite():
 
 def test_family_liminf_topology_is_scott():
     sc = tp.scott_topology(DIAMOND)
-    assert tp.family_liminf_topology(DIAMOND, method="naive").opens == sc.opens
-    assert tp.family_liminf_topology(DIAMOND, method="reduced").opens == sc.opens
+    assert tp.family_liminf_topology(DIAMOND).opens == sc.opens
 
 
-def _family_opens_by_mask_scan(p):
-    """The naive family topology's opens by the literal scan: every set
-    against every family's constraint."""
+def _family_opens_by_member_scan(p):
+    """The family topology's opens by the literal scan of every set
+    against every family: a set holding a point the family constrains
+    must hold some member's upper set."""
     constraints = []
     for _fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
         meet = p.universe
@@ -86,15 +86,15 @@ def _family_opens_by_mask_scan(p):
     )
 
 
-def test_family_topology_bitsets_match_mask_scan():
-    """The bitset form of the naive family topology has the opens of the
-    per-set scan on every poset of size at most 4 and on every named
-    corpus poset of size at most 5."""
+def test_family_topology_meets_match_member_scan():
+    """The meet form of the family topology has the opens of the
+    per-set, per-member scan on every poset of size at most 4 and on
+    every named corpus poset of size at most 5."""
     named = [p for p in named_posets().values() if p.n <= 5]
     posets = [p for n in range(1, 5) for p in generate_all_posets(n)] + named
     assert len(named) > 10
     for p in posets:
-        assert tp.family_liminf_topology(p, method="naive").opens == _family_opens_by_mask_scan(p), p.name
+        assert tp.family_liminf_topology(p).opens == _family_opens_by_member_scan(p), p.name
 
 
 def _closed_pairwise(opens) -> bool:
