@@ -415,6 +415,21 @@ def _trapped(masks: tuple[int, ...], region: int) -> bool:
     return False
 
 
+def _trap_class(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The inclusion-minimal trap masks, sorted: the net's trap class.
+
+    A mask inside a region has a minimal mask below it that is inside the
+    region too, so ``_trapped(masks, r) == _trapped(_trap_class(masks), r)``
+    for every region ``r``.  Every finite-backend predicate that decides
+    by :func:`_trapped` therefore gives equal verdicts to nets of equal
+    trap class at the same point; ``test_trap_class_decides_finite_predicates``
+    checks this against the definitional predicates."""
+    if len(masks) == 1:
+        return masks
+    distinct = set(masks)
+    return tuple(sorted(t for t in distinct if not any(u != t and u & ~t == 0 for u in distinct)))
+
+
 def _build_side_family(p: SideNat, net: Net, idl: Ideal) -> wb.SideFamily:
     """The eventually-below family on the side-point dcpo: every antichain
     ``{n}``, ``{a}``, ``{inf}`` or ``{n, a}`` whose upper set traps the net

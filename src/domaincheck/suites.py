@@ -141,14 +141,27 @@ def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
 
 
 def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
-    """Lim-inf convergence implies family lim-inf convergence."""
+    """Lim-inf convergence implies family lim-inf convergence.
+
+    On a finite poset both predicates decide by ``_trapped`` over the
+    net's trap masks, so triples with equal trap class and point get equal
+    verdicts (:func:`convergence._trap_class`,
+    ``test_trap_class_decides_finite_predicates``): each (trap class,
+    point) pair is decided once per poset, and every sampled triple is
+    still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
+        pool: dict = {}
+        memo: dict = {}
         for i in range(200):
-            net, idl = _sample_net(p, rng)
+            net, idl, cls = _sample_net(p, rng, pool)
             x = _below(rng, p.n)
-            if cv.converges_liminf(p, net, x, idl).holds:
-                ok = cv.converges_family_liminf(p, net, x, idl).holds
+            hit = memo.get((cls, x))
+            if hit is None:
+                lim = cv.converges_liminf(p, net, x, idl).holds
+                hit = memo[cls, x] = (lim, lim and cv.converges_family_liminf(p, net, x, idl).holds)
+            lim, ok = hit
+            if lim:
                 run.check(f"{name}:{i}", ok, _triple_witness(p, net, x, idl))
     I = cv.ideal("eventual")
     for label, net in _side_nets():
@@ -175,20 +188,32 @@ def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
 
 def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     """On quasi-continuous posets, a net trapped by every set way below a
-    point family-converges to that point."""
+    point family-converges to that point.
+
+    On a finite poset the premise and the family predicate both decide by
+    ``_trapped`` over the net's trap masks, so triples with equal trap
+    class and point get equal answers (:func:`convergence._trap_class`,
+    ``test_trap_class_decides_finite_predicates``): each (trap class,
+    point) pair is decided once per poset, and every sampled triple is
+    still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         waydown_ups = [
             [p.up_of_mask(g) for g in p.iter_antichain_masks() if wb.set_way_below(p, g, 1 << ix)]
             for ix in range(p.n)
         ]
+        pool: dict = {}
+        memo: dict = {}
         for i in range(200):
-            net, idl = _sample_net(p, rng)
+            net, idl, cls = _sample_net(p, rng, pool)
             x = _below(rng, p.n)
-            masks = cv._net_slot(p, net, idl)
-            premise = all(cv._trapped(masks, u) for u in waydown_ups[x])
+            hit = memo.get((cls, x))
+            if hit is None:
+                premise = all(cv._trapped(cls, u) for u in waydown_ups[x])
+                ok = premise and cv.converges_family_liminf(p, net, x, idl).holds
+                hit = memo[cls, x] = (premise, ok)
+            premise, ok = hit
             if premise:
-                ok = cv.converges_family_liminf(p, net, x, idl).holds
                 run.check(f"{name}:{i}", ok, _triple_witness(p, net, x, idl))
     I = cv.ideal("eventual")
     for label, net in _side_nets():
@@ -257,23 +282,39 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     convergence; lim-inf convergence implies it; the trivial ideal makes
     every net converge to every point.
 
-    Lim-inf convergence is decided only on triples whose family verdict
-    is False: "lim-inf implies family" cannot fail where family holds, so
-    the verdicts and the failures are those of deciding it everywhere.
-    The three predicates of a triple share the net's trap masks."""
+    Lim-inf convergence is decided only on triples whose family and
+    Scott verdicts are both False: "lim-inf implies family" cannot fail
+    where family holds, and a triple whose two verdicts differ already
+    fails, so the verdicts and the failures are those of deciding it
+    everywhere.
+
+    On a finite poset all three predicates decide by ``_trapped`` over the
+    net's trap masks, so triples with equal trap class and point get equal
+    verdicts (:func:`convergence._trap_class`,
+    ``test_trap_class_decides_finite_predicates``): each (trap class,
+    point) pair is decided once per poset.  The case logic still runs per
+    triple, with the triple's own ideal and witness
+    (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
         trivial_checked = False
+        pool: dict = {}
+        memo: dict = {}
         for i in range(1000):
-            net, idl = _sample_net(p, rng)
+            net, idl, cls = _sample_net(p, rng, pool)
             x = _below(rng, p.n)
-            fam = cv.converges_family_liminf(p, net, x, idl).holds
-            topo = cv.converges_topological(p, net, x, idl, sc).holds
+            hit = memo.get((cls, x))
+            if hit is None:
+                fam = cv.converges_family_liminf(p, net, x, idl).holds
+                topo = cv.converges_topological(p, net, x, idl, sc).holds
+                lim = not fam and not topo and cv.converges_liminf(p, net, x, idl).holds
+                hit = memo[cls, x] = (fam, topo, lim)
+            fam, topo, lim = hit
             if fam != topo:
                 run.check(f"{name}:{i}:scott", False, _triple_witness(p, net, x, idl))
                 continue
-            if not fam and cv.converges_liminf(p, net, x, idl).holds:
+            if lim:
                 run.check(f"{name}:{i}:liminf", False, _triple_witness(p, net, x, idl))
                 continue
             if idl.kind == "trivial":
@@ -570,9 +611,12 @@ def _below(rng: random.Random, n: int) -> int:
     ``Random._randbelow_with_getrandbits`` runs for ``rng.choice`` and
     ``rng.randrange(n)`` on CPython 3.10 to 3.12, without their argument
     handling, so it consumes the same bits, returns the same indexes and
-    leaves the same state.  ``test_sample_net_draws_match_random_choice``
-    compares it with those calls; the pinned sha256 of
-    ``test_small_all_report_bytes_are_pinned`` guards the report bytes.
+    leaves the same state.  :func:`_sample_net` runs the same loop inline
+    for its value draws.  ``test_sample_net_draws_match_random_choice``
+    compares both with those calls; the pinned sha256s of
+    ``test_small_all_report_bytes_are_pinned`` and
+    ``test_family_convergence_report_bytes_are_pinned_at_size_5`` guard
+    the report bytes.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -581,22 +625,53 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[cv.Net, cv.Ideal]:
-    """A random (net, ideal) pair over ``p``: with even odds, a finite-index
-    net under its eventual or trivial ideal, or a constant-track net of
-    period 1 to 3 under one of the four ideals on the naturals.  Every
-    index is drawn through :func:`_below`, so the draws are those of
-    ``rng.choice`` over the same sequences and ``rng.randrange(3)``
-    (``test_sample_net_draws_match_random_choice``)."""
+def _sample_net(
+    p: FinitePoset, rng: random.Random, pool: dict
+) -> tuple[cv.Net, cv.Ideal, tuple[int, ...]]:
+    """A random (net, ideal) pair over ``p``, with the net's trap class
+    (:func:`convergence._trap_class`): with even odds, a finite-index net
+    under its eventual or trivial ideal, or a constant-track net of period
+    1 to 3 under one of the four ideals on the naturals.
+
+    Every index is drawn by the loop of :func:`_below`, so the draws are
+    those of ``rng.choice`` over the same sequences and
+    ``rng.randrange(3)``.  The drawn indexes are then looked up in
+    ``pool``, which the caller keeps for one poset: a repeated draw returns
+    the same net and ideal objects and the class built on the first draw,
+    so each distinct net builds its trap masks once
+    (``test_sample_net_draws_match_random_choice``).  On a finite poset
+    the sampled suites' predicates decide by ``_trapped`` over those
+    masks, so the class and the point fix their verdicts
+    (``test_trap_class_decides_finite_predicates``)."""
     finite, omega = _sampling_ideals()
-    elements, n = p.elements, p.n
+    # Index ``i >= 0`` names a finite index; ``i = -period`` a track net.
     if rng.random() < 0.5:
-        idx, ideals = finite[_below(rng, len(finite))]
-        values = tuple([elements[_below(rng, n)] for _ in range(idx.n)])
-        return cv.FiniteNet(idx, values), ideals[_below(rng, len(ideals))]
-    period = 1 + _below(rng, 3)
-    tracks = tuple([cv.const_track(elements[_below(rng, n)]) for _ in range(period)])
-    return cv.TrackNet(period, tracks), omega[_below(rng, len(omega))]
+        i = _below(rng, len(finite))
+        size, ideal_count = finite[i][0].n, len(finite[i][1])
+    else:
+        i = -1 - _below(rng, 3)
+        size, ideal_count = -i, len(omega)
+    # The value draws are _below(rng, n), inlined with one bit width.
+    n = p.n
+    width = n.bit_length()
+    getrandbits = rng.getrandbits
+    vals = []
+    for _ in range(size):
+        r = getrandbits(width)
+        while r >= n:
+            r = getrandbits(width)
+        vals.append(r)
+    k = _below(rng, ideal_count)
+    key = (i, tuple(vals), k)
+    drawn = pool.get(key)
+    if drawn is None:
+        values = tuple([p.elements[v] for v in vals])
+        if i >= 0:
+            net, idl = cv.FiniteNet(finite[i][0], values), finite[i][1][k]
+        else:
+            net, idl = cv.TrackNet(len(values), tuple(map(cv.const_track, values))), omega[k]
+        drawn = pool[key] = (net, idl, cv._trap_class(cv._net_slot(p, net, idl)))
+    return drawn
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

@@ -384,6 +384,9 @@ class ClassifyReport:
 
 
 def _classify_finite(p: FinitePoset) -> ClassifyReport:
+    # The meet-continuity check walks the Scott opens, so refuse a poset
+    # too large to enumerate them before any other work.
+    tp._guard_size(p)
     witnesses: dict = {}
     dcpo = True  # a finite directed set has a greatest element, its supremum
 

@@ -84,6 +84,17 @@ def test_topology_glim_rejects_oversized_poset(tmp_path, capsys):
     assert code == 2 and out == "" and "15 elements" in err
 
 
+def test_classify_rejects_oversized_poset_fast(tmp_path):
+    """``classify`` refuses a poset too large for its Scott opens before
+    doing any other work: a 24-element antichain exits 2 with an
+    ``error:`` line well inside the timeout."""
+    path = tmp_path / "antichain24.json"
+    elements = [f"e{i}" for i in range(24)]
+    path.write_text(json.dumps({"name": "antichain24", "elements": elements, "le": []}))
+    code, err = _cli_to(subprocess.PIPE, "classify", "--poset", str(path), timeout=10)
+    assert code == 2 and err.decode().startswith("error:") and "24 elements" in err.decode()
+
+
 def test_topology_rejects_side_nat(capsys):
     code, _, err = run_cli(capsys, "topology", "--poset", "side_nat", "--kind", "scott")
     assert code == 2 and "finite" in err
@@ -226,12 +237,12 @@ def test_max_size_below_one_is_usage_error(capsys, argv):
     assert code == 2 and err.startswith("error:") and "--max-size" in err and not out
 
 
-def _cli_to(stdout, *argv):
+def _cli_to(stdout, *argv, timeout=120):
     """Run the CLI in a fresh interpreter with ``stdout`` as its standard
     output; return the exit code and the standard error bytes."""
     code = f"from domaincheck.cli import main; raise SystemExit(main({list(argv)!r}))"
     cmd = [sys.executable, "-c", code]
-    proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, timeout=timeout)
     return proc.returncode, proc.stderr
 
 

@@ -386,6 +386,47 @@ def test_trap_masks_match_exception_sets():
     assert compared == 12360
 
 
+def test_trap_class_decides_finite_predicates():
+    """Triples with equal trap class and point get equal verdicts, which is
+    what lets the sampled suites decide each (trap class, point) pair
+    once.  For every poset of size at most 3, net of the class, compatible
+    ideal and point, lim-inf, family lim-inf and Scott convergence and the
+    ``waybelow-forces-family`` premise agree within each (trap class,
+    point) group, and lim-inf and family lim-inf equal their definitional
+    checks."""
+    netclass = cv.NetClass(max_index_size=3, max_track_period=3)
+    triples = 0
+    merged = 0
+    for n in range(1, 4):
+        for p in generate_all_posets(n):
+            sc = tp.scott_topology(p)
+            antichains = list(zip(p.antichain_masks, p.antichain_ups))
+            waydown_ups = [
+                [u for g, u in antichains if wb.set_way_below(p, g, 1 << ix)] for ix in range(p.n)
+            ]
+            groups: dict = {}
+            for net in cv.generate_nets(p, netclass):
+                for idl in _compatible_ideals(net):
+                    masks = cv._net_slot(p, net, idl)
+                    cls = cv._trap_class(masks)
+                    for x in range(p.n):
+                        lim = cv.converges_liminf(p, net, x, idl).holds
+                        fam = cv.converges_family_liminf(p, net, x, idl).holds
+                        assert lim == cv._converges_liminf_definitional(p, net, x, idl).holds
+                        assert fam == cv._converges_family_definitional(p, net, x, idl).holds
+                        verdicts = (
+                            lim,
+                            fam,
+                            cv.converges_topological(p, net, x, idl, sc).holds,
+                            all(cv._trapped(masks, u) for u in waydown_ups[x]),
+                        )
+                        first = groups.setdefault((cls, x), (masks, verdicts))
+                        assert first[1] == verdicts, (p.name, net, idl.kind, x)
+                        merged += first[0] != masks
+                        triples += 1
+    assert triples == 4740 and merged > 0
+
+
 def test_trap_mask_reuse_is_keyed_on_all_three():
     """Trap masks are reused only for the same backend, net and ideal.
 

@@ -12,7 +12,10 @@ import pytest
 
 from domaincheck import convergence as cv
 from domaincheck import corpus, oplog, suites
+from domaincheck import topology as tp
+from domaincheck import waybelow as wb
 from domaincheck.errors import UnknownSuite
+from domaincheck.sidenat import A, TOP, SIDE_NAT
 
 
 def test_registry_names_are_public():
@@ -116,17 +119,128 @@ def test_sample_net_draws_match_random_choice():
     the ideals (the same objects), the points and the generator state of
     the ``rng.choice``/``randrange`` formulation, draw by draw, for 5
     seeds on every poset of the size-4 corpus (named posets of up to 8
-    elements included)."""
+    elements included).  A repeated draw returns the (net, ideal) objects
+    of its first draw, with the trap class of their trap masks."""
+    repeats = 0
     for seed in range(5):
         for p in corpus.all_corpus(4).values():
             fast, slow = random.Random(seed), random.Random(seed)
+            pool: dict = {}
+            first: dict = {}
             for _ in range(300):
-                net, idl = suites._sample_net(p, fast)
+                net, idl, cls = suites._sample_net(p, fast, pool)
                 x = suites._below(fast, p.n)
                 net_ref, idl_ref = _sample_net_with_random_choice(p, slow)
                 x_ref = slow.randrange(p.n)
                 assert (net, x) == (net_ref, x_ref) and idl is idl_ref, (seed, p.name)
+                assert cls == cv._trap_class(cv._net_slot(p, net, idl)), (seed, p.name)
+                key = (net_ref, id(idl_ref))
+                if key in first:
+                    repeats += 1
+                    assert first[key][0] is net and first[key][1] is idl, (seed, p.name)
+                else:
+                    first[key] = (net, idl)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
+    assert repeats > 0, repeats
+
+
+def _literal_liminf_to_family(run, ctx):
+    rng = ctx.rng(run.suite)
+    for name, p in ctx.corpus.items():
+        for i in range(200):
+            net, idl = _sample_net_with_random_choice(p, rng)
+            x = rng.randrange(p.n)
+            lim = cv.converges_liminf(p, net, x, idl).holds
+            fam = cv.converges_family_liminf(p, net, x, idl).holds
+            if lim:
+                run.check(f"{name}:{i}", fam, suites._triple_witness(p, net, x, idl))
+    I = cv.ideal("eventual")
+    for label, net in suites._side_nets():
+        for x in (A, TOP, 0, 2, 5):
+            if cv.converges_liminf(SIDE_NAT, net, x, I).holds:
+                ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
+                run.check(f"side:{label}:{x}", ok)
+
+
+def _literal_waybelow_forces_family(run, ctx):
+    rng = ctx.rng(run.suite)
+    for name, p in ctx.corpus.items():
+        waydown_ups = [
+            [p.up_of_mask(g) for g in p.iter_antichain_masks() if wb.set_way_below(p, g, 1 << ix)]
+            for ix in range(p.n)
+        ]
+        for i in range(200):
+            net, idl = _sample_net_with_random_choice(p, rng)
+            x = rng.randrange(p.n)
+            premise = all(
+                cv.ideal_member(idl, cv.exception_set(p, net, u)) for u in waydown_ups[x]
+            )
+            fam = cv.converges_family_liminf(p, net, x, idl).holds
+            if premise:
+                run.check(f"{name}:{i}", fam, suites._triple_witness(p, net, x, idl))
+    I = cv.ideal("eventual")
+    for label, net in suites._side_nets():
+        gi = cv.eventual_family(SIDE_NAT, net, I)
+        for x in (A, TOP, 0, 3):
+            if gi.includes(wb.fin_of(SIDE_NAT, x)):
+                ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
+                run.check(f"side:{label}:{x}", ok)
+
+
+def _literal_family_convergence_topological(run, ctx):
+    rng = ctx.rng(run.suite)
+    for name, p in ctx.corpus.items():
+        sc = tp.scott_topology(p)
+        trivial_checked = False
+        for i in range(1000):
+            net, idl = _sample_net_with_random_choice(p, rng)
+            x = rng.randrange(p.n)
+            fam = cv.converges_family_liminf(p, net, x, idl).holds
+            topo = cv.converges_topological(p, net, x, idl, sc).holds
+            lim = cv.converges_liminf(p, net, x, idl).holds
+            if fam != topo:
+                run.check(f"{name}:{i}:scott", False, suites._triple_witness(p, net, x, idl))
+                continue
+            if lim and not fam:
+                run.check(f"{name}:{i}:liminf", False, suites._triple_witness(p, net, x, idl))
+                continue
+            if idl.kind == "trivial":
+                trivial_checked = True
+                if not fam:
+                    run.check(f"{name}:{i}:trivial", False, suites._triple_witness(p, net, x, idl))
+                    continue
+            run.check(f"{name}:{i}", True)
+        run.check(f"{name}:trivial-sampled", trivial_checked)
+
+
+LITERAL_SUITES = {
+    "liminf-to-family": _literal_liminf_to_family,
+    "waybelow-forces-family": _literal_waybelow_forces_family,
+    "family-convergence-topological": _literal_family_convergence_topological,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LITERAL_SUITES))
+def test_sampled_suites_match_literal_triple_loop(suite):
+    """Each sampled suite, which decides one triple per (trap class,
+    point) pair and poset, reports the bytes of a literal loop that draws
+    with ``rng.choice``/``randrange`` and decides every predicate on every
+    triple by calling it (the premise of ``waybelow-forces-family`` by
+    exception sets), at size 4 for seeds 0 to 2."""
+    for seed in range(3):
+        ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
+        run = suites._Run(suite, seed)
+        LITERAL_SUITES[suite](run, ctx)
+        expected = suites.emit_report(run.report(0.0))
+        assert suites.emit_report(suites.run_suite(suite, max_size=4, seed=seed)) == expected, seed
+
+
+def _stdout_sha256(*argv: str) -> str:
+    """sha256 of the standard output of the CLI run in a fresh interpreter."""
+    code = f"from domaincheck.cli import main; raise SystemExit(main({list(argv)!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    return hashlib.sha256(proc.stdout).hexdigest()
 
 
 # sha256 of ``verify --suite all --max-size 3 --seed 42`` on stdout.  A
@@ -138,10 +252,19 @@ def test_small_all_report_bytes_are_pinned():
     """The fixed-seed report of every suite at size 3, in a fresh
     interpreter, has pinned bytes: on each Python the tests run under,
     the sampled suites draw the same triples."""
-    code = (
-        "from domaincheck.cli import main; raise SystemExit("
-        "main(['verify', '--suite', 'all', '--max-size', '3', '--seed', '42']))"
+    assert _stdout_sha256("verify", "--suite", "all", "--max-size", "3", "--seed", "42") == (
+        SMALL_ALL_SHA256
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-    assert hashlib.sha256(proc.stdout).hexdigest() == SMALL_ALL_SHA256
+
+
+# sha256 of ``verify --suite family-convergence-topological --max-size 5
+# --seed 3`` on stdout, the size the benchmark runs that suite at.
+FAMILY_CONVERGENCE_5_SHA256 = "1d9088d685fc19a327b734c305c48649e34a700a4817ef33212c8aa8714fcfeb"
+
+
+def test_family_convergence_report_bytes_are_pinned_at_size_5():
+    """The report of ``family-convergence-topological`` at size 5 has
+    pinned bytes, so the per-(trap class, point) decisions are checked at
+    the size the benchmark runs, on each Python the tests run under."""
+    argv = ("verify", "--suite", "family-convergence-topological", "--max-size", "5", "--seed", "3")
+    assert _stdout_sha256(*argv) == FAMILY_CONVERGENCE_5_SHA256
