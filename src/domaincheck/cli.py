@@ -133,6 +133,9 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
         ],
     }
     if args.sets:
+        # The set table compares every pair of antichains; refuse a poset
+        # too large for it, as ``classify`` does, before enumerating any.
+        tp._guard_size(p)
         chains = list(p.iter_antichain_masks())
         out["sets"] = [
             [sorted(p.ids_of(g)), sorted(p.ids_of(h))]

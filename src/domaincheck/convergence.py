@@ -423,7 +423,17 @@ def _trap_class(masks: tuple[int, ...]) -> tuple[int, ...]:
     for every region ``r``.  Every finite-backend predicate that decides
     by :func:`_trapped` therefore gives equal verdicts to nets of equal
     trap class at the same point; ``test_trap_class_decides_finite_predicates``
-    checks this against the definitional predicates."""
+    checks this against the definitional predicates.
+
+    Every net the sampled suites draw has a single-mask class: ``0``
+    under the trivial ideal, the value at the index's top under the
+    eventual ideal (that upper set lies inside every other), the union
+    of the track values for a constant-track net under a proper ideal.
+    So ``suites._sample_net`` reads the class from the draw and the
+    suites build a net only to decide a (class, point) pair they have not
+    met on the poset, or to report a failing triple; this function is
+    the reference that closed form is tested against
+    (``test_sample_net_draws_match_random_choice``)."""
     if len(masks) == 1:
         return masks
     distinct = set(masks)
@@ -521,8 +531,8 @@ def _converges_liminf_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> V
     directed subset with supremum above ``x`` traps the net at each of its
     points."""
     ix = p.index(x) if isinstance(x, str) else x
-    for d in p.iter_directed_masks():
-        if not p.leq_ix(ix, p.directed_sup_mask(d)):
+    for d, sup in p.directed_sups:
+        if not p.leq_ix(ix, sup):
             continue
         if all(_eventually_inside(p, net, p.up[j], idl) for j in bits(d)):
             return Verdict(True, {"directed_set": list(p.ids_of(d))})

@@ -54,7 +54,9 @@ class FinitePoset:
     upper sets are computed once, on first use, as cached tuples
     (:attr:`antichain_masks`, :attr:`antichain_ups`, :attr:`upper_masks`);
     ``test_cached_artefacts_match_literal_scans`` compares them with the
-    literal scans over all ``2**n`` masks.
+    literal scans over all ``2**n`` masks.  So is the table of directed
+    subsets and their suprema (:attr:`directed_sups`), which
+    ``test_scott_is_upper_family`` compares with the pairwise scan.
     """
 
     name: str
@@ -188,6 +190,14 @@ class FinitePoset:
                 if sub == 0:
                     break
                 sub = (sub - 1) & below
+
+    @cached_property
+    def directed_sups(self) -> tuple[tuple[int, int], ...]:
+        """Each directed subset with the index of its supremum, as
+        ``(d, directed_sup_mask(d))`` in :meth:`iter_directed_masks`
+        order, so the definitional checks that quantify over every
+        directed subset enumerate them once per poset."""
+        return tuple((d, self.directed_sup_mask(d)) for d in self.iter_directed_masks())
 
     @cached_property
     def antichain_masks(self) -> tuple[int, ...]:

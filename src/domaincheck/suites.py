@@ -96,6 +96,15 @@ class _Run:
             entry.update(witness or {})
             self.failures.append(entry)
 
+    def pass_case(self) -> None:
+        """Count a passing case; only failures carry their label."""
+        self.cases += 1
+
+    def fail_draw(self, case: str, p: FinitePoset, draw: tuple, x: int) -> None:
+        """Count a failing sampled triple, with the built net as witness."""
+        net, idl = _net_of_draw(p, draw)
+        self.check(case, False, _triple_witness(p, net, x, idl))
+
     def report(self, wall: float) -> SuiteReport:
         return SuiteReport(
             self.suite, self.cases, self.cases - len(self.failures), self.failures, self.seed, wall
@@ -146,23 +155,30 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     On a finite poset both predicates decide by ``_trapped`` over the
     net's trap masks, so triples with equal trap class and point get equal
     verdicts (:func:`convergence._trap_class`,
-    ``test_trap_class_decides_finite_predicates``): each (trap class,
-    point) pair is decided once per poset, and every sampled triple is
-    still one case (``test_sampled_suites_match_literal_triple_loop``)."""
+    ``test_trap_class_decides_finite_predicates``).  A sampled net's class
+    is a single mask, known from its draw (:func:`_sample_net`): each
+    (class, point) pair is decided once per poset, on a net built for that
+    miss, and a net is built otherwise only to report a failing triple.
+    Every sampled triple is still one case
+    (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
-        pool: dict = {}
         memo: dict = {}
         for i in range(200):
-            net, idl, cls = _sample_net(p, rng, pool)
+            draw, cls = _sample_net(p, rng)
             x = _below(rng, p.n)
             hit = memo.get((cls, x))
             if hit is None:
+                net, idl = _net_of_draw(p, draw)
                 lim = cv.converges_liminf(p, net, x, idl).holds
                 hit = memo[cls, x] = (lim, lim and cv.converges_family_liminf(p, net, x, idl).holds)
             lim, ok = hit
-            if lim:
-                run.check(f"{name}:{i}", ok, _triple_witness(p, net, x, idl))
+            if not lim:
+                continue
+            if ok:
+                run.pass_case()
+            else:
+                run.fail_draw(f"{name}:{i}", p, draw, x)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         for x in (A, TOP, 0, 2, 5):
@@ -193,28 +209,38 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     On a finite poset the premise and the family predicate both decide by
     ``_trapped`` over the net's trap masks, so triples with equal trap
     class and point get equal answers (:func:`convergence._trap_class`,
-    ``test_trap_class_decides_finite_predicates``): each (trap class,
-    point) pair is decided once per poset, and every sampled triple is
-    still one case (``test_sampled_suites_match_literal_triple_loop``)."""
+    ``test_trap_class_decides_finite_predicates``).  A sampled net's class
+    is a single mask, known from its draw (:func:`_sample_net`): the
+    premise is read from the class, each (class, point) pair whose premise
+    holds is decided once per poset on a net built for that miss, and a
+    net is built otherwise only to report a failing triple.  Every sampled
+    triple is still one case
+    (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         waydown_ups = [
             [p.up_of_mask(g) for g in p.iter_antichain_masks() if wb.set_way_below(p, g, 1 << ix)]
             for ix in range(p.n)
         ]
-        pool: dict = {}
         memo: dict = {}
         for i in range(200):
-            net, idl, cls = _sample_net(p, rng, pool)
+            draw, cls = _sample_net(p, rng)
             x = _below(rng, p.n)
             hit = memo.get((cls, x))
             if hit is None:
                 premise = all(cv._trapped(cls, u) for u in waydown_ups[x])
-                ok = premise and cv.converges_family_liminf(p, net, x, idl).holds
+                ok = False
+                if premise:
+                    net, idl = _net_of_draw(p, draw)
+                    ok = cv.converges_family_liminf(p, net, x, idl).holds
                 hit = memo[cls, x] = (premise, ok)
             premise, ok = hit
-            if premise:
-                run.check(f"{name}:{i}", ok, _triple_witness(p, net, x, idl))
+            if not premise:
+                continue
+            if ok:
+                run.pass_case()
+            else:
+                run.fail_draw(f"{name}:{i}", p, draw, x)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         gi = cv.eventual_family(SIDE_NAT, net, I)
@@ -291,38 +317,43 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     On a finite poset all three predicates decide by ``_trapped`` over the
     net's trap masks, so triples with equal trap class and point get equal
     verdicts (:func:`convergence._trap_class`,
-    ``test_trap_class_decides_finite_predicates``): each (trap class,
-    point) pair is decided once per poset.  The case logic still runs per
-    triple, with the triple's own ideal and witness
-    (``test_sampled_suites_match_literal_triple_loop``)."""
+    ``test_trap_class_decides_finite_predicates``).  A sampled net's class
+    is a single mask, known from its draw (:func:`_sample_net`): each
+    (class, point) pair is decided once per poset, on a net built for that
+    miss, and a net is built otherwise only to report a failing triple.
+    The case logic still runs per triple, with the triple's own ideal
+    (``test_sampled_suites_match_literal_triple_loop``).  So the roughly
+    104,000 cases at size 5 rest on about 9,700 distinct (class, point)
+    decisions; ``test_sampled_verdicts_depend_on_class_and_point`` checks
+    every predicate on every sampled triple against those decisions."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
         trivial_checked = False
-        pool: dict = {}
         memo: dict = {}
         for i in range(1000):
-            net, idl, cls = _sample_net(p, rng, pool)
+            draw, cls = _sample_net(p, rng)
             x = _below(rng, p.n)
             hit = memo.get((cls, x))
             if hit is None:
+                net, idl = _net_of_draw(p, draw)
                 fam = cv.converges_family_liminf(p, net, x, idl).holds
                 topo = cv.converges_topological(p, net, x, idl, sc).holds
                 lim = not fam and not topo and cv.converges_liminf(p, net, x, idl).holds
                 hit = memo[cls, x] = (fam, topo, lim)
             fam, topo, lim = hit
             if fam != topo:
-                run.check(f"{name}:{i}:scott", False, _triple_witness(p, net, x, idl))
+                run.fail_draw(f"{name}:{i}:scott", p, draw, x)
                 continue
             if lim:
-                run.check(f"{name}:{i}:liminf", False, _triple_witness(p, net, x, idl))
+                run.fail_draw(f"{name}:{i}:liminf", p, draw, x)
                 continue
-            if idl.kind == "trivial":
+            if draw[2].kind == "trivial":
                 trivial_checked = True
                 if not fam:
-                    run.check(f"{name}:{i}:trivial", False, _triple_witness(p, net, x, idl))
+                    run.fail_draw(f"{name}:{i}:trivial", p, draw, x)
                     continue
-            run.check(f"{name}:{i}", True)
+            run.pass_case()
         run.check(f"{name}:trivial-sampled", trivial_checked)
 
 
@@ -595,10 +626,15 @@ def _all_value_tuples(p: FinitePoset, n: int):
 
 @lru_cache(maxsize=None)
 def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
-    """The indexes ``_sample_net`` draws from, each with its eventual and
-    trivial ideals, and the four ideals on the naturals, built once."""
+    """The indexes ``_sample_net`` draws from, each with the position of
+    its greatest element and its eventual and trivial ideals, and the four
+    ideals on the naturals, built once."""
     finite = tuple(
-        (idx, (cv.ideal("eventual", idx), cv.ideal("trivial", idx)))
+        (
+            idx,
+            idx.greatest_of_mask(idx.universe),
+            (cv.ideal("eventual", idx), cv.ideal("trivial", idx)),
+        )
         for idx in cp.directed_index_posets(3)
     )
     return finite, tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
@@ -625,32 +661,42 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _sample_net(
-    p: FinitePoset, rng: random.Random, pool: dict
-) -> tuple[cv.Net, cv.Ideal, tuple[int, ...]]:
-    """A random (net, ideal) pair over ``p``, with the net's trap class
-    (:func:`convergence._trap_class`): with even odds, a finite-index net
-    under its eventual or trivial ideal, or a constant-track net of period
-    1 to 3 under one of the four ideals on the naturals.
+def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[tuple, tuple[int]]:
+    """A random draw of a (net, ideal) pair over ``p``, with the net's
+    trap class (:func:`convergence._trap_class`): with even odds, a
+    finite-index net under its eventual or trivial ideal, or a
+    constant-track net of period 1 to 3 under one of the four ideals on
+    the naturals.
 
-    Every index is drawn by the loop of :func:`_below`, so the draws are
-    those of ``rng.choice`` over the same sequences and
-    ``rng.randrange(3)``.  The drawn indexes are then looked up in
-    ``pool``, which the caller keeps for one poset: a repeated draw returns
-    the same net and ideal objects and the class built on the first draw,
-    so each distinct net builds its trap masks once
-    (``test_sample_net_draws_match_random_choice``).  On a finite poset
-    the sampled suites' predicates decide by ``_trapped`` over those
-    masks, so the class and the point fix their verdicts
-    (``test_trap_class_decides_finite_predicates``)."""
+    The draw is ``(i, vals, idl)``: ``i >= 0`` names a finite index and
+    ``i = -period`` a track net, ``vals`` holds the value indexes into
+    ``p.elements`` and ``idl`` is the drawn ideal; :func:`_net_of_draw`
+    builds the net.  Every index is drawn by the loop of :func:`_below`,
+    so the draws are those of ``rng.choice`` over the same sequences and
+    ``rng.randrange(3)``.
+
+    No net is built: a sampled net's trap class is always a single mask.
+    Under the trivial ideal it is ``0``.  A finite directed index has a
+    top ``t`` whose upper set lies inside every other, so under the
+    eventual ideal every trap mask holds the value at ``t`` and the mask
+    at ``t`` is that value alone.  A constant-track net under a proper
+    ideal has the one mask of its track values.  On a finite poset the
+    sampled suites' predicates decide by ``_trapped`` over the trap masks,
+    so the class and the point fix their verdicts
+    (``test_trap_class_decides_finite_predicates``), and the suites build
+    a net only to decide a (class, point) pair they have not met on the
+    poset or to report a failing triple.
+    ``test_sample_net_draws_match_random_choice`` compares the draws, the
+    ideals and the class with the ``rng.choice`` formulation and with
+    ``_trap_class`` of the built net's masks."""
     finite, omega = _sampling_ideals()
-    # Index ``i >= 0`` names a finite index; ``i = -period`` a track net.
     if rng.random() < 0.5:
         i = _below(rng, len(finite))
-        size, ideal_count = finite[i][0].n, len(finite[i][1])
+        idx, top, ideals = finite[i]
+        size = idx.n
     else:
         i = -1 - _below(rng, 3)
-        size, ideal_count = -i, len(omega)
+        size, ideals = -i, omega
     # The value draws are _below(rng, n), inlined with one bit width.
     n = p.n
     width = n.bit_length()
@@ -661,17 +707,25 @@ def _sample_net(
         while r >= n:
             r = getrandbits(width)
         vals.append(r)
-    k = _below(rng, ideal_count)
-    key = (i, tuple(vals), k)
-    drawn = pool.get(key)
-    if drawn is None:
-        values = tuple([p.elements[v] for v in vals])
-        if i >= 0:
-            net, idl = cv.FiniteNet(finite[i][0], values), finite[i][1][k]
-        else:
-            net, idl = cv.TrackNet(len(values), tuple(map(cv.const_track, values))), omega[k]
-        drawn = pool[key] = (net, idl, cv._trap_class(cv._net_slot(p, net, idl)))
-    return drawn
+    idl = ideals[_below(rng, len(ideals))]
+    if idl.kind == "trivial":
+        cls = 0
+    elif i >= 0:
+        cls = 1 << vals[top]
+    else:
+        cls = 0
+        for v in vals:
+            cls |= 1 << v
+    return (i, vals, idl), (cls,)
+
+
+def _net_of_draw(p: FinitePoset, draw: tuple) -> tuple[cv.Net, cv.Ideal]:
+    """The (net, ideal) pair of a :func:`_sample_net` draw."""
+    i, vals, idl = draw
+    values = tuple([p.elements[v] for v in vals])
+    if i >= 0:
+        return cv.FiniteNet(_sampling_ideals()[0][i][0], values), idl
+    return cv.TrackNet(len(values), tuple(map(cv.const_track, values))), idl
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

@@ -118,8 +118,8 @@ def _scott_open_definitional(p: FinitePoset, mask: int) -> bool:
     """Upper, and inaccessible by suprema of directed sets."""
     if p.up_of_mask(mask) != mask:
         return False
-    for d in p.iter_directed_masks():
-        if mask >> p.directed_sup_mask(d) & 1 and d & mask == 0:
+    for d, sup in p.directed_sups:
+        if mask >> sup & 1 and d & mask == 0:
             return False
     return True
 

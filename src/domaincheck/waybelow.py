@@ -97,8 +97,8 @@ def _set_way_below_definitional(p: FinitePoset, g, h) -> bool:
     with supremum in ``up(h)`` misses ``up(g)``."""
     gm, hm = _as_mask(p, g), _as_mask(p, h)
     upg, uph = p.up_of_mask(gm), p.up_of_mask(hm)
-    for d in p.iter_directed_masks():
-        if uph >> p.directed_sup_mask(d) & 1 and d & upg == 0:
+    for d, sup in p.directed_sups:
+        if uph >> sup & 1 and d & upg == 0:
             return False
     return True
 

@@ -95,6 +95,17 @@ def test_classify_rejects_oversized_poset_fast(tmp_path):
     assert code == 2 and err.decode().startswith("error:") and "24 elements" in err.decode()
 
 
+def test_waybelow_sets_rejects_oversized_poset_fast(tmp_path):
+    """``waybelow --sets`` refuses a poset too large for its table of
+    antichain pairs before enumerating them: a 15-element antichain exits
+    2 with an ``error:`` line well inside the timeout."""
+    path = tmp_path / "antichain15.json"
+    elements = [f"e{i}" for i in range(15)]
+    path.write_text(json.dumps({"name": "antichain15", "elements": elements, "le": []}))
+    code, err = _cli_to(subprocess.PIPE, "waybelow", "--poset", str(path), "--sets", timeout=10)
+    assert code == 2 and err.decode().startswith("error:") and "15 elements" in err.decode()
+
+
 def test_topology_rejects_side_nat(capsys):
     code, _, err = run_cli(capsys, "topology", "--poset", "side_nat", "--kind", "scott")
     assert code == 2 and "finite" in err

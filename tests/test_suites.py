@@ -103,52 +103,50 @@ def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
 
 
 def _sample_net_with_random_choice(p, rng):
-    """The sampler written with ``rng.choice`` and ``rng.randrange``."""
+    """The sampler written with ``rng.choice`` and ``rng.randrange``: the
+    (net, ideal) pair and the draw ``(i, vals, idl)`` of ``_sample_net``."""
     finite, omega = suites._sampling_ideals()
     if rng.random() < 0.5:
-        idx, ideals = rng.choice(finite)
-        values = tuple(rng.choice(p.elements) for _ in range(idx.n))
-        return cv.FiniteNet(idx, values), rng.choice(ideals)
+        i = rng.choice(range(len(finite)))
+        idx, _top, ideals = finite[i]
+        vals = [rng.choice(range(p.n)) for _ in range(idx.n)]
+        idl = rng.choice(ideals)
+        return cv.FiniteNet(idx, tuple(p.elements[v] for v in vals)), idl, (i, vals, idl)
     period = 1 + rng.randrange(3)
-    tracks = tuple(cv.const_track(rng.choice(p.elements)) for _ in range(period))
-    return cv.TrackNet(period, tracks), rng.choice(omega)
+    vals = [rng.choice(range(p.n)) for _ in range(period)]
+    idl = rng.choice(omega)
+    tracks = tuple(cv.const_track(p.elements[v]) for v in vals)
+    return cv.TrackNet(period, tracks), idl, (-period, vals, idl)
 
 
 def test_sample_net_draws_match_random_choice():
-    """``_sample_net`` and a point drawn through ``_below`` give the nets,
-    the ideals (the same objects), the points and the generator state of
-    the ``rng.choice``/``randrange`` formulation, draw by draw, for 5
+    """``_sample_net`` and a point drawn through ``_below`` give the draws
+    (the ideals as the same objects), the points and the generator state
+    of the ``rng.choice``/``randrange`` formulation, draw by draw, for 5
     seeds on every poset of the size-4 corpus (named posets of up to 8
-    elements included).  A repeated draw returns the (net, ideal) objects
-    of its first draw, with the trap class of their trap masks."""
-    repeats = 0
+    elements included).  The net ``_net_of_draw`` builds is the
+    formulation's net, and the closed-form class is ``_trap_class`` of
+    that net's trap masks."""
     for seed in range(5):
         for p in corpus.all_corpus(4).values():
             fast, slow = random.Random(seed), random.Random(seed)
-            pool: dict = {}
-            first: dict = {}
             for _ in range(300):
-                net, idl, cls = suites._sample_net(p, fast, pool)
+                draw, cls = suites._sample_net(p, fast)
                 x = suites._below(fast, p.n)
-                net_ref, idl_ref = _sample_net_with_random_choice(p, slow)
+                net_ref, idl_ref, draw_ref = _sample_net_with_random_choice(p, slow)
                 x_ref = slow.randrange(p.n)
-                assert (net, x) == (net_ref, x_ref) and idl is idl_ref, (seed, p.name)
+                assert draw[:2] == draw_ref[:2] and x == x_ref, (seed, p.name)
+                net, idl = suites._net_of_draw(p, draw)
+                assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
                 assert cls == cv._trap_class(cv._net_slot(p, net, idl)), (seed, p.name)
-                key = (net_ref, id(idl_ref))
-                if key in first:
-                    repeats += 1
-                    assert first[key][0] is net and first[key][1] is idl, (seed, p.name)
-                else:
-                    first[key] = (net, idl)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
-    assert repeats > 0, repeats
 
 
 def _literal_liminf_to_family(run, ctx):
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         for i in range(200):
-            net, idl = _sample_net_with_random_choice(p, rng)
+            net, idl, _ = _sample_net_with_random_choice(p, rng)
             x = rng.randrange(p.n)
             lim = cv.converges_liminf(p, net, x, idl).holds
             fam = cv.converges_family_liminf(p, net, x, idl).holds
@@ -170,7 +168,7 @@ def _literal_waybelow_forces_family(run, ctx):
             for ix in range(p.n)
         ]
         for i in range(200):
-            net, idl = _sample_net_with_random_choice(p, rng)
+            net, idl, _ = _sample_net_with_random_choice(p, rng)
             x = rng.randrange(p.n)
             premise = all(
                 cv.ideal_member(idl, cv.exception_set(p, net, u)) for u in waydown_ups[x]
@@ -193,7 +191,7 @@ def _literal_family_convergence_topological(run, ctx):
         sc = tp.scott_topology(p)
         trivial_checked = False
         for i in range(1000):
-            net, idl = _sample_net_with_random_choice(p, rng)
+            net, idl, _ = _sample_net_with_random_choice(p, rng)
             x = rng.randrange(p.n)
             fam = cv.converges_family_liminf(p, net, x, idl).holds
             topo = cv.converges_topological(p, net, x, idl, sc).holds
@@ -233,6 +231,68 @@ def test_sampled_suites_match_literal_triple_loop(suite):
         LITERAL_SUITES[suite](run, ctx)
         expected = suites.emit_report(run.report(0.0))
         assert suites.emit_report(suites.run_suite(suite, max_size=4, seed=seed)) == expected, seed
+
+
+# The predicate each sampled suite calls first on a (class, point) pair it
+# has not decided on the poset, and the triples it draws per poset.
+SAMPLED_SUITES = {
+    "liminf-to-family": ("converges_liminf", 200),
+    "waybelow-forces-family": ("converges_family_liminf", 200),
+    "family-convergence-topological": ("converges_family_liminf", 1000),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SAMPLED_SUITES))
+def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
+    """On the suite's sampled triples at size 4, seeds 0 to 2, with nets
+    built by the ``rng.choice``/``randrange`` formulation, the three
+    convergence predicates (and, in ``waybelow-forces-family``, the
+    premise by exception sets) give equal answers to triples of one poset
+    with equal closed-form class (from ``_sample_net``) and point.  And
+    the suite decides each (class, point) pair whose premise holds by
+    exactly one call at that pair.  So each case gets its own triple's
+    verdict, which the report alone does not show where every case
+    passes."""
+    decider, per_poset = SAMPLED_SUITES[suite]
+    for seed in range(3):
+        ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
+        fast, slow = ctx.rng(suite), ctx.rng(suite)
+        answers: dict = {}
+        for name, p in ctx.corpus.items():
+            sc = tp.scott_topology(p)
+            waydown_ups = [
+                [p.up_of_mask(g) for g in p.antichain_masks if wb.set_way_below(p, g, 1 << ix)]
+                for ix in range(p.n)
+            ]
+            for _ in range(per_poset):
+                _, cls = suites._sample_net(p, fast)
+                x = suites._below(fast, p.n)
+                net, idl, _ = _sample_net_with_random_choice(p, slow)
+                assert x == slow.randrange(p.n)
+                premise = suite != "waybelow-forces-family" or all(
+                    cv.ideal_member(idl, cv.exception_set(p, net, u)) for u in waydown_ups[x]
+                )
+                answer = (
+                    cv.converges_liminf(p, net, x, idl).holds,
+                    cv.converges_family_liminf(p, net, x, idl).holds,
+                    cv.converges_topological(p, net, x, idl, sc).holds,
+                    premise,
+                )
+                key = (name, cls, x)
+                assert answers.setdefault(key, answer) == answer, (seed, key)
+        needed = Counter(key for key, answer in answers.items() if answer[3])
+        calls: Counter = Counter()
+        original = getattr(cv, decider)
+
+        def recording(p, net, x, idl):
+            if p is not SIDE_NAT:
+                calls[p.name, cv._trap_class(cv._net_slot(p, net, idl)), x] += 1
+            return original(p, net, x, idl)
+
+        monkeypatch.setattr(cv, decider, recording)
+        suites.run_suite(suite, max_size=4, seed=seed)
+        monkeypatch.undo()
+        assert calls == needed, seed
 
 
 def _stdout_sha256(*argv: str) -> str:

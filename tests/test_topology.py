@@ -40,8 +40,19 @@ def test_scott_opens_frozen():
 
 
 def test_scott_is_upper_family():
-    for n in range(1, 5):
+    """The Scott opens are the definitional ones on every poset of size at
+    most 5, and the cached table of directed subsets that definition
+    reads is every pairwise-directed subset with its greatest member."""
+    for n in range(1, 6):
         for p in generate_all_posets(n):
+            assert p.directed_sups == tuple(
+                (d, p.directed_sup_mask(d)) for d in p.iter_directed_masks()
+            ), p.name
+            assert sorted(p.directed_sups) == [
+                (m, p.greatest_of_mask(m))
+                for m in range(1, p.universe + 1)
+                if p.is_directed_mask_pairwise(m)
+            ], p.name
             definitional = frozenset(
                 m for m in range(p.universe + 1) if tp._scott_open_definitional(p, m)
             )
