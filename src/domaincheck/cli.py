@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("topology", help="print a topology's open sets")
     t.add_argument("--poset", required=True)
-    t.add_argument("--kind", required=True, choices=("scott", "lower", "lawson", "glim"))
+    t.add_argument("--kind", required=True, choices=(*tp.TOPOLOGY_KINDS, "glim"))
     t.set_defaults(fn=_cmd_topology)
 
     g = sub.add_parser("converge", help="check one convergence instance")
@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--net", required=True, help="net JSON file")
     g.add_argument("--ideal", required=True, help="ideal JSON file")
     g.add_argument("--point", required=True)
-    g.add_argument("--topology", choices=("scott", "lower", "lawson"), default="scott")
+    g.add_argument("--topology", choices=tp.TOPOLOGY_KINDS, default="scott")
     g.set_defaults(fn=_cmd_converge)
 
     r = sub.add_parser("rudin", help="extract a directed transversal")

@@ -343,8 +343,8 @@ def _eventually_inside(p: Backend, net: Net, region, idl: Ideal) -> bool:
 
 def _net_slot(p: Backend, net: Net, idl: Ideal):
     """The per-net artefact that decides trapping for a (backend, net,
-    ideal) triple: trap masks on a finite backend
-    (:func:`_build_trap_masks`), the eventually-below family on the
+    ideal) triple: the trap mask on a finite backend
+    (:func:`_build_trap_mask`), the eventually-below family on the
     side-point dcpo (:func:`_build_side_family`).
 
     Posets, nets and ideals are immutable, so the artefact is built once
@@ -360,84 +360,49 @@ def _net_slot(p: Backend, net: Net, idl: Ideal):
     cached = net.__dict__.get("_trap_slot")
     if cached is not None and cached[0] is p and cached[1] is idl:
         return cached[2]
-    build = _build_side_family if isinstance(p, SideNat) else _build_trap_masks
+    build = _build_side_family if isinstance(p, SideNat) else _build_trap_mask
     value = build(p, net, idl)
     object.__setattr__(net, "_trap_slot", (p, idl, value))
     return value
 
 
-def _build_trap_masks(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
-    """Masks that decide trapping on a finite backend: the net is trapped
-    in ``region`` up to ``idl`` iff some mask ``t`` has ``t & ~region == 0``.
+def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
+    """The mask that decides trapping on a finite backend: the net is
+    trapped in ``region`` up to ``idl`` iff ``mask & ~region == 0``.
 
     Under the trivial ideal every exception set is negligible, so the
-    empty mask traps.  A finite-index net under the eventual ideal is
-    trapped iff it stays inside on some upper set ``index.up[j]``, so each
-    ``j`` contributes the values taken there.  A constant-track net under
-    a proper ideal is trapped iff its exception set, a union of residue
+    mask is ``0``.  A finite-index net under the eventual ideal is
+    trapped iff it stays inside on some upper set ``index.up[j]``.  A
+    finite directed index has a top ``t``, whose upper set ``{t}`` lies
+    inside every other, so the net is trapped iff its value at ``t`` is
+    inside: the mask is that value alone.  A constant-track net under a
+    proper ideal is trapped iff its exception set, a union of residue
     classes, is finite, that is, empty: the mask is the union of its
-    track values.  ``test_trap_masks_match_exception_sets`` checks this
-    against ``ideal_member(idl, exception_set(...))``.  Values are
-    validated as :func:`exception_set` validates them, so a foreign value
-    raises :class:`UnknownElement` and an ascending track
-    :class:`BackendUnsupported`, whatever the ideal.
+    track values.  So the mask and the point fix the verdict of every
+    predicate that reads a finite backend's slot, and the sampled suites
+    read the mask from a draw (``suites._sample_net``) and decide each
+    (mask, point) pair once per poset.
+
+    ``test_trap_masks_match_exception_sets`` checks the mask against
+    ``ideal_member(idl, exception_set(...))`` on every directed index of
+    at most 4 points; ``test_trap_mask_decides_finite_predicates`` checks
+    the verdicts.  Values are validated as :func:`exception_set`
+    validates them, so a foreign value raises :class:`UnknownElement`
+    and an ascending track :class:`BackendUnsupported`, whatever the
+    ideal.
     """
     if isinstance(net, FiniteNet):
-        points = [1 << p.index(v) for v in net.values]
+        points = [p.index(v) for v in net.values]
         if idl.kind == "trivial":
-            return (0,)
-        masks = []
-        for up in net.index.up:
-            t = 0
-            for j, point in enumerate(points):
-                if up >> j & 1:
-                    t |= point
-            masks.append(t)
-        return tuple(masks)
+            return 0
+        return 1 << points[net.index.directed_sup_mask(net.index.universe)]
     union = 0
     for track in net.tracks:
         if track[0] == CONST:
             union |= 1 << p.index(track[1])
     if any(track[0] != CONST for track in net.tracks):
         raise BackendUnsupported("ascending tracks only exist on the side-point dcpo")
-    return (0,) if idl.kind == "trivial" else (union,)
-
-
-def _trapped(masks: tuple[int, ...], region: int) -> bool:
-    """Whether a net is trapped in ``region``, given its trap masks
-    (:func:`_build_trap_masks`): some mask lies inside the region.  A
-    plain loop, which returns at the first such mask, costs less per call
-    than ``any`` over a generator.  ``test_trap_masks_match_exception_sets``
-    checks the answer against ``ideal_member(idl, exception_set(...))``."""
-    for t in masks:
-        if t & ~region == 0:
-            return True
-    return False
-
-
-def _trap_class(masks: tuple[int, ...]) -> tuple[int, ...]:
-    """The inclusion-minimal trap masks, sorted: the net's trap class.
-
-    A mask inside a region has a minimal mask below it that is inside the
-    region too, so ``_trapped(masks, r) == _trapped(_trap_class(masks), r)``
-    for every region ``r``.  Every finite-backend predicate that decides
-    by :func:`_trapped` therefore gives equal verdicts to nets of equal
-    trap class at the same point; ``test_trap_class_decides_finite_predicates``
-    checks this against the definitional predicates.
-
-    Every net the sampled suites draw has a single-mask class: ``0``
-    under the trivial ideal, the value at the index's top under the
-    eventual ideal (that upper set lies inside every other), the union
-    of the track values for a constant-track net under a proper ideal.
-    So ``suites._sample_net`` reads the class from the draw and the
-    suites build a net only to decide a (class, point) pair they have not
-    met on the poset, or to report a failing triple; this function is
-    the reference that closed form is tested against
-    (``test_sample_net_draws_match_random_choice``)."""
-    if len(masks) == 1:
-        return masks
-    distinct = set(masks)
-    return tuple(sorted(t for t in distinct if not any(u != t and u & ~t == 0 for u in distinct)))
+    return 0 if idl.kind == "trivial" else union
 
 
 def _build_side_family(p: SideNat, net: Net, idl: Ideal) -> wb.SideFamily:
@@ -521,7 +486,7 @@ def converges_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
             return Verdict(True, {"shape": "natural_chain", "checked_upto": stabilization_bound(net)})
         return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
-    if _trapped(_net_slot(p, net, idl), p.up[ix]):
+    if _net_slot(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
@@ -567,7 +532,7 @@ def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
             return Verdict(True, {"shape": "pair_schema", "checked_upto": stabilization_bound(net)})
         return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
-    if _trapped(_net_slot(p, net, idl), p.up[ix]):
+    if _net_slot(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
@@ -602,7 +567,7 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     ``x`` contains the minimal neighbourhood ``m(x)``
     (:attr:`Topology.neighborhoods`), and trapping is monotone in the
     region: the net converges iff it is trapped in ``m(x)``, tested with
-    the net's trap masks (:func:`_net_slot`).  The witness is the
+    the net's trap mask (:func:`_net_slot`).  The witness is the
     same as that of a scan of the opens in increasing mask order: every
     open around ``x`` is a superset of ``m(x)``, hence no smaller as a
     mask, so ``m(x)`` comes first and fails whenever any of them fails.
@@ -621,11 +586,11 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     if isinstance(topo, str):
         topo = tp.finite_topology(p, topo)
     ix = p.index(x) if isinstance(x, str) else x
-    masks = _net_slot(p, net, idl)
+    trap = _net_slot(p, net, idl)
     m = topo.neighborhoods[ix]
-    if not _trapped(masks, m):
-        return Verdict(False, {"open": list(p.ids_of(m))})
-    return Verdict(True, {"kind": topo.kind})
+    if trap & ~m == 0:
+        return Verdict(True, {"kind": topo.kind})
+    return Verdict(False, {"open": list(p.ids_of(m))})
 
 
 # -- the eventually-below family and eventual lim-inf ------------------------
@@ -637,17 +602,17 @@ def eventual_family(p: Backend, net: Net, idl: Ideal):
 
     Finite backends return antichain masks, each tested through its
     cached upper set (:attr:`FinitePoset.antichain_ups`) against the net's
-    trap masks; ``test_trap_masks_match_exception_sets`` checks those.
+    trap mask; ``test_trap_masks_match_exception_sets`` checks that.
     The side-point backend returns the :class:`waybelow.SideFamily` that
     the side predicates read, whose oracle is
     ``test_side_predicates_on_small_track_nets``.  Both come from the
     net's slot (:func:`_net_slot`).
     """
     _check_compat(net, idl)
-    masks = _net_slot(p, net, idl)
+    slot = _net_slot(p, net, idl)
     if isinstance(p, SideNat):
-        return masks
-    return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if _trapped(masks, u))
+        return slot
+    return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if slot & ~u == 0)
 
 
 @logged("convergence.eventual_liminf")
@@ -675,10 +640,10 @@ def is_eventual_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
             return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
         return Verdict(True, {"family": fam.to_dict()})
     ix = p.index(x) if isinstance(x, str) else x
-    masks = _net_slot(p, net, idl)
+    trap = _net_slot(p, net, idl)
     size = 0
     for f, u in zip(p.antichain_masks, p.antichain_ups):
-        if _trapped(masks, u):
+        if trap & ~u == 0:
             if not u >> ix & 1:
                 return Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
             size += 1
@@ -759,16 +724,13 @@ def derive_convergence_topology(p: FinitePoset, mode: str) -> Topology:
     :func:`_derive_naive` replays the convergence predicates and
     exception sets definitionally over every net of the class.
 
-    This function enumerates trap sets instead of nets.  A finite
-    directed index has a greatest element, whose upper set lies inside
-    every other upper set, so under the eventual ideal a finite-index net
-    is trapped in a region iff its value at the top is: it behaves
-    exactly as the constant net at that value.  A constant-track net on
-    the naturals is trapped iff all of its track values are.  So the
-    class contributes the singletons and, outside the eventual mode,
-    every nonempty value set of at most ``TRACK_PERIOD`` points, each a
-    trap ``t`` whose nets are trapped in a region exactly when it
-    contains ``t``.
+    This function enumerates trap masks instead of nets.  Under the
+    eventual ideal a net is trapped in a region exactly when the region
+    contains its trap mask (:func:`_build_trap_mask`): the value at the
+    top for a finite-index net, which so behaves as the constant net at
+    that value, and the set of track values for a constant-track net.
+    So the class contributes the singletons and, outside the eventual
+    mode, every nonempty value set of at most ``TRACK_PERIOD`` points.
 
     The condition "for every trap ``t`` with limits ``L``, either ``L``
     misses ``U`` or ``t`` lies inside ``U``" holds exactly when

@@ -20,6 +20,8 @@ from .sidenat import truncate_side_nat
 
 MAX_ENUMERATED_SIZE = 6
 
+# The number of posets up to isomorphism of each size (OEIS A000112);
+# ``test_unlabeled_counts`` checks the enumeration against it.
 UNLABELED_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 
 

@@ -152,26 +152,23 @@ def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
 def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     """Lim-inf convergence implies family lim-inf convergence.
 
-    On a finite poset both predicates decide by ``_trapped`` over the
-    net's trap masks, so triples with equal trap class and point get equal
-    verdicts (:func:`convergence._trap_class`,
-    ``test_trap_class_decides_finite_predicates``).  A sampled net's class
-    is a single mask, known from its draw (:func:`_sample_net`): each
-    (class, point) pair is decided once per poset, on a net built for that
-    miss, and a net is built otherwise only to report a failing triple.
-    Every sampled triple is still one case
-    (``test_sampled_suites_match_literal_triple_loop``)."""
+    On a finite poset a triple's trap mask and point fix both verdicts
+    (:func:`convergence._build_trap_mask`), and the mask is known from
+    the draw (:func:`_sample_net`): each (mask, point) pair is decided
+    once per poset, on a net built for that miss, and a net is built
+    otherwise only to report a failing triple.  Every sampled triple is
+    still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         memo: dict = {}
         for i in range(200):
-            draw, cls = _sample_net(p, rng)
+            draw, trap = _sample_net(p, rng)
             x = _below(rng, p.n)
-            hit = memo.get((cls, x))
+            hit = memo.get((trap, x))
             if hit is None:
                 net, idl = _net_of_draw(p, draw)
                 lim = cv.converges_liminf(p, net, x, idl).holds
-                hit = memo[cls, x] = (lim, lim and cv.converges_family_liminf(p, net, x, idl).holds)
+                hit = memo[trap, x] = (lim, lim and cv.converges_family_liminf(p, net, x, idl).holds)
             lim, ok = hit
             if not lim:
                 continue
@@ -206,34 +203,34 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     """On quasi-continuous posets, a net trapped by every set way below a
     point family-converges to that point.
 
-    On a finite poset the premise and the family predicate both decide by
-    ``_trapped`` over the net's trap masks, so triples with equal trap
-    class and point get equal answers (:func:`convergence._trap_class`,
-    ``test_trap_class_decides_finite_predicates``).  A sampled net's class
-    is a single mask, known from its draw (:func:`_sample_net`): the
-    premise is read from the class, each (class, point) pair whose premise
-    holds is decided once per poset on a net built for that miss, and a
-    net is built otherwise only to report a failing triple.  Every sampled
-    triple is still one case
+    On a finite poset a triple's trap mask and point fix the premise and
+    the family verdict (:func:`convergence._build_trap_mask`), and the
+    mask is known from the draw (:func:`_sample_net`).  The net is
+    trapped by every set way below ``x`` iff its mask lies inside the
+    meet of their upper sets, so the premise is one subset test.  Each
+    (mask, point) pair whose premise holds is decided once per poset on
+    a net built for that miss, and a net is built otherwise only to
+    report a failing triple.  Every sampled triple is still one case
     (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
-        waydown_ups = [
-            [p.up_of_mask(g) for g in p.iter_antichain_masks() if wb.set_way_below(p, g, 1 << ix)]
-            for ix in range(p.n)
-        ]
+        waydown_meets = [p.universe] * p.n
+        for g in p.iter_antichain_masks():
+            for ix in range(p.n):
+                if wb.set_way_below(p, g, 1 << ix):
+                    waydown_meets[ix] &= p.up_of_mask(g)
         memo: dict = {}
         for i in range(200):
-            draw, cls = _sample_net(p, rng)
+            draw, trap = _sample_net(p, rng)
             x = _below(rng, p.n)
-            hit = memo.get((cls, x))
+            hit = memo.get((trap, x))
             if hit is None:
-                premise = all(cv._trapped(cls, u) for u in waydown_ups[x])
+                premise = trap & ~waydown_meets[x] == 0
                 ok = False
                 if premise:
                     net, idl = _net_of_draw(p, draw)
                     ok = cv.converges_family_liminf(p, net, x, idl).holds
-                hit = memo[cls, x] = (premise, ok)
+                hit = memo[trap, x] = (premise, ok)
             premise, ok = hit
             if not premise:
                 continue
@@ -291,16 +288,17 @@ def _suite_family_topology_reduction(run: _Run, ctx: _Ctx) -> None:
 def _suite_family_topology_is_scott(run: _Run, ctx: _Ctx) -> None:
     """The family lim-inf topology is the Scott topology.
 
-    The ``:naive`` case enumerates the directed families
-    (:func:`topology.family_liminf_topology`).  The ``:reduced`` case
-    compares the poset's upper sets with the Scott opens, which
-    ``scott_topology`` builds from those same upper sets, so it restates
-    that construction rather than testing a second path."""
+    Both cases take the family topology that enumerates the directed
+    families (:func:`topology.family_liminf_topology`).  The ``:naive``
+    case compares it with ``scott_topology``, the poset's upper sets; the
+    ``:reduced`` case compares it with the Scott opens decided by
+    definition, every mask tested for being upper and inaccessible by
+    directed suprema (:func:`_scott_opens_by_definition`)."""
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
         family = tp.family_liminf_topology(p)
         run.check(f"{name}:naive", family.opens == sc.opens)
-        run.check(f"{name}:reduced", frozenset(p.upper_masks) == sc.opens)
+        run.check(f"{name}:reduced", family.opens == _scott_opens_by_definition(p))
 
 
 def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
@@ -314,16 +312,14 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     fails, so the verdicts and the failures are those of deciding it
     everywhere.
 
-    On a finite poset all three predicates decide by ``_trapped`` over the
-    net's trap masks, so triples with equal trap class and point get equal
-    verdicts (:func:`convergence._trap_class`,
-    ``test_trap_class_decides_finite_predicates``).  A sampled net's class
-    is a single mask, known from its draw (:func:`_sample_net`): each
-    (class, point) pair is decided once per poset, on a net built for that
-    miss, and a net is built otherwise only to report a failing triple.
-    The case logic still runs per triple, with the triple's own ideal
+    On a finite poset a triple's trap mask and point fix all three
+    verdicts (:func:`convergence._build_trap_mask`), and the mask is
+    known from the draw (:func:`_sample_net`): each (mask, point) pair is
+    decided once per poset, on a net built for that miss, and a net is
+    built otherwise only to report a failing triple.  The case logic
+    still runs per triple, with the triple's own ideal
     (``test_sampled_suites_match_literal_triple_loop``).  So the roughly
-    104,000 cases at size 5 rest on about 9,700 distinct (class, point)
+    104,000 cases at size 5 rest on about 9,700 distinct (mask, point)
     decisions; ``test_sampled_verdicts_depend_on_class_and_point`` checks
     every predicate on every sampled triple against those decisions."""
     rng = ctx.rng(run.suite)
@@ -332,15 +328,15 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
         trivial_checked = False
         memo: dict = {}
         for i in range(1000):
-            draw, cls = _sample_net(p, rng)
+            draw, trap = _sample_net(p, rng)
             x = _below(rng, p.n)
-            hit = memo.get((cls, x))
+            hit = memo.get((trap, x))
             if hit is None:
                 net, idl = _net_of_draw(p, draw)
                 fam = cv.converges_family_liminf(p, net, x, idl).holds
                 topo = cv.converges_topological(p, net, x, idl, sc).holds
                 lim = not fam and not topo and cv.converges_liminf(p, net, x, idl).holds
-                hit = memo[cls, x] = (fam, topo, lim)
+                hit = memo[trap, x] = (fam, topo, lim)
             fam, topo, lim = hit
             if fam != topo:
                 run.fail_draw(f"{name}:{i}:scott", p, draw, x)
@@ -556,16 +552,17 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
         law = tp.lawson_topology(p)
         run.check(f"{name}:lawson-discrete", len(law.opens) == 1 << p.n)
         sc = tp.scott_topology(p)
-        definitional = frozenset(
-            m for m in range(p.universe + 1) if tp._scott_open_definitional(p, m)
-        )
-        run.check(f"{name}:scott-upper", sc.opens == definitional)
+        run.check(f"{name}:scott-upper", sc.opens == _scott_opens_by_definition(p))
         probe = p.up[0]
         run.check(f"{name}:interior-dual", sc.interior(probe) == probe)
         run.check(
             f"{name}:closure-dual",
             sc.closure(probe) == p.universe & ~sc.interior(p.universe & ~probe),
         )
+
+
+def _scott_opens_by_definition(p: FinitePoset) -> frozenset[int]:
+    return frozenset(m for m in range(p.universe + 1) if tp._scott_open_definitional(p, m))
 
 
 def _closed_by_neighborhoods(topo: tp.Topology) -> bool:
@@ -661,9 +658,9 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[tuple, tuple[int]]:
-    """A random draw of a (net, ideal) pair over ``p``, with the net's
-    trap class (:func:`convergence._trap_class`): with even odds, a
+def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[tuple, int]:
+    """A random draw of a (net, ideal) pair over ``p``, with its trap
+    mask (:func:`convergence._build_trap_mask`): with even odds, a
     finite-index net under its eventual or trivial ideal, or a
     constant-track net of period 1 to 3 under one of the four ideals on
     the naturals.
@@ -675,20 +672,15 @@ def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[tuple, tuple[int]]:
     so the draws are those of ``rng.choice`` over the same sequences and
     ``rng.randrange(3)``.
 
-    No net is built: a sampled net's trap class is always a single mask.
-    Under the trivial ideal it is ``0``.  A finite directed index has a
-    top ``t`` whose upper set lies inside every other, so under the
-    eventual ideal every trap mask holds the value at ``t`` and the mask
-    at ``t`` is that value alone.  A constant-track net under a proper
-    ideal has the one mask of its track values.  On a finite poset the
-    sampled suites' predicates decide by ``_trapped`` over the trap masks,
-    so the class and the point fix their verdicts
-    (``test_trap_class_decides_finite_predicates``), and the suites build
-    a net only to decide a (class, point) pair they have not met on the
+    No net is built: the mask is read from the draw in the closed form
+    of ``_build_trap_mask`` (``0`` under the trivial ideal, the value at
+    the index's top under the eventual ideal, the union of the track
+    values under a proper ideal on the naturals), and the suites build a
+    net only to decide a (mask, point) pair they have not met on the
     poset or to report a failing triple.
     ``test_sample_net_draws_match_random_choice`` compares the draws, the
-    ideals and the class with the ``rng.choice`` formulation and with
-    ``_trap_class`` of the built net's masks."""
+    ideals and the mask with the ``rng.choice`` formulation and with
+    ``_net_slot`` of the built net."""
     finite, omega = _sampling_ideals()
     if rng.random() < 0.5:
         i = _below(rng, len(finite))
@@ -709,14 +701,14 @@ def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[tuple, tuple[int]]:
         vals.append(r)
     idl = ideals[_below(rng, len(ideals))]
     if idl.kind == "trivial":
-        cls = 0
+        trap = 0
     elif i >= 0:
-        cls = 1 << vals[top]
+        trap = 1 << vals[top]
     else:
-        cls = 0
+        trap = 0
         for v in vals:
-            cls |= 1 << v
-    return (i, vals, idl), (cls,)
+            trap |= 1 << v
+    return (i, vals, idl), trap
 
 
 def _net_of_draw(p: FinitePoset, draw: tuple) -> tuple[cv.Net, cv.Ideal]:

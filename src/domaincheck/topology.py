@@ -86,7 +86,10 @@ class Topology:
 
 def _guard_size(p: FinitePoset) -> None:
     if p.n > MAX_TOPOLOGY_ELEMENTS:
-        raise TooLarge(f"topology enumeration over {p.n} elements is not supported")
+        raise TooLarge(
+            f"topology enumeration over {p.n} elements is not supported;"
+            f" the limit is {MAX_TOPOLOGY_ELEMENTS} elements"
+        )
 
 
 def _from_neighborhoods(p: FinitePoset, mins: list[int], kind: str) -> Topology:

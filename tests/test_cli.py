@@ -82,6 +82,7 @@ def test_topology_glim_rejects_oversized_poset(tmp_path, capsys):
     path.write_text(json.dumps({"name": "antichain15", "elements": elements, "le": []}))
     code, out, err = run_cli(capsys, "topology", "--poset", str(path), "--kind", "glim")
     assert code == 2 and out == "" and "15 elements" in err
+    assert "the limit is 14 elements" in err
 
 
 def test_classify_rejects_oversized_poset_fast(tmp_path):
@@ -93,6 +94,7 @@ def test_classify_rejects_oversized_poset_fast(tmp_path):
     path.write_text(json.dumps({"name": "antichain24", "elements": elements, "le": []}))
     code, err = _cli_to(subprocess.PIPE, "classify", "--poset", str(path), timeout=10)
     assert code == 2 and err.decode().startswith("error:") and "24 elements" in err.decode()
+    assert "the limit is 14 elements" in err.decode()
 
 
 def test_waybelow_sets_rejects_oversized_poset_fast(tmp_path):
@@ -104,6 +106,7 @@ def test_waybelow_sets_rejects_oversized_poset_fast(tmp_path):
     path.write_text(json.dumps({"name": "antichain15", "elements": elements, "le": []}))
     code, err = _cli_to(subprocess.PIPE, "waybelow", "--poset", str(path), "--sets", timeout=10)
     assert code == 2 and err.decode().startswith("error:") and "15 elements" in err.decode()
+    assert "the limit is 14 elements" in err.decode()
 
 
 def test_topology_rejects_side_nat(capsys):

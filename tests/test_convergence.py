@@ -368,35 +368,37 @@ def test_trivial_ideal_converges_everywhere():
 
 
 def test_trap_masks_match_exception_sets():
-    """The per-net trap masks decide trapping exactly as the definitional
+    """The per-net trap mask decides trapping exactly as the definitional
     exception set and ideal membership do, for every poset of size at most
-    3, net of the class, compatible ideal and region."""
-    netclass = cv.NetClass(max_index_size=3, max_track_period=3)
+    3, net of the default class (every directed index of at most 4
+    points, the diamond included), compatible ideal and region."""
+    netclass = cv.NetClass()
+    assert netclass.max_index_size == 4
     compared = 0
     for n in range(1, 4):
         for p in generate_all_posets(n):
             for net in cv.generate_nets(p, netclass):
                 for idl in _compatible_ideals(net):
-                    masks = cv._net_slot(p, net, idl)
+                    mask = cv._net_slot(p, net, idl)
+                    assert isinstance(mask, int)
                     for region in range(p.universe + 1):
                         slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
-                        fast = any(t & ~region == 0 for t in masks)
-                        assert fast == slow, (p.name, net, idl.kind, region)
+                        assert (mask & ~region == 0) == slow, (p.name, net, idl.kind, region)
                         compared += 1
-    assert compared == 12360
+    assert compared == 46060
 
 
-def test_trap_class_decides_finite_predicates():
-    """Triples with equal trap class and point get equal verdicts, which is
-    what lets the sampled suites decide each (trap class, point) pair
-    once.  For every poset of size at most 3, net of the class, compatible
-    ideal and point, lim-inf, family lim-inf and Scott convergence and the
-    ``waybelow-forces-family`` premise agree within each (trap class,
-    point) group, and lim-inf and family lim-inf equal their definitional
-    checks."""
+def test_trap_mask_decides_finite_predicates():
+    """Triples with equal trap mask and point get equal verdicts, which is
+    what lets the sampled suites decide each (mask, point) pair once.  For
+    every poset of size at most 3, net of the class, compatible ideal and
+    point, lim-inf, family lim-inf and Scott convergence and the
+    ``waybelow-forces-family`` premise, by exception sets, agree within
+    each (mask, point) group, distinct nets share a group, and lim-inf
+    and family lim-inf equal their definitional checks."""
     netclass = cv.NetClass(max_index_size=3, max_track_period=3)
     triples = 0
-    merged = 0
+    shared = 0
     for n in range(1, 4):
         for p in generate_all_posets(n):
             sc = tp.scott_topology(p)
@@ -407,8 +409,7 @@ def test_trap_class_decides_finite_predicates():
             groups: dict = {}
             for net in cv.generate_nets(p, netclass):
                 for idl in _compatible_ideals(net):
-                    masks = cv._net_slot(p, net, idl)
-                    cls = cv._trap_class(masks)
+                    mask = cv._net_slot(p, net, idl)
                     for x in range(p.n):
                         lim = cv.converges_liminf(p, net, x, idl).holds
                         fam = cv.converges_family_liminf(p, net, x, idl).holds
@@ -418,13 +419,16 @@ def test_trap_class_decides_finite_predicates():
                             lim,
                             fam,
                             cv.converges_topological(p, net, x, idl, sc).holds,
-                            all(cv._trapped(masks, u) for u in waydown_ups[x]),
+                            all(
+                                cv.ideal_member(idl, cv.exception_set(p, net, u))
+                                for u in waydown_ups[x]
+                            ),
                         )
-                        first = groups.setdefault((cls, x), (masks, verdicts))
+                        first = groups.setdefault((mask, x), (net, verdicts))
                         assert first[1] == verdicts, (p.name, net, idl.kind, x)
-                        merged += first[0] != masks
+                        shared += first[0] != net
                         triples += 1
-    assert triples == 4740 and merged > 0
+    assert triples == 4740 and shared > 0
 
 
 def test_trap_mask_reuse_is_keyed_on_all_three():
@@ -465,10 +469,10 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
     compared = 0
     for order in orders:
         for p, net, idl in order:
-            masks = cv._net_slot(p, net, idl)
+            mask = cv._net_slot(p, net, idl)
             for region in range(p.universe + 1):
                 slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
-                assert any(t & ~region == 0 for t in masks) == slow, (p.name, net, idl.kind, region)
+                assert (mask & ~region == 0) == slow, (p.name, net, idl.kind, region)
                 compared += 1
     assert compared == 3 * 10 * 72 * 8
 

@@ -125,20 +125,20 @@ def test_sample_net_draws_match_random_choice():
     of the ``rng.choice``/``randrange`` formulation, draw by draw, for 5
     seeds on every poset of the size-4 corpus (named posets of up to 8
     elements included).  The net ``_net_of_draw`` builds is the
-    formulation's net, and the closed-form class is ``_trap_class`` of
-    that net's trap masks."""
+    formulation's net, and the closed-form mask is that net's trap mask
+    (``_net_slot``)."""
     for seed in range(5):
         for p in corpus.all_corpus(4).values():
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(300):
-                draw, cls = suites._sample_net(p, fast)
+                draw, mask = suites._sample_net(p, fast)
                 x = suites._below(fast, p.n)
                 net_ref, idl_ref, draw_ref = _sample_net_with_random_choice(p, slow)
                 x_ref = slow.randrange(p.n)
                 assert draw[:2] == draw_ref[:2] and x == x_ref, (seed, p.name)
                 net, idl = suites._net_of_draw(p, draw)
                 assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
-                assert cls == cv._trap_class(cv._net_slot(p, net, idl)), (seed, p.name)
+                assert mask == cv._net_slot(p, net, idl), (seed, p.name)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
 
 
@@ -220,7 +220,7 @@ LITERAL_SUITES = {
 
 @pytest.mark.parametrize("suite", sorted(LITERAL_SUITES))
 def test_sampled_suites_match_literal_triple_loop(suite):
-    """Each sampled suite, which decides one triple per (trap class,
+    """Each sampled suite, which decides one triple per (trap mask,
     point) pair and poset, reports the bytes of a literal loop that draws
     with ``rng.choice``/``randrange`` and decides every predicate on every
     triple by calling it (the premise of ``waybelow-forces-family`` by
@@ -233,7 +233,7 @@ def test_sampled_suites_match_literal_triple_loop(suite):
         assert suites.emit_report(suites.run_suite(suite, max_size=4, seed=seed)) == expected, seed
 
 
-# The predicate each sampled suite calls first on a (class, point) pair it
+# The predicate each sampled suite calls first on a (mask, point) pair it
 # has not decided on the poset, and the triples it draws per poset.
 SAMPLED_SUITES = {
     "liminf-to-family": ("converges_liminf", 200),
@@ -248,8 +248,8 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
     built by the ``rng.choice``/``randrange`` formulation, the three
     convergence predicates (and, in ``waybelow-forces-family``, the
     premise by exception sets) give equal answers to triples of one poset
-    with equal closed-form class (from ``_sample_net``) and point.  And
-    the suite decides each (class, point) pair whose premise holds by
+    with equal closed-form trap mask (from ``_sample_net``) and point.
+    And the suite decides each (mask, point) pair whose premise holds by
     exactly one call at that pair.  So each case gets its own triple's
     verdict, which the report alone does not show where every case
     passes."""
@@ -265,7 +265,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
                 for ix in range(p.n)
             ]
             for _ in range(per_poset):
-                _, cls = suites._sample_net(p, fast)
+                _, mask = suites._sample_net(p, fast)
                 x = suites._below(fast, p.n)
                 net, idl, _ = _sample_net_with_random_choice(p, slow)
                 assert x == slow.randrange(p.n)
@@ -278,7 +278,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
                     cv.converges_topological(p, net, x, idl, sc).holds,
                     premise,
                 )
-                key = (name, cls, x)
+                key = (name, mask, x)
                 assert answers.setdefault(key, answer) == answer, (seed, key)
         needed = Counter(key for key, answer in answers.items() if answer[3])
         calls: Counter = Counter()
@@ -286,7 +286,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
 
         def recording(p, net, x, idl):
             if p is not SIDE_NAT:
-                calls[p.name, cv._trap_class(cv._net_slot(p, net, idl)), x] += 1
+                calls[p.name, cv._net_slot(p, net, idl), x] += 1
             return original(p, net, x, idl)
 
         monkeypatch.setattr(cv, decider, recording)
@@ -324,7 +324,7 @@ FAMILY_CONVERGENCE_5_SHA256 = "1d9088d685fc19a327b734c305c48649e34a700a4817ef332
 
 def test_family_convergence_report_bytes_are_pinned_at_size_5():
     """The report of ``family-convergence-topological`` at size 5 has
-    pinned bytes, so the per-(trap class, point) decisions are checked at
+    pinned bytes, so the per-(trap mask, point) decisions are checked at
     the size the benchmark runs, on each Python the tests run under."""
     argv = ("verify", "--suite", "family-convergence-topological", "--max-size", "5", "--seed", "3")
     assert _stdout_sha256(*argv) == FAMILY_CONVERGENCE_5_SHA256
