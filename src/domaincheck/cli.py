@@ -149,9 +149,7 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
 
 def _cmd_topology(args: argparse.Namespace) -> int:
     p = _require_finite(_resolve_backend(args.poset), "the topology table")
-    # The family lim-inf topology of a finite poset is its Scott topology,
-    # the upper sets; the family-topology-is-scott suite checks that.
-    topo = tp.finite_topology(p, "scott" if args.kind == "glim" else args.kind)
+    topo = tp.family_liminf_topology(p) if args.kind == "glim" else tp.finite_topology(p, args.kind)
     _emit({"poset": p.name, "kind": args.kind, "opens": _opens_as_lists(p, topo.opens)})
     return 0
 

@@ -288,17 +288,18 @@ def _suite_family_topology_reduction(run: _Run, ctx: _Ctx) -> None:
 def _suite_family_topology_is_scott(run: _Run, ctx: _Ctx) -> None:
     """The family lim-inf topology is the Scott topology.
 
-    Both cases take the family topology that enumerates the directed
-    families (:func:`topology.family_liminf_topology`).  The ``:naive``
-    case compares it with ``scott_topology``, the poset's upper sets; the
-    ``:reduced`` case compares it with the Scott opens decided by
+    Both cases take the family topology built from one constraint per
+    antichain, the upper set of each directed family's greatest member
+    (:func:`topology.family_liminf_topology`).  The ``:upper-sets`` case
+    compares it with ``scott_topology``, the poset's upper sets; the
+    ``:definition`` case compares it with the Scott opens decided by
     definition, every mask tested for being upper and inaccessible by
     directed suprema (:func:`_scott_opens_by_definition`)."""
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
         family = tp.family_liminf_topology(p)
-        run.check(f"{name}:naive", family.opens == sc.opens)
-        run.check(f"{name}:reduced", family.opens == _scott_opens_by_definition(p))
+        run.check(f"{name}:upper-sets", family.opens == sc.opens)
+        run.check(f"{name}:definition", family.opens == _scott_opens_by_definition(p))
 
 
 def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:

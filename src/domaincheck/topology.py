@@ -21,7 +21,7 @@ from itertools import combinations
 from . import sidenat as sn
 from .errors import PreconditionFailed, TooLarge, UnknownElement
 from .oplog import logged
-from .order import FinitePoset, bits, smyth_directed
+from .order import FinitePoset, bits
 from .sidenat import EMPTY, FULL, SideElement, SideSet, sideset
 
 MAX_TOPOLOGY_ELEMENTS = 14
@@ -182,14 +182,26 @@ FAMILY_BOUND = 4
 
 def _directed_antichain_families(p: FinitePoset, family_bound: int):
     """Smyth-directed families of at most ``family_bound`` antichains,
-    each with its members' upper sets, by size and then in
-    ``combinations`` order."""
-    ups = dict(zip(p.antichain_masks, p.antichain_ups))
-    for size in range(1, family_bound + 1):
-        for fam in combinations(p.antichain_masks, size):
-            fam_ups = tuple(ups[f] for f in fam)
-            if smyth_directed(fam_ups):
-                yield fam, fam_ups
+    each with its members' upper sets, generated by greatest member.
+
+    A finite family is Smyth-directed iff it owns a greatest member ``g``,
+    one whose upper set is the meet of all members' upper sets
+    (:func:`~domaincheck.order.smyth_directed`), and an antichain is fixed
+    by its upper set, so ``g`` is unique.  The directed families with
+    greatest member ``g`` are therefore exactly ``(g, *rest)`` for each
+    set ``rest`` of at most ``family_bound - 1`` other antichains whose
+    upper sets contain ``up(g)``: each family is yielded once, ``g``
+    first, and the meet of its upper sets is ``up(g)``.
+    ``test_directed_family_matches_pairwise_smyth_definition`` compares
+    the output with the ``combinations`` scan filtered by the pairwise
+    definition."""
+    chains = list(zip(p.antichain_masks, p.antichain_ups))
+    for g, up_g in chains:
+        above = [(f, u) for f, u in chains if f != g and up_g & ~u == 0]
+        for size in range(family_bound):
+            for rest in combinations(above, size):
+                fs, us = zip(*rest) if rest else ((), ())
+                yield (g, *fs), (up_g, *us)
 
 
 @logged("topology.family_liminf")
@@ -204,23 +216,22 @@ def family_liminf_topology(p: FinitePoset) -> Topology:
     those traps, so this is the net-free reduction of the convergence
     topology.
 
-    A Smyth-directed family owns a member whose upper set is the meet
-    (:func:`~domaincheck.order.smyth_directed`), so "some member's upper
-    set lies inside ``U``" is "the meet lies inside ``U``".  Every family
-    is enumerated and its meet ORed into the neighbourhood mask of each
-    ``x`` it constrains.  ``test_family_topology_meets_match_member_scan``
-    compares the opens with the literal scan of every set against every
-    family's members.
+    A Smyth-directed family owns a greatest member ``g``, whose upper set
+    is the meet (:func:`_directed_antichain_families`), so "some member's
+    upper set lies inside ``U``" is "``up(g)`` lies inside ``U``": every
+    family with greatest member ``g`` adds the same constraint, and the
+    singleton family ``{g}`` is one of them.  So no family is enumerated:
+    ``up(g)`` is ORed into the neighbourhood mask of each ``x`` with
+    ``up(g) ⊆ up(x)``, once per antichain ``g``.
+    ``test_family_topology_meets_match_member_scan`` compares the opens
+    with the literal scan of every set against every family's members.
     """
     _guard_size(p)
     mins = [0] * p.n
-    for _fam, ups in _directed_antichain_families(p, FAMILY_BOUND):
-        meet = p.universe
-        for u in ups:
-            meet &= u
+    for up_g in p.antichain_ups:
         for x in range(p.n):
-            if meet & ~p.up[x] == 0:
-                mins[x] |= meet
+            if up_g & ~p.up[x] == 0:
+                mins[x] |= up_g
     return _from_neighborhoods(p, mins, "glim")
 
 

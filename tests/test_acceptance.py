@@ -8,6 +8,7 @@ prints the witnesses of whatever statement stopped holding.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,8 +50,9 @@ def test_criterion_1_side_backend_reproduction():
 
 
 def test_criterion_2_family_topology_is_scott():
-    """Derived family lim-inf topology equals the Scott topology on the
-    whole corpus, with the ``:naive`` and ``:reduced`` cases; under 60 s."""
+    """The family lim-inf topology equals the Scott topology on the whole
+    corpus, both as the upper sets (``:upper-sets``) and as the opens
+    decided by definition (``:definition``); under 60 s."""
     rep = _green("family-topology-is-scott", 60.0, max_size=5, seed=0)
     assert rep.cases == 2 * 104  # two cases on each corpus poset
 
@@ -91,9 +93,15 @@ def test_criterion_7_topology_axioms_and_lawson_inclusion():
     _green("lawson-below-eventual", 60.0, max_size=5, seed=0)
 
 
+# sha256 of ``verify --suite all --seed 42`` (default size 5) on stdout.
+# A change that alters the report bytes on purpose updates this value.
+ALL_5_SHA256 = "e77c04f3a9d6f3de9897820b6b5e2dfbfbaad8464507977000ff83ece898a6f3"
+
+
 def test_criterion_8_determinism():
     """Two fresh-process runs of `verify --suite all --seed 42` emit
-    byte-identical JSON."""
+    byte-identical JSON, with the pinned sha256: every suite's size-5
+    report bytes are guarded."""
     cmd = [
         sys.executable,
         "-c",
@@ -105,5 +113,6 @@ def test_criterion_8_determinism():
     assert first.returncode == 0, first.stdout.decode()[-2000:]
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout).hexdigest() == ALL_5_SHA256
     report = json.loads(first.stdout)
     assert report["seed"] == 42 and report["failures"] == []

@@ -60,9 +60,8 @@ def test_topology_scott_diamond(capsys):
 
 
 def test_topology_glim_prints_scott_opens(capsys):
-    """``--kind glim`` prints the Scott opens, which are the opens of the
-    enumerated family lim-inf topology, for every named poset of size at
-    most 5."""
+    """``--kind glim`` prints the opens of the family lim-inf topology,
+    which are the Scott opens, for every named poset of size at most 5."""
     named = {name: p for name, p in named_posets().items() if p.n <= 5}
     assert len(named) > 10
     for name, p in named.items():

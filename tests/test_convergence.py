@@ -371,7 +371,9 @@ def test_trap_masks_match_exception_sets():
     """The per-net trap mask decides trapping exactly as the definitional
     exception set and ideal membership do, for every poset of size at most
     3, net of the default class (every directed index of at most 4
-    points, the diamond included), compatible ideal and region."""
+    points, the diamond included), compatible ideal and region.  The
+    class lists each index's top last, so a hand-built index whose top
+    comes first checks that the eventual mask is the value at the top."""
     netclass = cv.NetClass()
     assert netclass.max_index_size == 4
     compared = 0
@@ -386,6 +388,14 @@ def test_trap_masks_match_exception_sets():
                         assert (mask & ~region == 0) == slow, (p.name, net, idl.kind, region)
                         compared += 1
     assert compared == 46060
+    top_first = build_finite_poset("top-first", ["t", "a", "b"], [("a", "t"), ("b", "t")])
+    net = cv.finite_net(top_first, ["c1", "c0", "c0"])
+    idl = cv.ideal("eventual", top_first)
+    mask = cv._build_trap_mask(CHAIN2, net, idl)
+    assert mask == 1 << CHAIN2.index("c1")
+    for region in range(CHAIN2.universe + 1):
+        slow = cv.ideal_member(idl, cv.exception_set(CHAIN2, net, region))
+        assert (mask & ~region == 0) == slow, region
 
 
 def test_trap_mask_decides_finite_predicates():

@@ -34,11 +34,15 @@ def test_family_directedness():
 def test_directed_family_matches_pairwise_smyth_definition():
     """The greatest-member test equals the literal definition, every pair
     dominated by a member in the Smyth preorder, on every family of one
-    to ``tp.FAMILY_BOUND`` antichains over every poset of size at most 4,
-    the families the family topology enumerates."""
+    to ``tp.FAMILY_BOUND`` antichains over every poset of size at most 4.
+
+    The generator ``tp._directed_antichain_families`` at each bound ``k``
+    yields exactly the directed families of at most ``k`` antichains, as
+    a set of member sets, none twice, each with its members' upper sets."""
     for n in (1, 2, 3, 4):
         for p in generate_all_posets(n):
             antichains = list(p.iter_antichain_masks())
+            directed = set()
             for k in range(1, tp.FAMILY_BOUND + 1):
                 for fam in combinations(antichains, k):
                     literal = all(
@@ -47,6 +51,15 @@ def test_directed_family_matches_pairwise_smyth_definition():
                         for g in fam
                     )
                     assert rd.is_directed_family(p, fam) == literal, (p.name, fam)
+                    if literal:
+                        directed.add(frozenset(fam))
+                generated = list(tp._directed_antichain_families(p, k))
+                members = [frozenset(fam) for fam, _ups in generated]
+                assert len(set(members)) == len(members), (p.name, k)
+                assert set(members) == directed, (p.name, k)
+                for fam, ups in generated:
+                    assert len(fam) <= k
+                    assert ups == tuple(p.up_of_mask(f) for f in fam), (p.name, fam)
     assert not rd.is_directed_family(DIAMOND, ())
 
 

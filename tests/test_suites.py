@@ -15,6 +15,7 @@ from domaincheck import corpus, oplog, suites
 from domaincheck import topology as tp
 from domaincheck import waybelow as wb
 from domaincheck.errors import UnknownSuite
+from domaincheck.order import build_finite_poset
 from domaincheck.sidenat import A, TOP, SIDE_NAT
 
 
@@ -140,6 +141,28 @@ def test_sample_net_draws_match_random_choice():
                 assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
                 assert mask == cv._net_slot(p, net, idl), (seed, p.name)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
+
+
+def test_sample_net_mask_reads_the_value_at_the_index_top(monkeypatch):
+    """With an index whose top is not its last element, the closed-form
+    mask of ``_sample_net`` is the built net's trap mask, on draws whose
+    value at the top differs from the last value."""
+    top_first = build_finite_poset("top-first", ["t", "a", "b"], [("a", "t"), ("b", "t")])
+    chain3 = build_finite_poset("chain3", ["c0", "c1", "c2"], [("c0", "c1"), ("c1", "c2")])
+    monkeypatch.setattr(suites.cp, "directed_index_posets", lambda _n: (top_first,))
+    suites._sampling_ideals.cache_clear()
+    try:
+        rng = random.Random(0)
+        telling = 0
+        for _ in range(200):
+            draw, mask = suites._sample_net(chain3, rng)
+            net, idl = suites._net_of_draw(chain3, draw)
+            assert mask == cv._net_slot(chain3, net, idl), draw
+            i, vals, _ = draw
+            telling += i >= 0 and idl.kind == "eventual" and vals[0] != vals[-1]
+        assert telling > 0
+    finally:
+        suites._sampling_ideals.cache_clear()
 
 
 def _literal_liminf_to_family(run, ctx):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from domaincheck import convergence as cv
@@ -10,7 +12,7 @@ from domaincheck import suites
 from domaincheck import topology as tp
 from domaincheck.corpus import generate_all_posets, named_posets
 from domaincheck.errors import TooLarge
-from domaincheck.order import build_finite_poset
+from domaincheck.order import build_finite_poset, smyth_directed
 from domaincheck.sidenat import A, TOP
 
 DIAMOND = build_finite_poset(
@@ -78,18 +80,23 @@ def test_family_liminf_topology_is_scott():
 def _family_opens_by_member_scan(p):
     """The family topology's opens by the literal scan of every set
     against every family: a set holding a point the family constrains
-    must hold some member's upper set."""
+    must hold some member's upper set.  The families are the Smyth-directed
+    ``combinations`` of at most ``tp.FAMILY_BOUND`` antichains, enumerated
+    here independently of ``tp._directed_antichain_families``."""
     constraints = []
-    for _fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
-        meet = p.universe
-        for u in ups:
-            meet &= u
-        xmask = 0
-        for x in range(p.n):
-            if meet & ~p.up[x] == 0:
-                xmask |= 1 << x
-        if xmask:
-            constraints.append((xmask, ups))
+    for k in range(1, tp.FAMILY_BOUND + 1):
+        for ups in combinations(p.antichain_ups, k):
+            if not smyth_directed(ups):
+                continue
+            meet = p.universe
+            for u in ups:
+                meet &= u
+            xmask = 0
+            for x in range(p.n):
+                if meet & ~p.up[x] == 0:
+                    xmask |= 1 << x
+            if xmask:
+                constraints.append((xmask, ups))
     return frozenset(
         mask
         for mask in range(p.universe + 1)
@@ -98,9 +105,10 @@ def _family_opens_by_member_scan(p):
 
 
 def test_family_topology_meets_match_member_scan():
-    """The meet form of the family topology has the opens of the
-    per-set, per-member scan on every poset of size at most 4 and on
-    every named corpus poset of size at most 5."""
+    """The family topology built from one constraint per antichain has
+    the opens of the per-set, per-member scan over every directed family
+    on every poset of size at most 4 and on every named corpus poset of
+    size at most 5."""
     named = [p for p in named_posets().values() if p.n <= 5]
     posets = [p for n in range(1, 5) for p in generate_all_posets(n)] + named
     assert len(named) > 10
