@@ -33,7 +33,8 @@ Backend = FinitePoset | SideNat
 
 
 def _resolve_backend(spec: str) -> Backend:
-    """A poset argument is ``side_nat``, a corpus name, or a JSON file."""
+    """A poset argument is ``side_nat``, a corpus name, or a JSON file.
+    A :class:`SideNat` runs the functions of :mod:`~domaincheck.sidenat`."""
     if spec == "side_nat":
         return SIDE_NAT
     if spec.endswith(".json") or os.path.sep in spec:
@@ -98,7 +99,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     p = _resolve_backend(args.poset)
-    _emit(wb.classify(p).to_dict())
+    _emit((sn.classify() if isinstance(p, SideNat) else wb.classify(p)).to_dict())
     return 0
 
 
@@ -113,7 +114,7 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
                 [sn.format_side_element(x), sn.format_side_element(y)]
                 for x in points
                 for y in points
-                if wb.point_way_below(p, x, y)
+                if sn.point_way_below(x, y)
             ],
         }
         if args.sets:
@@ -122,7 +123,7 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
                 [[sn.format_side_element(e) for e in g], [sn.format_side_element(e) for e in h]]
                 for g in chains
                 for h in chains
-                if wb.set_way_below(p, g, h)
+                if sn.set_way_below(g, h)
             ]
         _emit(out)
         return 0
@@ -162,15 +163,16 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise DomainCheckError("the ideal JSON must be an object with a 'kind' field")
     idl = cv.ideal(ideal_spec["kind"], cv.net_index(net))
     x = _parse_point(p, args.point)
+    # The predicates of both backends share names; the side-point ones take no poset.
+    lib, backend = (sn, ()) if isinstance(p, SideNat) else (cv, (p,))
     if args.mode == "liminf":
-        verdict = cv.converges_liminf(p, net, x, idl)
+        verdict = lib.converges_liminf(*backend, net, x, idl)
     elif args.mode == "family":
-        verdict = cv.converges_family_liminf(p, net, x, idl)
+        verdict = lib.converges_family_liminf(*backend, net, x, idl)
     elif args.mode == "eventual":
-        verdict = cv.is_eventual_liminf(p, net, x, idl)
+        verdict = lib.is_eventual_liminf(*backend, net, x, idl)
     elif args.mode == "topo":
-        topo = args.topology if isinstance(p, SideNat) else tp.finite_topology(p, args.topology)
-        verdict = cv.converges_topological(p, net, x, idl, topo)
+        verdict = lib.converges_topological(*backend, net, x, idl, args.topology)
     else:
         raise DomainCheckError(f"unknown mode {args.mode!r}")
     out = {"mode": args.mode, "point": args.point, "ideal": idl.kind}

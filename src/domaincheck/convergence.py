@@ -18,6 +18,9 @@ quantifiers in the definitions reduce to finite windows plus a
 stabilization argument: past the largest natural mentioned by the net,
 growing a region's cut point changes level sets by finite sets only, and
 every ideal here is invariant under finite modifications.
+
+The predicates here take a finite poset; :mod:`~domaincheck.sidenat`
+has those of the side-point dcpo, on the same nets and ideals.
 """
 
 from __future__ import annotations
@@ -25,14 +28,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import NamedTuple
 
-from . import sidenat as sn
 from . import topology as tp
-from . import waybelow as wb
 from .errors import (
     BackendUnsupported,
     IndexMismatch,
@@ -43,10 +43,7 @@ from .errors import (
 )
 from .oplog import logged
 from .order import FinitePoset, bits
-from .sidenat import A, TOP, SideNat, SideSet
 from .topology import Topology
-
-Backend = FinitePoset | SideNat
 
 IDEAL_KINDS = ("eventual", "finite", "density0", "trivial")
 CONST = "const"
@@ -92,9 +89,6 @@ class OmegaSet:
     @property
     def is_finite(self) -> bool:
         return not self.residues
-
-    def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.modulus)
 
     def members_upto(self, k: int) -> tuple[int, ...]:
         return tuple(j for j in range(k) if self.member(j))
@@ -280,94 +274,36 @@ def ideal_member(idl: Ideal, level: OmegaSet | int) -> bool:
     return any(level & p.up[j] == 0 for j in range(p.n))
 
 
-# -- level and exception sets ------------------------------------------------
+# -- exception sets ----------------------------------------------------------
+
+
+def _exceptions(net: Net, inside) -> OmegaSet | int:
+    """The positions of a finite-index net whose value ``inside`` rejects,
+    or the residues of a track net's constant tracks whose value it
+    rejects.  Ascending tracks are left to the caller."""
+    if isinstance(net, FiniteNet):
+        return sum(1 << j for j, v in enumerate(net.values) if not inside(v))
+    consts = [t for t, track in enumerate(net.tracks) if track[0] == CONST and not inside(track[1])]
+    return omega_set(net.period, consts)
 
 
 @logged("convergence.exception_set")
-def exception_set(p: Backend, net: Net, region) -> OmegaSet | int:
+def exception_set(p: FinitePoset, net: Net, region: int) -> OmegaSet | int:
     """Positions where the net's value lies outside ``region``.  A value
-    that is not an element of the backend raises :class:`UnknownElement`."""
-    if isinstance(p, SideNat):
-        if not isinstance(region, SideSet):
-            raise IndexMismatch("regions of the side-point dcpo must be SideSets")
-
-        def inside(v) -> bool:
-            return sn.check_side_element(v) in region
-
-    else:
-
-        def inside(v) -> bool:
-            return bool(region >> p.index(v) & 1)
-
-    if isinstance(net, FiniteNet):
-        out = 0
-        for j in range(net.index.n):
-            if not inside(net.values[j]):
-                out |= 1 << j
-        return out
-    const_residues = [
-        t for t, track in enumerate(net.tracks) if track[0] == CONST and not inside(track[1])
-    ]
-    acc = omega_set(net.period, const_residues)
-    for t, track in enumerate(net.tracks):
-        if track[0] == CONST:
-            continue
-        if not isinstance(p, SideNat):
-            raise BackendUnsupported("ascending tracks only exist on the side-point dcpo")
-        if region.tail is None:
-            part = omega_set(
-                net.period,
-                [t],
-                minus=(t + k * net.period for k in region.nats),
-            )
-        else:
-            part = finite_omega(
-                t + k * net.period for k in range(region.tail) if k not in region.nats
-            )
-        acc = omega_union(acc, part)
-    return acc
+    that is not an element of ``p`` raises :class:`UnknownElement`, and an
+    ascending track :class:`BackendUnsupported`."""
+    exc = _exceptions(net, lambda v: bool(region >> p.index(v) & 1))
+    if isinstance(net, TrackNet) and any(track[0] != CONST for track in net.tracks):
+        raise BackendUnsupported("ascending tracks only exist on the side-point dcpo")
+    return exc
 
 
-@logged("convergence.level_set")
-def level_set(p: Backend, net: Net, region) -> OmegaSet | int:
-    """Positions where the net's value lies inside ``region``."""
-    exc = exception_set(p, net, region)
-    if isinstance(exc, int):
-        return net.index.universe & ~exc  # type: ignore[union-attr]
-    return omega_complement(exc)
-
-
-def _eventually_inside(p: Backend, net: Net, region, idl: Ideal) -> bool:
+def _eventually_inside(p: FinitePoset, net: Net, region: int, idl: Ideal) -> bool:
     return ideal_member(idl, exception_set(p, net, region))
 
 
-def _net_slot(p: Backend, net: Net, idl: Ideal):
-    """The per-net artefact that decides trapping for a (backend, net,
-    ideal) triple: the trap mask on a finite backend
-    (:func:`_build_trap_mask`), the eventually-below family on the
-    side-point dcpo (:func:`_build_side_family`).
-
-    Posets, nets and ideals are immutable, so the artefact is built once
-    and reused while the same three objects come back: the net keeps one
-    slot holding the backend and the ideal it was last asked about,
-    compared by identity, and their artefact.  So the predicates of one
-    (net, ideal) triple and every point tried for one net share a
-    computation, and nothing outlives the net.  A call that raises stores
-    nothing.  ``test_trap_mask_reuse_is_keyed_on_all_three`` reuses nets
-    across posets with the same ids in different orders and across
-    ideals, and compares with the definitional check.
-    """
-    cached = net.__dict__.get("_trap_slot")
-    if cached is not None and cached[0] is p and cached[1] is idl:
-        return cached[2]
-    build = _build_side_family if isinstance(p, SideNat) else _build_trap_mask
-    value = build(p, net, idl)
-    object.__setattr__(net, "_trap_slot", (p, idl, value))
-    return value
-
-
 def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
-    """The mask that decides trapping on a finite backend: the net is
+    """The mask that decides trapping on a finite poset: the net is
     trapped in ``region`` up to ``idl`` iff ``mask & ~region == 0``.
 
     Under the trivial ideal every exception set is negligible, so the
@@ -379,7 +315,7 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
     proper ideal is trapped iff its exception set, a union of residue
     classes, is finite, that is, empty: the mask is the union of its
     track values.  So the mask and the point fix the verdict of every
-    predicate that reads a finite backend's slot, and the sampled suites
+    predicate that reads a finite poset's slot, and the sampled suites
     read the mask from a draw (``suites._sample_net``) and decide each
     (mask, point) pair once per poset.
 
@@ -405,31 +341,28 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
     return 0 if idl.kind == "trivial" else union
 
 
-def _build_side_family(p: SideNat, net: Net, idl: Ideal) -> wb.SideFamily:
-    """The eventually-below family on the side-point dcpo: every antichain
-    ``{n}``, ``{a}``, ``{inf}`` or ``{n, a}`` whose upper set traps the net
-    up to the ideal.
+def _net_slot(p, net: Net, idl: Ideal, build=_build_trap_mask):
+    """The artefact ``build(p, net, idl)`` that decides trapping for a
+    (backend, net, ideal) triple: the trap mask on a finite poset
+    (:func:`_build_trap_mask`), the eventually-below family on the
+    side-point dcpo (:mod:`~domaincheck.sidenat`).
 
-    The regions of ``{n}`` and ``{n, a}`` shrink as ``n`` grows, so their
-    statuses must shrink too, and past the stabilization bound they stop
-    changing: the window ``n <= stabilization_bound(net)`` makes each kind
-    an initial segment of explicit members or a full schema.
-    ``test_side_predicates_on_small_track_nets`` checks the predicates
-    that read the family against Scott-topological convergence.
+    Posets, nets and ideals are immutable, so the artefact is built once
+    and reused while the same three objects come back: the net keeps one
+    slot holding the backend and the ideal it was last asked about,
+    compared by identity, and their artefact.  So the predicates of one
+    (net, ideal) triple and every point tried for one net share a
+    computation, and nothing outlives the net.  A call that raises stores
+    nothing.  ``test_trap_mask_reuse_is_keyed_on_all_three`` reuses nets
+    across posets with the same ids in different orders and across
+    ideals, and compares with the definitional check.
     """
-    window = range(stabilization_bound(net) + 1)
-    singles = [_eventually_inside(p, net, sn.up_set(n), idl) for n in window]
-    pairs = [_eventually_inside(p, net, sn.up_closure(sn.side_set_of((n, A))), idl) for n in window]
-    for statuses in (singles, pairs):
-        if any(later and not earlier for earlier, later in zip(statuses, statuses[1:])):
-            raise PreconditionFailed("level statuses must shrink as regions shrink")
-    explicit = [(e,) for e in (A, TOP) if _eventually_inside(p, net, sn.up_set(e), idl)]
-    explicit += [(n,) for n in window if singles[n]] + [(n, A) for n in window if pairs[n]]
-    return wb.side_family(
-        explicit,
-        singletons_from=0 if all(singles) else None,
-        pairs_from=0 if all(pairs) else None,
-    )
+    cached = net.__dict__.get("_trap_slot")
+    if cached is not None and cached[0] is p and cached[1] is idl:
+        return cached[2]
+    value = build(p, net, idl)
+    object.__setattr__(net, "_trap_slot", (p, idl, value))
+    return value
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -461,30 +394,19 @@ def _check_compat(net: Net, idl: Ideal) -> None:
 
 
 @logged("convergence.liminf")
-def converges_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
+def converges_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     """Lim-inf convergence: some directed set below the limit traps the net.
 
-    The finite backend tests the principal witness, the singleton of the
-    limit itself, which subsumes every other directed set: the trap
-    condition for a directed set with supremum above ``x`` is at least as
-    strong at the supremum, whose upper set sits inside the limit's.
-    On the side-point dcpo the only shapes that are not dominated by the
-    principal witness are unbounded sets of naturals: ``{x}`` or every
-    ``{n}`` is in the net's eventually-below family.  Both backends read
-    the net's slot (:func:`_net_slot`).  Oracles:
-    ``test_finite_exhaustive_agrees_with_principal`` compares the finite
-    path with :func:`_converges_liminf_definitional` on every poset of
-    size at most 3, and ``test_side_predicates_on_small_track_nets``
-    checks the side path on every track net of period at most 2.
+    This tests the principal witness, the singleton of the limit itself,
+    which subsumes every other directed set: the trap condition for a
+    directed set with supremum above ``x`` is at least as strong at the
+    supremum, whose upper set sits inside the limit's.  It reads the
+    net's trap mask (:func:`_net_slot`).  Oracle:
+    ``test_finite_exhaustive_agrees_with_principal`` compares it with
+    :func:`_converges_liminf_definitional` on every poset of size at
+    most 3.
     """
     _check_compat(net, idl)
-    if isinstance(p, SideNat):
-        fam = _net_slot(p, net, idl)
-        if fam.contains((x,)):
-            return Verdict(True, {"directed_set": [str(x)], "shape": "principal"})
-        if fam.singletons_from == 0:
-            return Verdict(True, {"shape": "natural_chain", "checked_upto": stabilization_bound(net)})
-        return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
     if _net_slot(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
@@ -505,32 +427,18 @@ def _converges_liminf_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> V
 
 
 @logged("convergence.family_liminf")
-def converges_family_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
+def converges_family_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     """Lim-inf convergence along a Smyth-directed family of finite sets.
 
     The family's upper sets must intersect inside the limit's upper set,
     and each member must trap the net up to the ideal.  The principal
-    family over the limit again dominates on finite backends.  The side
-    backend has two extra undominated shapes, the all-singletons schema
-    (whose upper sets intersect in the top alone, hence work for any
-    limit) and, for the side point, the pair schema, each read from the
-    net's eventually-below family (:func:`_net_slot`).  Oracles:
-    ``test_finite_exhaustive_agrees_with_principal`` compares the finite
-    path with :func:`_converges_family_definitional` on every poset of
-    size at most 3, and ``test_side_predicates_on_small_track_nets``
-    compares the side path with Scott-topological convergence on every
-    track net of period at most 2.
+    family over the limit again dominates, read from the net's trap mask
+    (:func:`_net_slot`).  Oracle:
+    ``test_finite_exhaustive_agrees_with_principal`` compares it with
+    :func:`_converges_family_definitional` on every poset of size at
+    most 3.
     """
     _check_compat(net, idl)
-    if isinstance(p, SideNat):
-        fam = _net_slot(p, net, idl)
-        if fam.contains((x,)):
-            return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
-        if fam.singletons_from == 0:
-            return Verdict(True, {"shape": "singleton_schema", "checked_upto": stabilization_bound(net)})
-        if x == A and fam.pairs_from == 0:
-            return Verdict(True, {"shape": "pair_schema", "checked_upto": stabilization_bound(net)})
-        return Verdict(False, {"point": str(x)})
     ix = p.index(x) if isinstance(x, str) else x
     if _net_slot(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
@@ -555,13 +463,10 @@ def _converges_family_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> V
 
 
 @logged("convergence.topological")
-def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | str) -> Verdict:
+def converges_topological(p: FinitePoset, net: Net, x, idl: Ideal, topo: Topology | str) -> Verdict:
     """Ideal convergence in a topology: every neighborhood of ``x`` traps
-    the net up to the ideal.
-
-    Finite backends take an explicit :class:`Topology`; the side-point
-    backend takes a kind name and checks the binding neighborhood family,
-    which decides all neighborhoods once level sets are stable.
+    the net up to the ideal.  ``topo`` is a :class:`Topology` or the name
+    of one (:func:`topology.finite_topology`).
 
     A finite topology is closed under intersections, so every open around
     ``x`` contains the minimal neighbourhood ``m(x)``
@@ -575,14 +480,6 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
     opens whose ``m(x)`` is not open raises :class:`PreconditionFailed`.
     """
     _check_compat(net, idl)
-    if isinstance(p, SideNat):
-        if not isinstance(topo, str):
-            raise BackendUnsupported("side-point topologies are selected by kind name")
-        stab = stabilization_bound(net)
-        for region in tp.side_binding_opens(topo, x, stab):
-            if not _eventually_inside(p, net, region, idl):
-                return Verdict(False, {"open": sorted(map(str, region.members_upto(stab + 2)))})
-        return Verdict(True, {"kind": topo, "checked_opens": len(tp.side_binding_opens(topo, x, stab))})
     if isinstance(topo, str):
         topo = tp.finite_topology(p, topo)
     ix = p.index(x) if isinstance(x, str) else x
@@ -597,48 +494,31 @@ def converges_topological(p: Backend, net: Net, x, idl: Ideal, topo: Topology | 
 
 
 @logged("convergence.eventual_family")
-def eventual_family(p: Backend, net: Net, idl: Ideal):
-    """Every finite set whose upper closure traps the net up to the ideal.
-
-    Finite backends return antichain masks, each tested through its
-    cached upper set (:attr:`FinitePoset.antichain_ups`) against the net's
-    trap mask; ``test_trap_masks_match_exception_sets`` checks that.
-    The side-point backend returns the :class:`waybelow.SideFamily` that
-    the side predicates read, whose oracle is
-    ``test_side_predicates_on_small_track_nets``.  Both come from the
-    net's slot (:func:`_net_slot`).
+def eventual_family(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
+    """Every finite set whose upper closure traps the net up to the ideal,
+    as antichain masks, each tested through its cached upper set
+    (:attr:`FinitePoset.antichain_ups`) against the net's trap mask
+    (:func:`_net_slot`); ``test_trap_masks_match_exception_sets`` checks it.
     """
     _check_compat(net, idl)
     slot = _net_slot(p, net, idl)
-    if isinstance(p, SideNat):
-        return slot
     return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if slot & ~u == 0)
 
 
 @logged("convergence.eventual_liminf")
-def is_eventual_liminf(p: Backend, net: Net, x, idl: Ideal) -> Verdict:
+def is_eventual_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     """Eventual lim-inf: the limit of some family trap, lying in the upper
     closure of every member of the eventually-below family.
 
     Both conditions are taken literally.  The first is family lim-inf
     convergence to ``x``; the second quantifies over the whole
-    eventually-below family: on finite backends member by member, in
-    antichain order, with cached upper sets; on the side backend through
-    the intersection of the members' upper sets.  Oracles: the
-    ``eventual-liminf-lawson`` suite compares the finite verdicts with
-    Lawson convergence, and ``test_side_predicates_on_small_track_nets``
-    checks that the side verdicts imply family convergence and pins their
-    count.
+    eventually-below family member by member, in antichain order, with
+    cached upper sets.  Oracle: the ``eventual-liminf-lawson`` suite
+    compares the verdicts with Lawson convergence.
     """
-    _check_compat(net, idl)
     first = converges_family_liminf(p, net, x, idl)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
-    if isinstance(p, SideNat):
-        fam = _net_slot(p, net, idl)
-        if x not in fam.upset_intersection():
-            return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
-        return Verdict(True, {"family": fam.to_dict()})
     ix = p.index(x) if isinstance(x, str) else x
     trap = _net_slot(p, net, idl)
     size = 0

@@ -119,21 +119,11 @@ class FinitePoset:
     def is_upper_mask(self, mask: int) -> bool:
         return self.up_of_mask(mask) == mask
 
-    def is_lower_mask(self, mask: int) -> bool:
-        return self.down_of_mask(mask) == mask
-
     def min_mask(self, mask: int) -> int:
         """Minimal elements of ``mask``: those above no other member."""
         out = 0
         for i in bits(mask):
             if self.down[i] & mask == 1 << i:
-                out |= 1 << i
-        return out
-
-    def max_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            if self.up[i] & mask == 1 << i:
                 out |= 1 << i
         return out
 

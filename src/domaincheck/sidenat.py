@@ -1,4 +1,4 @@
-"""An infinite dcpo with one point sitting beside the naturals.
+"""The side-point dcpo: an infinite dcpo with one point beside the naturals.
 
 The carrier is ``{0, 1, 2, ...} | {a, inf}`` ordered by ``x <= y`` iff
 ``y = inf``, or ``x = y``, or both are naturals with the usual order.  So
@@ -12,14 +12,22 @@ Everything here is computed symbolically.  Subsets are represented by
 optional cofinite tail, and flags for the two extra points.  Membership
 beyond the represented data is eventually constant, which makes the whole
 boolean algebra decidable by inspecting a finite window.
+
+This module is the whole side-point backend: its operations carry the
+names and ``oplog`` operations of their finite counterparts in ``waybelow``,
+``topology`` and ``convergence``, without the backend argument.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
-from .errors import NotDirected, UnknownElement
+from . import convergence as cv
+from . import waybelow as wb
+from .convergence import CONST, FiniteNet, Ideal, Net, OmegaSet, TrackNet, Verdict
+from .errors import IndexMismatch, NotDirected, PreconditionFailed, UnknownElement
 from .oplog import logged
 from .order import FinitePoset, build_finite_poset
 
@@ -128,7 +136,9 @@ FULL = sideset(tail=0, has_a=True, has_top=True)
 
 
 def side_set_of(elements: Iterable[SideElement]) -> SideSet:
-    es = list(elements)
+    """The finite set of ``elements``; a member that is not an element of
+    the carrier raises :class:`UnknownElement`."""
+    es = [check_side_element(e) for e in elements]
     return sideset(
         nats=(e for e in es if isinstance(e, int)),
         has_a=A in es,
@@ -206,10 +216,6 @@ def is_upper(s: SideSet) -> bool:
     return up_closure(s) == s or s.is_empty
 
 
-def is_lower(s: SideSet) -> bool:
-    return down_closure(s) == s or s.is_empty
-
-
 @logged("order.is_directed")
 def is_directed_set(s: SideSet) -> bool:
     """Directed means nonempty with internal upper bounds for all pairs.
@@ -277,11 +283,8 @@ def iter_antichains_upto(bound: int) -> Iterable[tuple[SideElement, ...]]:
 
 @dataclass(frozen=True)
 class SideNat:
-    """Backend marker for the side-point dcpo.
-
-    The domain is a fixed mathematical object, so this carries no state;
-    operations dispatch on the type and call the module functions.
-    """
+    """Backend marker for the side-point dcpo, which the CLI resolves
+    ``--poset side_nat`` to; the domain is fixed, so it carries no state."""
 
     name: str = "side_nat"
 
@@ -299,3 +302,544 @@ def truncate_side_nat(k: int) -> FinitePoset:
     nats = [str(i) for i in range(k + 1)]
     le = [(str(i), str(i + 1)) for i in range(k)] + [(str(k), TOP), (A, TOP)]
     return build_finite_poset(f"side_nat_to_{k}", nats + [A, TOP], le)
+
+
+# -- way-below ---------------------------------------------------------------
+
+
+def _as_elems(s: Iterable[SideElement]) -> tuple[SideElement, ...]:
+    return tuple(sorted({check_side_element(e) for e in s}, key=element_sort_key))
+
+
+def _upset(elems: Iterable[SideElement]) -> SideSet:
+    return up_closure(side_set_of(elems))
+
+
+def _subset(x: SideSet, y: SideSet) -> bool:
+    return diff(x, y).is_empty
+
+
+@logged("waybelow.set")
+def set_way_below(g: Iterable[SideElement], h: Iterable[SideElement]) -> bool:
+    """``g`` is way below ``h``: every directed set whose supremum lands
+    in ``up(h)`` already meets ``up(g)``.
+
+    The closed rule: ``up(h)`` inside ``up(g)``, and ``g`` must contain a
+    natural, because an unbounded set of naturals is directed with
+    supremum at the top and only a natural in ``g`` puts its upper set in
+    the way.  The ``sidenat`` suite checks it against
+    :func:`way_below_oracle`.
+    """
+    ge, he = _as_elems(g), _as_elems(h)
+    if not he:
+        return True
+    return any(isinstance(e, int) for e in ge) and _subset(_upset(he), _upset(ge))
+
+
+@logged("waybelow.point")
+def point_way_below(x: SideElement, y: SideElement) -> bool:
+    return set_way_below((x,), (y,))
+
+
+def way_below_oracle(g: Iterable[SideElement], h: Iterable[SideElement]) -> bool:
+    """Decide way-below by enumerating shapes.
+
+    Every directed set is a finite set of naturals, an unbounded set of
+    naturals, the singleton of the side point, or a set containing the
+    top.  They are checked one shape class at a time, with naturals
+    drawn from a window two past every natural mentioned in the
+    arguments; beyond the window membership in either upper set is
+    constant, so the window decides the general case.  This is the
+    independent slow path used to validate :func:`set_way_below`.
+    """
+    ge, he = _as_elems(g), _as_elems(h)
+    if not he:
+        return True
+    upg, uph = _upset(ge), _upset(he)
+    nats = [e for e in list(ge) + list(he) if isinstance(e, int)]
+    bound = max(nats, default=0) + 2
+
+    def violated(sup: SideElement, meets_upg: bool) -> bool:
+        return sup in uph and not meets_upg
+
+    for m in range(bound + 1):
+        if violated(m, m in upg):
+            return False
+        for m2 in range(m):
+            if violated(m, m2 in upg or m in upg):
+                return False
+    if violated(A, A in upg):
+        return False
+    # any unbounded set of naturals: supremum is the top, and it meets
+    # up(g) iff up(g) contains arbitrarily large naturals
+    if violated(TOP, upg.tail is not None):
+        return False
+    # sets containing the top meet up(g) at the top itself
+    if violated(TOP, TOP in upg):
+        return False
+    return True
+
+
+@logged("waybelow.way_up")
+def way_up(f: Iterable[SideElement]) -> SideSet:
+    """All points that ``f`` is way below."""
+    fe = _as_elems(f)
+    if not any(isinstance(e, int) for e in fe):
+        return EMPTY
+    return _upset(fe)
+
+
+@logged("waybelow.waydown")
+def waydown_of(x: SideElement) -> SideSet:
+    """All points way below ``x`` (the pointwise approximants of ``x``)."""
+    check_side_element(x)
+    if x == A:
+        return EMPTY
+    if x == TOP:
+        return sideset(tail=0)
+    return sideset(nats=range(x + 1))
+
+
+# -- families of finite sets -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SideFamily:
+    """A family of finite antichains, possibly with two infinite schemas.
+
+    ``explicit`` lists concrete members.  ``singletons_from = s`` adds
+    every ``{n}`` with ``n >= s``; ``pairs_from = q`` adds every
+    ``{n, a}`` with ``n >= q``.  These schemas are the only infinite
+    families the workbench needs: approximating families and ideal-level
+    families on the side-point dcpo all take this form.
+    """
+
+    explicit: tuple[tuple[SideElement, ...], ...] = ()
+    singletons_from: int | None = None
+    pairs_from: int | None = None
+
+    def _schema_covers(self, m: tuple[SideElement, ...]) -> bool:
+        if len(m) == 1 and isinstance(m[0], int) and self.singletons_from is not None:
+            return m[0] >= self.singletons_from
+        if len(m) == 2 and isinstance(m[0], int) and m[1] == A and self.pairs_from is not None:
+            return m[0] >= self.pairs_from
+        return False
+
+    def contains(self, member: Iterable[SideElement]) -> bool:
+        m = antichain_of(member)
+        return m in self.explicit or self._schema_covers(m)
+
+    def members_upto(self, k: int) -> tuple[tuple[SideElement, ...], ...]:
+        out = list(self.explicit)
+        if self.singletons_from is not None:
+            out.extend((n,) for n in range(self.singletons_from, k))
+        if self.pairs_from is not None:
+            out.extend((n, A) for n in range(self.pairs_from, k))
+        return tuple(dict.fromkeys(out))
+
+    def includes(self, other: SideFamily) -> bool:
+        """Is every member of ``other`` a member of this family?  Past both
+        stabilization bounds membership is constant in ``n``, so a window
+        decides.  Oracle: ``test_side_family_includes_matches_prefixes``."""
+        k = max(self._stab(), other._stab())
+        return all(self.contains(m) for m in other.members_upto(k))
+
+    def to_dict(self) -> dict:
+        return {
+            "explicit": [[str(e) for e in m] for m in self.explicit],
+            "singletons_from": self.singletons_from,
+            "pairs_from": self.pairs_from,
+        }
+
+    def _stab(self) -> int:
+        data = [e for m in self.explicit for e in m if isinstance(e, int)]
+        for t in (self.singletons_from, self.pairs_from):
+            if t is not None:
+                data.append(t)
+        return max(data, default=0) + 2
+
+    def _has_member_below(self, target: SideSet) -> bool:
+        """Is some member's upper set contained in ``target``?
+
+        Schema members have arbitrarily late tails, so a schema witness
+        exists iff ``target`` holds the top and a full tail of naturals
+        (plus the side point, for the pair schema).
+        """
+        for m in self.explicit:
+            if _subset(_upset(m), target):
+                return True
+        if self.singletons_from is not None and target.has_top and target.tail is not None:
+            return True
+        if self.pairs_from is not None and target.has_top and target.has_a and target.tail is not None:
+            return True
+        return False
+
+    def is_directed(self) -> bool:
+        """Smyth-directedness, decided exactly.
+
+        Concrete members are checked pairwise.  Schema members with
+        parameters beyond the stabilization bound produce intersections
+        of a fixed shape, so a single representative at the bound covers
+        every larger parameter.  ``test_side_family_is_directed_matches_prefixes``
+        compares this with the literal pairwise definition on finite
+        prefixes.
+        """
+        k = self._stab()
+        ms = self.members_upto(k + 2)
+        if not ms:
+            return False
+        ups = [_upset(m) for m in ms]
+        for u1, u2 in combinations(ups, 2):
+            if not self._has_member_below(inter(u1, u2)):
+                return False
+        return True
+
+    def upset_intersection(self) -> SideSet:
+        """Intersection of the members' upper sets, schemas included.
+
+        Tails with arbitrarily late cut points intersect to nothing, so
+        the singleton schema contributes exactly the top and the pair
+        schema exactly the side point with the top.
+        """
+        out = FULL
+        for m in self.explicit:
+            out = inter(out, _upset(m))
+        if self.singletons_from is not None:
+            out = inter(out, sideset(has_top=True))
+        if self.pairs_from is not None:
+            out = inter(out, sideset(has_a=True, has_top=True))
+        return out
+
+
+def side_family(
+    explicit: Iterable[Iterable[SideElement]] = (),
+    singletons_from: int | None = None,
+    pairs_from: int | None = None,
+) -> SideFamily:
+    """Build a :class:`SideFamily` with normalized, deduplicated members."""
+    fam = SideFamily((), singletons_from, pairs_from)
+    norm: list[tuple[SideElement, ...]] = []
+    for m in explicit:
+        mm = antichain_of(m)
+        if not mm:
+            raise PreconditionFailed("family members must be nonempty")
+        if mm not in norm and not fam._schema_covers(mm):
+            norm.append(mm)
+    norm.sort(key=lambda m: tuple(map(element_sort_key, m)))
+    return SideFamily(tuple(norm), singletons_from, pairs_from)
+
+
+@logged("waybelow.fin")
+def fin_of(x: SideElement) -> SideFamily:
+    """The approximating family of ``x``: finite sets way below it."""
+    check_side_element(x)
+    if x == A:
+        return side_family(pairs_from=0)
+    if x == TOP:
+        return side_family(singletons_from=0, pairs_from=0)
+    return side_family([(m,) for m in range(x + 1)] + [(m, A) for m in range(x + 1)])
+
+
+@logged("waybelow.interpolate")
+def interpolate(h: Iterable[SideElement], x: SideElement) -> tuple[SideElement, ...]:
+    """Given ``h`` way below ``x``, produce ``e`` with ``h << e << x``.
+
+    The witness depends only on which of the three regions ``x`` lies in.
+    Raises :class:`PreconditionFailed` when ``h`` is not way below ``x``,
+    and double-checks the returned witness.
+    """
+    he = _as_elems(h)
+    if not set_way_below(he, (x,)):
+        raise PreconditionFailed(f"{he!r} is not way below {x!r}")
+    if x == A:
+        n = min(e for e in he if isinstance(e, int))
+        e: tuple[SideElement, ...] = (n + 1, A)
+    elif x == TOP:
+        e = (min(i for i in he if isinstance(i, int)),)
+    else:
+        e = (x,)
+    if not (set_way_below(he, e) and set_way_below(e, (x,))):
+        raise PreconditionFailed(f"interpolant {e!r} failed revalidation")
+    return e
+
+
+# -- topologies ---------------------------------------------------------------
+
+
+@logged("topology.is_open")
+def is_open(kind: str, s: SideSet) -> bool:
+    """Decide openness of a canonical subset.
+
+    Scott opens are the upper sets that contain a tail of the naturals
+    whenever they contain the top, since the chain of naturals has the
+    top as its supremum.  Lawson opens drop the upperness requirement:
+    every point except the top is isolated because ``{n}`` and ``{a}``
+    are differences of Scott opens and principal upper sets.  Lower opens
+    are the whole space, or any down-closed set of naturals together
+    with an optional ``{a}``.
+    """
+    if kind == "scott":
+        return is_upper(s) and (not s.has_top or s.tail is not None)
+    if kind == "lawson":
+        return not s.has_top or s.tail is not None
+    if kind == "lower":
+        if s == FULL:
+            return True
+        if s.has_top:
+            return False
+        all_nats = s.tail == 0 and not s.nats
+        initial = s.tail is None and s.nats == frozenset(range(len(s.nats)))
+        return all_nats or initial
+    raise UnknownElement(f"unknown topology kind {kind!r}")
+
+
+def interior(kind: str, s: SideSet) -> SideSet:
+    if kind == "scott":
+        if s.has_top and s.tail is not None:
+            return sideset(tail=s.tail, has_a=s.has_a, has_top=True)
+        return EMPTY
+    if kind == "lawson":
+        if is_open(kind, s):
+            return s
+        return diff(s, sideset(has_top=True))
+    if kind == "lower":
+        if s == FULL:
+            return FULL
+        if s.tail == 0 and not s.nats:
+            return sideset(tail=0, has_a=s.has_a)
+        missing = 0
+        while missing in s:
+            missing += 1
+        return sideset(nats=range(missing), has_a=s.has_a)
+    raise UnknownElement(f"unknown topology kind {kind!r}")
+
+
+def closure(kind: str, s: SideSet) -> SideSet:
+    return complement(interior(kind, complement(s)))
+
+
+def binding_opens(kind: str, x: SideElement, stab: int) -> tuple[SideSet, ...]:
+    """A finite family of opens around ``x`` that decides convergence.
+
+    Every open neighborhood of ``x`` contains one of these up to a set
+    of naturals below ``stab``, so once exception sets are stable past
+    ``stab`` (the caller derives that bound from the net), checking the
+    family is equivalent to checking all neighborhoods.  For isolated
+    points the singleton neighborhood is the whole answer; for points
+    whose neighborhoods are tails, the family ranges over cut points up
+    to ``stab``.
+    """
+    ts = range(stab + 1)
+    if kind == "scott":
+        if isinstance(x, int):
+            return (up_set(x),)
+        if x == A:
+            return tuple(sideset(tail=t, has_a=True, has_top=True) for t in ts)
+        return tuple(sideset(tail=t, has_top=True) for t in ts)
+    if kind == "lawson":
+        if isinstance(x, int):
+            return (sideset(nats=[x]),)
+        if x == A:
+            return (sideset(has_a=True),)
+        return tuple(sideset(tail=t, has_top=True) for t in ts)
+    if kind == "lower":
+        if isinstance(x, int):
+            return (sideset(nats=range(x + 1)),)
+        if x == A:
+            return (sideset(has_a=True),)
+        return (FULL,)
+    raise UnknownElement(f"unknown topology kind {kind!r}")
+
+
+# -- classification ----------------------------------------------------------
+
+
+# The naturals below this bound stand in for all of them in :func:`classify`.
+CLASSIFY_SAMPLE = 8
+
+
+@logged("waybelow.classify")
+def classify() -> wb.ClassifyReport:
+    """Classify the side-point dcpo as dcpo / continuous / quasi-continuous
+    / meet-continuous, with witnesses for every negative answer."""
+    witnesses: dict = {}
+
+    shapes = [
+        sideset(nats=[0, 3]),
+        sideset(nats=range(CLASSIFY_SAMPLE)),
+        sideset(tail=2),
+        sideset(has_a=True),
+        sideset(nats=[1], tail=4, has_top=True),
+        FULL,
+    ]
+    witnesses["dcpo"] = {
+        "checked_shapes": [sorted(map(str, s.members_upto(CLASSIFY_SAMPLE + 2))) for s in shapes],
+        "sups": [str(directed_sup(s)) for s in shapes],
+    }
+    dcpo = all(directed_sup(s) in up_closure(s) for s in shapes)
+
+    continuous = True
+    for x in [A, TOP, *range(CLASSIFY_SAMPLE)]:
+        wd = waydown_of(x)
+        if not is_directed_set(wd) or directed_sup(wd) != x:
+            continuous = False
+            witnesses["continuous"] = {
+                "point": str(x),
+                "waydown": sorted(map(str, wd.members_upto(CLASSIFY_SAMPLE))),
+            }
+            break
+
+    quasi = True
+    for x in [A, TOP, *range(CLASSIFY_SAMPLE)]:
+        fam = fin_of(x)
+        if not fam.is_directed() or fam.upset_intersection() != up_set(x):
+            quasi = False
+            witnesses["quasi_continuous"] = {"point": str(x)}
+            break
+
+    hull = up_closure(inter(FULL, down_set(A)))
+    meet = is_open("scott", hull)
+    if not meet:
+        witnesses["meet_continuous"] = {
+            "point": A,
+            "open": "whole space",
+            "hull": sorted(map(str, hull.members_upto(2))),
+        }
+
+    return wb.ClassifyReport(SIDE_NAT.name, dcpo, continuous, quasi, meet, witnesses)
+
+
+# -- convergence of nets -----------------------------------------------------
+
+
+@logged("convergence.exception_set")
+def exception_set(net: Net, region: SideSet) -> OmegaSet | int:
+    """Positions where the net's value lies outside ``region``.  A value
+    that is not an element of the carrier raises :class:`UnknownElement`."""
+    if not isinstance(region, SideSet):
+        raise IndexMismatch("regions of the side-point dcpo must be SideSets")
+    acc = cv._exceptions(net, lambda v: check_side_element(v) in region)
+    if isinstance(net, FiniteNet):
+        return acc
+    for t, track in enumerate(net.tracks):
+        if track[0] == CONST:
+            continue
+        if region.tail is None:
+            part = cv.omega_set(net.period, [t], minus=(t + k * net.period for k in region.nats))
+        else:
+            part = cv.finite_omega(t + k * net.period for k in range(region.tail) if k not in region.nats)
+        acc = cv.omega_union(acc, part)
+    return acc
+
+
+@logged("convergence.level_set")
+def level_set(net: TrackNet, region: SideSet) -> OmegaSet:
+    """Positions of a net on the naturals where its value is in ``region``."""
+    return cv.omega_complement(exception_set(net, region))
+
+
+def _eventually_inside(net: Net, region: SideSet, idl: Ideal) -> bool:
+    return cv.ideal_member(idl, exception_set(net, region))
+
+
+def _build_eventual_family(_backend: SideNat, net: Net, idl: Ideal) -> SideFamily:
+    """The eventually-below family: every antichain ``{n}``, ``{a}``,
+    ``{inf}`` or ``{n, a}`` whose upper set traps the net up to the ideal.
+
+    The regions of ``{n}`` and ``{n, a}`` shrink as ``n`` grows, so their
+    statuses must shrink too, and past the stabilization bound they stop
+    changing: the window ``n <= stabilization_bound(net)`` makes each kind
+    an initial segment of explicit members or a full schema.
+    ``test_side_predicates_on_small_track_nets`` checks the predicates
+    that read the family against Scott-topological convergence.
+    """
+    window = range(cv.stabilization_bound(net) + 1)
+    singles = [_eventually_inside(net, up_set(n), idl) for n in window]
+    pairs = [_eventually_inside(net, up_closure(side_set_of((n, A))), idl) for n in window]
+    for statuses in (singles, pairs):
+        if any(later and not earlier for earlier, later in zip(statuses, statuses[1:])):
+            raise PreconditionFailed("level statuses must shrink as regions shrink")
+    explicit = [(e,) for e in (A, TOP) if _eventually_inside(net, up_set(e), idl)]
+    explicit += [(n,) for n in window if singles[n]] + [(n, A) for n in window if pairs[n]]
+    return side_family(
+        explicit,
+        singletons_from=0 if all(singles) else None,
+        pairs_from=0 if all(pairs) else None,
+    )
+
+
+@logged("convergence.liminf")
+def converges_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
+    """Lim-inf convergence: some directed set below the limit traps the net.
+
+    The only shapes that are not dominated by the principal witness are
+    unbounded sets of naturals: ``{x}`` or every ``{n}`` is in the net's
+    eventually-below family.  Oracle:
+    ``test_side_predicates_on_small_track_nets``.
+    """
+    cv._check_compat(net, idl)
+    fam = cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+    if fam.contains((x,)):
+        return Verdict(True, {"directed_set": [str(x)], "shape": "principal"})
+    if fam.singletons_from == 0:
+        return Verdict(True, {"shape": "natural_chain", "checked_upto": cv.stabilization_bound(net)})
+    return Verdict(False, {"point": str(x)})
+
+
+@logged("convergence.family_liminf")
+def converges_family_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
+    """Lim-inf convergence along a Smyth-directed family of finite sets.
+
+    Besides the principal family there are two undominated shapes, the
+    all-singletons schema (whose upper sets meet in the top alone, hence
+    work for any limit) and, for the side point, the pair schema, each
+    read from the net's eventually-below family.  Oracle:
+    ``test_side_predicates_on_small_track_nets``.
+    """
+    cv._check_compat(net, idl)
+    fam = cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+    if fam.contains((x,)):
+        return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
+    if fam.singletons_from == 0:
+        return Verdict(True, {"shape": "singleton_schema", "checked_upto": cv.stabilization_bound(net)})
+    if x == A and fam.pairs_from == 0:
+        return Verdict(True, {"shape": "pair_schema", "checked_upto": cv.stabilization_bound(net)})
+    return Verdict(False, {"point": str(x)})
+
+
+@logged("convergence.topological")
+def converges_topological(net: Net, x: SideElement, idl: Ideal, kind: str) -> Verdict:
+    """Ideal convergence in the topology named ``kind``: every
+    neighborhood of ``x`` traps the net up to the ideal, decided by the
+    binding neighborhood family (:func:`binding_opens`) once level sets
+    are stable."""
+    cv._check_compat(net, idl)
+    check_side_element(x)
+    stab = cv.stabilization_bound(net)
+    for region in binding_opens(kind, x, stab):
+        if not _eventually_inside(net, region, idl):
+            return Verdict(False, {"open": sorted(map(str, region.members_upto(stab + 2)))})
+    return Verdict(True, {"kind": kind, "checked_opens": len(binding_opens(kind, x, stab))})
+
+
+@logged("convergence.eventual_family")
+def eventual_family(net: Net, idl: Ideal) -> SideFamily:
+    """Every finite set whose upper closure traps the net up to the ideal,
+    as the :class:`SideFamily` that the predicates read."""
+    cv._check_compat(net, idl)
+    return cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+
+
+@logged("convergence.eventual_liminf")
+def is_eventual_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
+    """Eventual lim-inf: family lim-inf convergence to ``x``, with ``x`` in
+    the meet of the eventually-below family's upper sets.  Oracle:
+    ``test_side_predicates_on_small_track_nets`` checks that the verdicts
+    imply family convergence and pins their count."""
+    first = converges_family_liminf(net, x, idl)
+    if not first.holds:
+        return Verdict(False, {"failed": "family_liminf", **first.witness})
+    fam = cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+    if x not in fam.upset_intersection():
+        return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
+    return Verdict(True, {"family": fam.to_dict()})

@@ -15,6 +15,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from . import convergence as cv
 from . import corpus as cp
@@ -26,7 +27,7 @@ from . import oplog
 from .errors import NoWitness, PreconditionFailed, UnknownSuite
 from .oplog import logged
 from .order import FinitePoset, bits
-from .sidenat import A, TOP, SIDE_NAT
+from .sidenat import A, TOP
 
 
 @dataclass
@@ -130,10 +131,10 @@ def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
                 )
     for h in sn.iter_antichains_upto(4):
         for x in (A, TOP, 0, 1, 3, 6):
-            if not wb.set_way_below(SIDE_NAT, h, (x,)):
+            if not sn.set_way_below(h, (x,)):
                 continue
-            f = wb.interpolate(SIDE_NAT, h, x)
-            ok = wb.set_way_below(SIDE_NAT, h, f) and wb.set_way_below(SIDE_NAT, f, (x,))
+            f = sn.interpolate(h, x)
+            ok = sn.set_way_below(h, f) and sn.set_way_below(f, (x,))
             run.check(f"side:{h}<<{x}", ok, {"between": [str(e) for e in f]} if not ok else None)
 
 
@@ -179,8 +180,8 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         for x in (A, TOP, 0, 2, 5):
-            if cv.converges_liminf(SIDE_NAT, net, x, I).holds:
-                ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
+            if sn.converges_liminf(net, x, I).holds:
+                ok = sn.converges_family_liminf(net, x, I).holds
                 run.check(f"side:{label}:{x}", ok)
 
 
@@ -240,10 +241,10 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
                 run.fail_draw(f"{name}:{i}", p, draw, x)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
-        gi = cv.eventual_family(SIDE_NAT, net, I)
+        gi = sn.eventual_family(net, I)
         for x in (A, TOP, 0, 3):
-            if gi.includes(wb.fin_of(SIDE_NAT, x)):
-                ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
+            if gi.includes(sn.fin_of(x)):
+                ok = sn.converges_family_liminf(net, x, I).holds
                 run.check(f"side:{label}:{x}", ok)
 
 
@@ -379,7 +380,7 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
         law = tp.lawson_topology(p)
         for idx in cp.directed_index_posets(3):
             idl = I_by_index.setdefault(idx.name, cv.ideal("eventual", idx))
-            for values in _all_value_tuples(p, idx.n):
+            for values in product(p.elements, repeat=idx.n):
                 net = cv.FiniteNet(idx, values)
                 for ix in range(p.n):
                     a = cv.is_eventual_liminf(p, net, ix, idl).holds
@@ -401,8 +402,8 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
     gap_side = (
-        cv.is_eventual_liminf(SIDE_NAT, net, A, I).holds
-        and not cv.converges_topological(SIDE_NAT, net, A, I, "lawson").holds
+        sn.is_eventual_liminf(net, A, I).holds
+        and not sn.converges_topological(net, A, I, "lawson").holds
     )
     run.check("pinned:periodic-net-gap:side", gap_side)
 
@@ -419,7 +420,7 @@ def _suite_continuity_criterion(run: _Run, ctx: _Ctx) -> None:
         run.check(f"{name}:classify", all_four, rep.to_dict())
         implied = (not (rep.is_quasi_continuous and rep.is_meet_continuous)) or rep.is_continuous
         run.check(f"{name}:criterion", implied)
-    side = wb.classify(SIDE_NAT)
+    side = sn.classify()
     run.check(
         "side:classify",
         side.is_dcpo
@@ -476,12 +477,12 @@ def _suite_sidenat(run: _Run, ctx: _Ctx) -> None:
     upper set, the interleaved net separates the two convergence modes,
     and the classification flags are reproduced."""
     for n in range(101):
-        run.check(f"pair-waybelow:{n}", wb.set_way_below(SIDE_NAT, (n, A), (A,)))
-    for g, h in _side_antichain_pairs(6):
-        rule = wb.set_way_below(SIDE_NAT, g, h)
-        oracle = wb.side_way_below_oracle(g, h)
+        run.check(f"pair-waybelow:{n}", sn.set_way_below((n, A), (A,)))
+    for g, h in product(sn.iter_antichains_upto(6), repeat=2):
+        rule = sn.set_way_below(g, h)
+        oracle = sn.way_below_oracle(g, h)
         run.check(f"oracle:{g}:{h}", rule == oracle, {"rule": rule, "oracle": oracle})
-    fam = wb.side_family(pairs_from=0)
+    fam = sn.side_family(pairs_from=0)
     run.check("pairs-meet-is-upper-side", fam.upset_intersection() == sn.up_set(A))
     meet = sn.FULL
     for n in range(31):
@@ -494,13 +495,13 @@ def _suite_sidenat(run: _Run, ctx: _Ctx) -> None:
     run.check("down-closure:side", sn.down_closure(sn.side_set_of((A,))) == sn.side_set_of((A,)))
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
     I = cv.ideal("eventual")
-    run.check("interleaved:family", cv.converges_family_liminf(SIDE_NAT, net, A, I).holds)
-    run.check("interleaved:liminf", not cv.converges_liminf(SIDE_NAT, net, A, I).holds)
-    exc = cv.exception_set(SIDE_NAT, net, sn.up_closure(sn.side_set_of((5, A))))
-    lvl = cv.level_set(SIDE_NAT, net, sn.up_closure(sn.side_set_of((5, A))))
+    run.check("interleaved:family", sn.converges_family_liminf(net, A, I).holds)
+    run.check("interleaved:liminf", not sn.converges_liminf(net, A, I).holds)
+    exc = sn.exception_set(net, sn.up_closure(sn.side_set_of((5, A))))
+    lvl = sn.level_set(net, sn.up_closure(sn.side_set_of((5, A))))
     run.check("interleaved:exceptions", exc == cv.finite_omega([0, 2, 4, 6, 8]))
     run.check("interleaved:levels", cv.omega_inter(exc, lvl) == cv.OMEGA_EMPTY)
-    rep = wb.classify(SIDE_NAT)
+    rep = sn.classify()
     run.check(
         "classify",
         rep.is_quasi_continuous and not rep.is_continuous and not rep.is_meet_continuous,
@@ -511,17 +512,10 @@ def _suite_sidenat(run: _Run, ctx: _Ctx) -> None:
         up = sn.up_closure(sn.side_set_of(f))
         run.check(
             f"way-up:{f}",
-            wb.way_up(SIDE_NAT, f) == tp.side_interior("scott", up),
+            sn.way_up(f) == sn.interior("scott", up),
         )
-    run.check("scott-open:upper-tail", tp.side_is_open("scott", sn.up_set(4)))
-    run.check("scott-open:side-upset", not tp.side_is_open("scott", sn.up_set(A)))
-
-
-def _side_antichain_pairs(bound: int):
-    chains = list(sn.iter_antichains_upto(bound))
-    for g in chains:
-        for h in chains:
-            yield g, h
+    run.check("scott-open:upper-tail", sn.is_open("scott", sn.up_set(4)))
+    run.check("scott-open:side-upset", not sn.is_open("scott", sn.up_set(A)))
 
 
 def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
@@ -614,12 +608,6 @@ def _suite_inject_failure(run: _Run, ctx: _Ctx) -> None:
 
 
 # -- net sampling -------------------------------------------------------------
-
-
-def _all_value_tuples(p: FinitePoset, n: int):
-    from itertools import product
-
-    return product(p.elements, repeat=n)
 
 
 @lru_cache(maxsize=None)

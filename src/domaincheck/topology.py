@@ -1,14 +1,14 @@
-"""Scott, lower, Lawson, and convergence-derived topologies.
+"""Scott, lower, Lawson, and convergence-derived topologies on finite posets.
 
-Finite backends get explicit open-set families as frozensets of masks.
+A topology is an explicit open-set family, a frozenset of masks.
 Every finite topological space is closed under arbitrary intersections,
 so a subbasis generates its topology through minimal neighborhoods:
 ``m(x)`` is the intersection of the subbasic sets containing ``x``, and a
 set is open iff it contains the minimal neighborhood of each of its
 points.
 
-The side-point dcpo gets predicate versions of the same topologies,
-evaluated on canonical :class:`~domaincheck.sidenat.SideSet` values.
+The side-point dcpo's predicate versions of the same topologies live in
+:mod:`~domaincheck.sidenat`.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from . import sidenat as sn
 from .errors import PreconditionFailed, TooLarge, UnknownElement
 from .oplog import logged
 from .order import FinitePoset, bits
-from .sidenat import EMPTY, FULL, SideElement, SideSet, sideset
 
 MAX_TOPOLOGY_ELEMENTS = 14
 
@@ -233,91 +231,3 @@ def family_liminf_topology(p: FinitePoset) -> Topology:
             if up_g & ~p.up[x] == 0:
                 mins[x] |= up_g
     return _from_neighborhoods(p, mins, "glim")
-
-
-# -- the side-point dcpo ---------------------------------------------------
-
-
-@logged("topology.is_open")
-def side_is_open(kind: str, s: SideSet) -> bool:
-    """Decide openness of a canonical subset of the side-point dcpo.
-
-    Scott opens are the upper sets that contain a tail of the naturals
-    whenever they contain the top, since the chain of naturals has the
-    top as its supremum.  Lawson opens drop the upperness requirement:
-    every point except the top is isolated because ``{n}`` and ``{a}``
-    are differences of Scott opens and principal upper sets.  Lower opens
-    are the whole space, or any down-closed set of naturals together
-    with an optional ``{a}``.
-    """
-    if kind == "scott":
-        return sn.is_upper(s) and (not s.has_top or s.tail is not None)
-    if kind == "lawson":
-        return not s.has_top or s.tail is not None
-    if kind == "lower":
-        if s == FULL:
-            return True
-        if s.has_top:
-            return False
-        all_nats = s.tail == 0 and not s.nats
-        initial = s.tail is None and s.nats == frozenset(range(len(s.nats)))
-        return all_nats or initial
-    raise UnknownElement(f"unknown topology kind {kind!r}")
-
-
-def side_interior(kind: str, s: SideSet) -> SideSet:
-    if kind == "scott":
-        if s.has_top and s.tail is not None:
-            return sideset(tail=s.tail, has_a=s.has_a, has_top=True)
-        return EMPTY
-    if kind == "lawson":
-        if side_is_open(kind, s):
-            return s
-        return sn.diff(s, sideset(has_top=True))
-    if kind == "lower":
-        if s == FULL:
-            return FULL
-        if s.tail == 0 and not s.nats:
-            return sideset(tail=0, has_a=s.has_a)
-        missing = 0
-        while missing in s:
-            missing += 1
-        return sideset(nats=range(missing), has_a=s.has_a)
-    raise UnknownElement(f"unknown topology kind {kind!r}")
-
-
-def side_closure(kind: str, s: SideSet) -> SideSet:
-    return sn.complement(side_interior(kind, sn.complement(s)))
-
-
-def side_binding_opens(kind: str, x: SideElement, stab: int) -> tuple[SideSet, ...]:
-    """A finite family of opens around ``x`` that decides convergence.
-
-    Every open neighborhood of ``x`` contains one of these up to a set
-    of naturals below ``stab``, so once exception sets are stable past
-    ``stab`` (the caller derives that bound from the net), checking the
-    family is equivalent to checking all neighborhoods.  For isolated
-    points the singleton neighborhood is the whole answer; for points
-    whose neighborhoods are tails, the family ranges over cut points up
-    to ``stab``.
-    """
-    ts = range(stab + 1)
-    if kind == "scott":
-        if isinstance(x, int):
-            return (sn.up_set(x),)
-        if x == sn.A:
-            return tuple(sideset(tail=t, has_a=True, has_top=True) for t in ts)
-        return tuple(sideset(tail=t, has_top=True) for t in ts)
-    if kind == "lawson":
-        if isinstance(x, int):
-            return (sideset(nats=[x]),)
-        if x == sn.A:
-            return (sideset(has_a=True),)
-        return tuple(sideset(tail=t, has_top=True) for t in ts)
-    if kind == "lower":
-        if isinstance(x, int):
-            return (sideset(nats=range(x + 1)),)
-        if x == sn.A:
-            return (sideset(has_a=True),)
-        return (FULL,)
-    raise UnknownElement(f"unknown topology kind {kind!r}")

@@ -16,8 +16,8 @@ import time
 
 from domaincheck import convergence as cv
 from domaincheck import suites
-from domaincheck import waybelow as wb
-from domaincheck.sidenat import A, SIDE_NAT, sideset, up_set
+from domaincheck import sidenat as sn
+from domaincheck.sidenat import A, up_set
 
 
 def _green(name: str, budget: float, **kwargs) -> suites.SuiteReport:
@@ -33,13 +33,13 @@ def test_criterion_1_side_backend_reproduction():
     """Pair sets approximate the side point, the interleaved net separates
     the convergence modes, classification flags; under one second."""
     t0 = time.perf_counter()
-    assert all(wb.set_way_below(SIDE_NAT, (n, A), (A,)) for n in range(101))
-    assert wb.side_family(pairs_from=0).upset_intersection() == up_set(A)
+    assert all(sn.set_way_below((n, A), (A,)) for n in range(101))
+    assert sn.side_family(pairs_from=0).upset_intersection() == up_set(A)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
     idl = cv.ideal("eventual")
-    assert cv.converges_family_liminf(SIDE_NAT, net, A, idl).holds
-    assert not cv.converges_liminf(SIDE_NAT, net, A, idl).holds
-    rep = wb.classify(SIDE_NAT)
+    assert sn.converges_family_liminf(net, A, idl).holds
+    assert not sn.converges_liminf(net, A, idl).holds
+    rep = sn.classify()
     assert (rep.is_quasi_continuous, rep.is_continuous, rep.is_meet_continuous) == (
         True,
         False,

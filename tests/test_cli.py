@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import sys
 
 import pytest
 
+from domaincheck import convergence as cv
+from domaincheck import sidenat as sn
 from domaincheck import topology as tp
 from domaincheck.cli import main
 from domaincheck.corpus import named_posets
@@ -168,6 +171,83 @@ def test_converge_family_interleaved(tmp_path, capsys):
     )
     d = json.loads(out)
     assert code == 0 and not d["holds"]
+
+
+# sha256 of ``waybelow --poset side_nat --sets`` on stdout.  A change that
+# alters the table on purpose updates this value.
+SIDE_WAYBELOW_SETS_SHA256 = "fe8613331d54de8f4210a4a6c555e47e98cdb66810335d33241d5a3401ac28ae"
+
+
+def test_waybelow_side_nat_table_is_pinned(capsys):
+    """The side-point table comes from ``sidenat``: the pairs ``{n, a}``
+    are way below ``a``, nothing is way below ``a`` pointwise, and the
+    bytes are pinned."""
+    code, out, _ = run_cli(capsys, "waybelow", "--poset", "side_nat", "--sets")
+    d = json.loads(out)
+    assert code == 0 and d["poset"] == "side_nat"
+    assert ["0", "inf"] in d["points"] and not any(y == "a" for _, y in d["points"])
+    assert [["0", "a"], ["a"]] in d["sets"] and [["a"], ["a"]] not in d["sets"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SIDE_WAYBELOW_SETS_SHA256
+
+
+# The predicate each ``converge --mode`` runs, on the side-point dcpo and
+# on a finite poset.
+CONVERGE_PREDICATES = {
+    "liminf": (sn.converges_liminf, cv.converges_liminf),
+    "family": (sn.converges_family_liminf, cv.converges_family_liminf),
+    "eventual": (sn.is_eventual_liminf, cv.is_eventual_liminf),
+    "topo": (sn.converges_topological, cv.converges_topological),
+}
+
+# The interleaved net on the naturals, and a net over a two-point chain.
+CONVERGE_NETS = {
+    "side_nat": (
+        {"index": "omega", "tracks": [{"kind": "ascend"}, {"kind": "const", "value": "a"}]},
+        ("a", "inf", "0"),
+    ),
+    "diamond": (
+        {
+            "index": {"name": "chain2", "elements": ["c0", "c1"], "le": [["c0", "c1"]]},
+            "map": {"c0": "bot", "c1": "l"},
+        },
+        ("bot", "l", "r", "top"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, topology",
+    [("liminf", None), ("family", None), ("eventual", None), ("topo", "scott"), ("topo", "lawson")],
+    ids=["liminf", "family", "eventual", "topo-scott", "topo-lawson"],
+)
+@pytest.mark.parametrize("poset", sorted(CONVERGE_NETS))
+def test_converge_prints_the_backend_predicate(tmp_path, capsys, poset, mode, topology):
+    """``converge`` resolves the backend once and prints the verdict of
+    that backend's predicate: ``holds`` and ``witness`` equal the direct
+    library call's ``to_dict()`` at every listed point."""
+    doc, points = CONVERGE_NETS[poset]
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc))
+    ideal_path = tmp_path / "ideal.json"
+    ideal_path.write_text(json.dumps({"kind": "eventual"}))
+    net = cv.net_from_json(net_path.read_text())
+    idl = cv.ideal("eventual", cv.net_index(net))
+    side, finite = CONVERGE_PREDICATES[mode]
+    argv = ["converge", "--mode", mode, "--poset", poset, "--net", str(net_path)]
+    argv += ["--ideal", str(ideal_path)] + (["--topology", topology] if topology else [])
+    for point in points:
+        code, out, err = run_cli(capsys, *argv, "--point", point)
+        assert code == 0, err
+        printed = json.loads(out)
+        if poset == "side_nat":
+            extra = (topology,) if topology else ()
+            direct = side(net, sn.parse_side_element(point), idl, *extra)
+        else:
+            p = named_posets()[poset]
+            extra = (tp.finite_topology(p, topology),) if topology else ()
+            direct = finite(p, net, point, idl, *extra)
+        expected = json.loads(json.dumps(direct.to_dict()))
+        assert {k: printed[k] for k in ("holds", "witness")} == expected, point
 
 
 def test_converge_finite_net(tmp_path, capsys):

@@ -7,7 +7,6 @@ for the finite reductions) and then frozen.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -27,7 +26,7 @@ from domaincheck.errors import (
     UnknownElement,
 )
 from domaincheck.order import build_finite_poset
-from domaincheck.sidenat import A, TOP, SIDE_NAT
+from domaincheck.sidenat import A, TOP
 
 DIAMOND = build_finite_poset(
     "diamond",
@@ -74,13 +73,11 @@ def test_omega_correction_conflicts():
         cv.omega_set(2, [0], plus=[-1])
 
 
-def test_omega_membership_and_density():
+def test_omega_membership():
     odds = cv.omega_set(2, [1])
     assert odds.member(3) and not odds.member(4)
-    assert odds.density() == Fraction(1, 2)
     assert not odds.is_finite
     assert cv.finite_omega([0, 2, 4]).is_finite
-    assert cv.OMEGA_EMPTY.density() == 0
 
 
 _omegas = st.builds(
@@ -177,13 +174,13 @@ def test_exception_set_interleaved_frozen():
     # frozen: positions outside the upper set of {a, 5} are the even
     # positions carrying naturals below 5
     up_pair = sn.up_closure(sn.side_set_of((5, A)))
-    assert cv.exception_set(SIDE_NAT, INTERLEAVED, up_pair) == cv.finite_omega([0, 2, 4, 6, 8])
+    assert sn.exception_set(INTERLEAVED, up_pair) == cv.finite_omega([0, 2, 4, 6, 8])
     # frozen: outside up(5) additionally every odd position (the side
     # point is not above 5), so the exceptional set is infinite
-    exc = cv.exception_set(SIDE_NAT, INTERLEAVED, sn.up_set(5))
+    exc = sn.exception_set(INTERLEAVED, sn.up_set(5))
     assert not exc.is_finite
     assert set(exc.members_upto(12)) == {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11}
-    assert cv.level_set(SIDE_NAT, INTERLEAVED, sn.up_set(5)) == cv.omega_complement(exc)
+    assert sn.level_set(INTERLEAVED, sn.up_set(5)) == cv.omega_complement(exc)
 
 
 def test_exception_set_finite_index():
@@ -202,39 +199,39 @@ def test_index_mismatch_guard():
 
 
 def test_interleaved_family_but_not_liminf():
-    assert cv.converges_family_liminf(SIDE_NAT, INTERLEAVED, A, EVENTUAL).holds
-    assert not cv.converges_liminf(SIDE_NAT, INTERLEAVED, A, EVENTUAL).holds
+    assert sn.converges_family_liminf(INTERLEAVED, A, EVENTUAL).holds
+    assert not sn.converges_liminf(INTERLEAVED, A, EVENTUAL).holds
 
 
 def test_interleaved_family_witness_is_pair_schema():
-    v = cv.converges_family_liminf(SIDE_NAT, INTERLEAVED, A, EVENTUAL)
+    v = sn.converges_family_liminf(INTERLEAVED, A, EVENTUAL)
     assert v.witness["shape"] == "pair_schema"
 
 
 def test_interleaved_topological():
-    assert cv.converges_topological(SIDE_NAT, INTERLEAVED, A, EVENTUAL, "scott").holds
-    assert not cv.converges_topological(SIDE_NAT, INTERLEAVED, A, EVENTUAL, "lawson").holds
+    assert sn.converges_topological(INTERLEAVED, A, EVENTUAL, "scott").holds
+    assert not sn.converges_topological(INTERLEAVED, A, EVENTUAL, "lawson").holds
 
 
 def test_interleaved_converges_nowhere_else():
     for x in (0, 1, 5, TOP):
-        assert not cv.converges_family_liminf(SIDE_NAT, INTERLEAVED, x, EVENTUAL).holds
+        assert not sn.converges_family_liminf(INTERLEAVED, x, EVENTUAL).holds
 
 
 def test_interleaved_eventual_family_frozen():
-    gi = cv.eventual_family(SIDE_NAT, INTERLEAVED, EVENTUAL)
+    gi = sn.eventual_family(INTERLEAVED, EVENTUAL)
     # every pair {n, a}, and no singleton: not {n}, {a} or {inf}
-    assert gi == wb.side_family(pairs_from=0)
+    assert gi == sn.side_family(pairs_from=0)
     assert gi.contains((5, A)) and not gi.contains((5,)) and not gi.contains((A,))
     assert not gi.contains((TOP,))
 
 
 def test_interleaved_eventual_liminf_only_at_side_point():
-    v = cv.is_eventual_liminf(SIDE_NAT, INTERLEAVED, A, EVENTUAL)
+    v = sn.is_eventual_liminf(INTERLEAVED, A, EVENTUAL)
     assert v.holds
     assert v.witness == {"family": {"explicit": [], "singletons_from": None, "pairs_from": 0}}
     for x in (0, 3, TOP):
-        assert not cv.is_eventual_liminf(SIDE_NAT, INTERLEAVED, x, EVENTUAL).holds
+        assert not sn.is_eventual_liminf(INTERLEAVED, x, EVENTUAL).holds
 
 
 def test_ascending_net_converges_everywhere():
@@ -242,10 +239,10 @@ def test_ascending_net_converges_everywhere():
     # eventually enters at every level, and the top dominates every point
     net = cv.track_net(cv.ascend_track())
     for x in (0, 7, A, TOP):
-        v = cv.converges_liminf(SIDE_NAT, net, x, EVENTUAL)
+        v = sn.converges_liminf(net, x, EVENTUAL)
         assert v.holds
-        assert cv.converges_family_liminf(SIDE_NAT, net, x, EVENTUAL).holds
-    assert cv.converges_liminf(SIDE_NAT, net, A, EVENTUAL).witness["shape"] == "natural_chain"
+        assert sn.converges_family_liminf(net, x, EVENTUAL).holds
+    assert sn.converges_liminf(net, A, EVENTUAL).witness["shape"] == "natural_chain"
 
 
 SMALL_TRACKS = [cv.const_track(v) for v in (0, 1, 2, 3, A, TOP)] + [cv.ascend_track()]
@@ -264,10 +261,10 @@ def test_side_predicates_on_small_track_nets():
         for kind in cv.IDEAL_KINDS:
             idl = cv.ideal(kind)
             for x in (A, TOP, 0, 1, 2, 3, 4):
-                fam = cv.converges_family_liminf(SIDE_NAT, net, x, idl).holds
-                lim = cv.converges_liminf(SIDE_NAT, net, x, idl).holds
-                ev = cv.is_eventual_liminf(SIDE_NAT, net, x, idl).holds
-                topo = cv.converges_topological(SIDE_NAT, net, x, idl, "scott").holds
+                fam = sn.converges_family_liminf(net, x, idl).holds
+                lim = sn.converges_liminf(net, x, idl).holds
+                ev = sn.is_eventual_liminf(net, x, idl).holds
+                topo = sn.converges_topological(net, x, idl, "scott").holds
                 assert fam == topo, (net, kind, x)
                 assert fam or not lim, (net, kind, x)
                 assert fam or not ev, (net, kind, x)
@@ -281,9 +278,9 @@ def test_side_predicates_on_small_track_nets():
 def test_constant_net_converges_below_value():
     net = cv.track_net(cv.const_track(4))
     for x in (0, 4):
-        assert cv.converges_liminf(SIDE_NAT, net, x, EVENTUAL).holds
+        assert sn.converges_liminf(net, x, EVENTUAL).holds
     for x in (5, A, TOP):
-        assert not cv.converges_liminf(SIDE_NAT, net, x, EVENTUAL).holds
+        assert not sn.converges_liminf(net, x, EVENTUAL).holds
 
 
 # -- convergence modes on finite posets ----------------------------------------

@@ -41,10 +41,9 @@ def test_up_down_of_mask():
     assert DIAMOND.ids_of(DIAMOND.down_of_mask(m)) == ("bot", "l")
 
 
-def test_min_max_mask():
+def test_min_mask():
     m = DIAMOND.mask_of(["bot", "l", "top"])
     assert DIAMOND.ids_of(DIAMOND.min_mask(m)) == ("bot",)
-    assert DIAMOND.ids_of(DIAMOND.max_mask(m)) == ("top",)
 
 
 def test_directed_masks_frozen_count():

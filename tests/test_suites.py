@@ -16,7 +16,8 @@ from domaincheck import topology as tp
 from domaincheck import waybelow as wb
 from domaincheck.errors import UnknownSuite
 from domaincheck.order import build_finite_poset
-from domaincheck.sidenat import A, TOP, SIDE_NAT
+from domaincheck import sidenat as sn
+from domaincheck.sidenat import A, TOP
 
 
 def test_registry_names_are_public():
@@ -178,8 +179,8 @@ def _literal_liminf_to_family(run, ctx):
     I = cv.ideal("eventual")
     for label, net in suites._side_nets():
         for x in (A, TOP, 0, 2, 5):
-            if cv.converges_liminf(SIDE_NAT, net, x, I).holds:
-                ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
+            if sn.converges_liminf(net, x, I).holds:
+                ok = sn.converges_family_liminf(net, x, I).holds
                 run.check(f"side:{label}:{x}", ok)
 
 
@@ -201,10 +202,10 @@ def _literal_waybelow_forces_family(run, ctx):
                 run.check(f"{name}:{i}", fam, suites._triple_witness(p, net, x, idl))
     I = cv.ideal("eventual")
     for label, net in suites._side_nets():
-        gi = cv.eventual_family(SIDE_NAT, net, I)
+        gi = sn.eventual_family(net, I)
         for x in (A, TOP, 0, 3):
-            if gi.includes(wb.fin_of(SIDE_NAT, x)):
-                ok = cv.converges_family_liminf(SIDE_NAT, net, x, I).holds
+            if gi.includes(sn.fin_of(x)):
+                ok = sn.converges_family_liminf(net, x, I).holds
                 run.check(f"side:{label}:{x}", ok)
 
 
@@ -308,8 +309,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
         original = getattr(cv, decider)
 
         def recording(p, net, x, idl):
-            if p is not SIDE_NAT:
-                calls[p.name, cv._net_slot(p, net, idl), x] += 1
+            calls[p.name, cv._net_slot(p, net, idl), x] += 1
             return original(p, net, x, idl)
 
         monkeypatch.setattr(cv, decider, recording)

@@ -63,7 +63,7 @@ def test_scott_is_upper_family():
 
 def test_lower_topology():
     lo = tp.lower_topology(DIAMOND)
-    assert all(DIAMOND.is_lower_mask(u) for u in lo.opens)
+    assert all(DIAMOND.down_of_mask(u) == u for u in lo.opens)
     assert DIAMOND.mask_of(["bot"]) in lo.opens
 
 
@@ -170,38 +170,38 @@ def test_size_guard():
 
 
 def test_side_scott_openness():
-    assert tp.side_is_open("scott", sn.up_set(3))
-    assert tp.side_is_open("scott", sn.sideset(tail=5, has_a=True, has_top=True))
-    assert not tp.side_is_open("scott", sn.up_set(A))
-    assert not tp.side_is_open("scott", sn.up_set(TOP))
-    assert not tp.side_is_open("scott", sn.down_set(3))
-    assert tp.side_is_open("scott", sn.EMPTY) and tp.side_is_open("scott", sn.FULL)
+    assert sn.is_open("scott", sn.up_set(3))
+    assert sn.is_open("scott", sn.sideset(tail=5, has_a=True, has_top=True))
+    assert not sn.is_open("scott", sn.up_set(A))
+    assert not sn.is_open("scott", sn.up_set(TOP))
+    assert not sn.is_open("scott", sn.down_set(3))
+    assert sn.is_open("scott", sn.EMPTY) and sn.is_open("scott", sn.FULL)
 
 
 def test_side_lawson_openness():
     # singletons of naturals and of the side point are Lawson open;
     # the top's singleton is not (every neighborhood catches a tail)
-    assert tp.side_is_open("lawson", sn.side_set_of((4,)))
-    assert tp.side_is_open("lawson", sn.side_set_of((A,)))
-    assert not tp.side_is_open("lawson", sn.side_set_of((TOP,)))
+    assert sn.is_open("lawson", sn.side_set_of((4,)))
+    assert sn.is_open("lawson", sn.side_set_of((A,)))
+    assert not sn.is_open("lawson", sn.side_set_of((TOP,)))
 
 
 def test_side_lower_openness():
-    assert tp.side_is_open("lower", sn.down_set(3))
-    assert not tp.side_is_open("lower", sn.up_set(3))
+    assert sn.is_open("lower", sn.down_set(3))
+    assert not sn.is_open("lower", sn.up_set(3))
 
 
 def test_side_interior_closure():
-    assert tp.side_interior("scott", sn.up_set(A)) == sn.EMPTY
-    assert tp.side_closure("scott", sn.side_set_of((A,))) == sn.side_set_of((A,))
+    assert sn.interior("scott", sn.up_set(A)) == sn.EMPTY
+    assert sn.closure("scott", sn.side_set_of((A,))) == sn.side_set_of((A,))
     # the naturals are Scott dense: their closure adds the top
-    closure = tp.side_closure("scott", sn.sideset(tail=0))
+    closure = sn.closure("scott", sn.sideset(tail=0))
     assert TOP in closure
 
 
 def test_side_binding_opens_contain_point():
     for kind in ("scott", "lawson", "lower"):
         for x in (0, 3, A, TOP):
-            for region in tp.side_binding_opens(kind, x, 5):
+            for region in sn.binding_opens(kind, x, 5):
                 assert x in region
-                assert tp.side_is_open(kind, region)
+                assert sn.is_open(kind, region)

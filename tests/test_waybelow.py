@@ -9,7 +9,7 @@ from domaincheck import sidenat as sn
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import PreconditionFailed
 from domaincheck.order import build_finite_poset
-from domaincheck.sidenat import A, TOP, SIDE_NAT
+from domaincheck.sidenat import A, TOP
 
 DIAMOND = build_finite_poset(
     "diamond",
@@ -70,16 +70,16 @@ def test_fin_of_diamond_top():
 
 
 def test_side_point_waydown_closed_forms():
-    assert wb.waydown_of(SIDE_NAT, A) == sn.EMPTY
-    assert wb.waydown_of(SIDE_NAT, TOP) == sn.sideset(tail=0)
-    assert wb.waydown_of(SIDE_NAT, 4) == sn.sideset(nats=range(5))
+    assert sn.waydown_of(A) == sn.EMPTY
+    assert sn.waydown_of(TOP) == sn.sideset(tail=0)
+    assert sn.waydown_of(4) == sn.sideset(nats=range(5))
 
 
 def test_side_pairs_way_below_side_point():
     for n in range(101):
-        assert wb.set_way_below(SIDE_NAT, (n, A), (A,))
-    assert not wb.set_way_below(SIDE_NAT, (A,), (A,))
-    assert not wb.set_way_below(SIDE_NAT, (TOP,), (A,))
+        assert sn.set_way_below((n, A), (A,))
+    assert not sn.set_way_below((A,), (A,))
+    assert not sn.set_way_below((TOP,), (A,))
 
 
 def test_side_rule_matches_shape_oracle():
@@ -90,41 +90,41 @@ def test_side_rule_matches_shape_oracle():
         (g, h)
         for g in chains
         for h in chains
-        if wb.set_way_below(SIDE_NAT, g, h) != wb.side_way_below_oracle(g, h)
+        if sn.set_way_below(g, h) != sn.way_below_oracle(g, h)
     ]
     assert mismatches == []
 
 
 def test_side_way_up():
-    assert wb.way_up(SIDE_NAT, (3,)) == sn.up_set(3)
-    assert wb.way_up(SIDE_NAT, (A,)) == sn.EMPTY
-    assert wb.way_up(SIDE_NAT, (2, A)) == sn.up_closure(sn.side_set_of((2, A)))
+    assert sn.way_up((3,)) == sn.up_set(3)
+    assert sn.way_up((A,)) == sn.EMPTY
+    assert sn.way_up((2, A)) == sn.up_closure(sn.side_set_of((2, A)))
 
 
 def test_side_fin_of_schemas():
-    fam_a = wb.fin_of(SIDE_NAT, A)
+    fam_a = sn.fin_of(A)
     assert fam_a.contains((4, A)) and not fam_a.contains((4,))
-    fam_top = wb.fin_of(SIDE_NAT, TOP)
+    fam_top = sn.fin_of(TOP)
     assert fam_top.contains((9,)) and fam_top.contains((9, A))
-    fam_3 = wb.fin_of(SIDE_NAT, 3)
+    fam_3 = sn.fin_of(3)
     assert fam_3.contains((2,)) and not fam_3.contains((4,))
 
 
 def test_side_family_upset_intersection():
-    fam = wb.side_family(pairs_from=0)
+    fam = sn.side_family(pairs_from=0)
     assert fam.upset_intersection() == sn.up_set(A)
-    fam = wb.side_family(singletons_from=0)
+    fam = sn.side_family(singletons_from=0)
     assert fam.upset_intersection() == sn.up_set(TOP)
 
 
 def test_interpolation_side():
-    e = wb.interpolate(SIDE_NAT, (2, A), A)
-    assert wb.set_way_below(SIDE_NAT, (2, A), e)
-    assert wb.set_way_below(SIDE_NAT, e, (A,))
-    e = wb.interpolate(SIDE_NAT, (5,), TOP)
-    assert wb.set_way_below(SIDE_NAT, (5,), e) and wb.set_way_below(SIDE_NAT, e, (TOP,))
+    e = sn.interpolate((2, A), A)
+    assert sn.set_way_below((2, A), e)
+    assert sn.set_way_below(e, (A,))
+    e = sn.interpolate((5,), TOP)
+    assert sn.set_way_below((5,), e) and sn.set_way_below(e, (TOP,))
     with pytest.raises(PreconditionFailed):
-        wb.interpolate(SIDE_NAT, (A,), A)
+        sn.interpolate((A,), A)
 
 
 def test_interpolation_finite():
@@ -139,7 +139,7 @@ def test_classify_finite():
 
 
 def test_classify_side():
-    rep = wb.classify(SIDE_NAT)
+    rep = sn.classify()
     assert rep.is_dcpo
     assert rep.is_quasi_continuous
     assert not rep.is_continuous
@@ -150,8 +150,8 @@ def test_classify_side():
 
 def test_side_family_sorts_mixed_members():
     for members in ([(0,), (A,)], [(TOP,), (1,)]):
-        fam = wb.side_family(members)
-        assert fam == wb.side_family(list(reversed(members)))
+        fam = sn.side_family(members)
+        assert fam == sn.side_family(list(reversed(members)))
         assert isinstance(fam.explicit[0][0], int)
 
 
@@ -170,8 +170,8 @@ def _literal_prefix_directed(fam, k: int) -> bool:
 
 
 def test_side_family_is_directed_matches_prefixes():
-    families = [wb.fin_of(SIDE_NAT, x) for x in (A, TOP, *range(6))]
-    families += [wb.side_family([(2,), (3, A)]), wb.side_family([(0,)], pairs_from=2)]
+    families = [sn.fin_of(x) for x in (A, TOP, *range(6))]
+    families += [sn.side_family([(2,), (3, A)]), sn.side_family([(0,)], pairs_from=2)]
     verdicts = []
     for fam in families:
         verdicts.append(fam.is_directed())
@@ -184,9 +184,9 @@ def test_side_family_includes_matches_prefixes():
     """``includes`` decides inclusion of possibly infinite families as the
     literal member-by-member check does on a prefix far past every
     parameter."""
-    families = [wb.fin_of(SIDE_NAT, x) for x in (A, TOP, *range(4))]
+    families = [sn.fin_of(x) for x in (A, TOP, *range(4))]
     families += [
-        wb.side_family(explicit, singletons_from=s, pairs_from=q)
+        sn.side_family(explicit, singletons_from=s, pairs_from=q)
         for explicit in ([], [(1,)], [(0, A), (A,)], [(TOP,), (2,)])
         for s in (None, 0, 3)
         for q in (None, 0, 2)
