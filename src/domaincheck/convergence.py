@@ -315,9 +315,11 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
     proper ideal is trapped iff its exception set, a union of residue
     classes, is finite, that is, empty: the mask is the union of its
     track values.  So the mask and the point fix the verdict of every
-    predicate that reads a finite poset's slot, and the sampled suites
-    read the mask from a draw (``suites._sample_net``) and decide each
-    (mask, point) pair once per poset.
+    predicate that reads a finite poset's slot.  The sampled suites draw
+    a poset's triples as one block (``suites._sample_net``), which reads
+    each mask from its draw and keys each triple by ``mask * p.n + x``;
+    ``suites._tally`` decides each key once per poset, on its first
+    draw, and counts every triple as a case.
 
     ``test_trap_masks_match_exception_sets`` checks the mask against
     ``ideal_member(idl, exception_set(...))`` on every directed index of

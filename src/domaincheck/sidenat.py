@@ -458,16 +458,16 @@ class SideFamily:
                 data.append(t)
         return max(data, default=0) + 2
 
-    def _has_member_below(self, target: SideSet) -> bool:
+    def _has_member_below(self, target: SideSet, explicit_ups: list[SideSet]) -> bool:
         """Is some member's upper set contained in ``target``?
+        ``explicit_ups`` holds the upper sets of the explicit members.
 
         Schema members have arbitrarily late tails, so a schema witness
         exists iff ``target`` holds the top and a full tail of naturals
         (plus the side point, for the pair schema).
         """
-        for m in self.explicit:
-            if _subset(_upset(m), target):
-                return True
+        if any(_subset(u, target) for u in explicit_ups):
+            return True
         if self.singletons_from is not None and target.has_top and target.tail is not None:
             return True
         if self.pairs_from is not None and target.has_top and target.has_a and target.tail is not None:
@@ -488,9 +488,10 @@ class SideFamily:
         ms = self.members_upto(k + 2)
         if not ms:
             return False
-        ups = [_upset(m) for m in ms]
-        for u1, u2 in combinations(ups, 2):
-            if not self._has_member_below(inter(u1, u2)):
+        ups = {m: _upset(m) for m in ms}
+        explicit_ups = [ups[m] for m in self.explicit]
+        for u1, u2 in combinations(ups.values(), 2):
+            if not self._has_member_below(inter(u1, u2), explicit_ups):
                 return False
         return True
 

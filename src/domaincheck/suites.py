@@ -97,15 +97,6 @@ class _Run:
             entry.update(witness or {})
             self.failures.append(entry)
 
-    def pass_case(self) -> None:
-        """Count a passing case; only failures carry their label."""
-        self.cases += 1
-
-    def fail_draw(self, case: str, p: FinitePoset, draw: tuple, x: int) -> None:
-        """Count a failing sampled triple, with the built net as witness."""
-        net, idl = _net_of_draw(p, draw)
-        self.check(case, False, _triple_witness(p, net, x, idl))
-
     def report(self, wall: float) -> SuiteReport:
         return SuiteReport(
             self.suite, self.cases, self.cases - len(self.failures), self.failures, self.seed, wall
@@ -155,28 +146,19 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
 
     On a finite poset a triple's trap mask and point fix both verdicts
     (:func:`convergence._build_trap_mask`), and the mask is known from
-    the draw (:func:`_sample_net`): each (mask, point) pair is decided
-    once per poset, on a net built for that miss, and a net is built
-    otherwise only to report a failing triple.  Every sampled triple is
-    still one case (``test_sampled_suites_match_literal_triple_loop``)."""
+    the draw (:func:`_sample_net`), so :func:`_tally` decides each
+    (mask, point) key once per poset.  Every sampled triple is still one
+    case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
-        memo: dict = {}
-        for i in range(200):
-            draw, trap = _sample_net(p, rng)
-            x = _below(rng, p.n)
-            hit = memo.get((trap, x))
-            if hit is None:
-                net, idl = _net_of_draw(p, draw)
-                lim = cv.converges_liminf(p, net, x, idl).holds
-                hit = memo[trap, x] = (lim, lim and cv.converges_family_liminf(p, net, x, idl).holds)
-            lim, ok = hit
-            if not lim:
-                continue
-            if ok:
-                run.pass_case()
-            else:
-                run.fail_draw(f"{name}:{i}", p, draw, x)
+
+        def outcome(draw, mask, x):
+            net, idl = _net_of_draw(p, draw)
+            if not cv.converges_liminf(p, net, x, idl).holds:
+                return None
+            return cv.converges_family_liminf(p, net, x, idl).holds or ""
+
+        _tally(run, name, p, _sample_net(p, rng, 200), outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         for x in (A, TOP, 0, 2, 5):
@@ -208,10 +190,9 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     the family verdict (:func:`convergence._build_trap_mask`), and the
     mask is known from the draw (:func:`_sample_net`).  The net is
     trapped by every set way below ``x`` iff its mask lies inside the
-    meet of their upper sets, so the premise is one subset test.  Each
-    (mask, point) pair whose premise holds is decided once per poset on
-    a net built for that miss, and a net is built otherwise only to
-    report a failing triple.  Every sampled triple is still one case
+    meet of their upper sets, so the premise is one subset test, and
+    :func:`_tally` decides each (mask, point) key whose premise holds
+    once per poset.  Every sampled triple is still one case
     (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
@@ -220,25 +201,14 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
             for ix in range(p.n):
                 if wb.set_way_below(p, g, 1 << ix):
                     waydown_meets[ix] &= p.up_of_mask(g)
-        memo: dict = {}
-        for i in range(200):
-            draw, trap = _sample_net(p, rng)
-            x = _below(rng, p.n)
-            hit = memo.get((trap, x))
-            if hit is None:
-                premise = trap & ~waydown_meets[x] == 0
-                ok = False
-                if premise:
-                    net, idl = _net_of_draw(p, draw)
-                    ok = cv.converges_family_liminf(p, net, x, idl).holds
-                hit = memo[trap, x] = (premise, ok)
-            premise, ok = hit
-            if not premise:
-                continue
-            if ok:
-                run.pass_case()
-            else:
-                run.fail_draw(f"{name}:{i}", p, draw, x)
+
+        def outcome(draw, mask, x):
+            if mask & ~waydown_meets[x]:
+                return None
+            net, idl = _net_of_draw(p, draw)
+            return cv.converges_family_liminf(p, net, x, idl).holds or ""
+
+        _tally(run, name, p, _sample_net(p, rng, 200), outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         gi = sn.eventual_family(net, I)
@@ -316,43 +286,36 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
 
     On a finite poset a triple's trap mask and point fix all three
     verdicts (:func:`convergence._build_trap_mask`), and the mask is
-    known from the draw (:func:`_sample_net`): each (mask, point) pair is
-    decided once per poset, on a net built for that miss, and a net is
-    built otherwise only to report a failing triple.  The case logic
-    still runs per triple, with the triple's own ideal
+    known from the draw (:func:`_sample_net`), so :func:`_tally` decides
+    each (mask, point) key once per poset; the case logic still gives
+    each triple its own label and witness
     (``test_sampled_suites_match_literal_triple_loop``).  So the roughly
-    104,000 cases at size 5 rest on about 9,700 distinct (mask, point)
-    decisions; ``test_sampled_verdicts_depend_on_class_and_point`` checks
-    every predicate on every sampled triple against those decisions."""
+    104,000 cases at size 5 rest on about 9,700 distinct keys;
+    ``test_sampled_verdicts_depend_on_class_and_point`` checks every
+    predicate on every sampled triple against those decisions.  A mask
+    is ``0`` iff the ideal is trivial: an eventual mask is one bit and a
+    proper ideal's mask on the naturals is the union of at least one
+    value.  So the trivial-ideal case reads the mask, and a
+    trivial-ideal triple reached the trivial check (passed the Scott
+    and lim-inf checks) iff some key below ``p.n`` has the verdict
+    ``True`` or ``":trivial"``, which ``trivial-sampled`` reads.
+    """
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
-        trivial_checked = False
-        memo: dict = {}
-        for i in range(1000):
-            draw, trap = _sample_net(p, rng)
-            x = _below(rng, p.n)
-            hit = memo.get((trap, x))
-            if hit is None:
-                net, idl = _net_of_draw(p, draw)
-                fam = cv.converges_family_liminf(p, net, x, idl).holds
-                topo = cv.converges_topological(p, net, x, idl, sc).holds
-                lim = not fam and not topo and cv.converges_liminf(p, net, x, idl).holds
-                hit = memo[trap, x] = (fam, topo, lim)
-            fam, topo, lim = hit
-            if fam != topo:
-                run.fail_draw(f"{name}:{i}:scott", p, draw, x)
-                continue
-            if lim:
-                run.fail_draw(f"{name}:{i}:liminf", p, draw, x)
-                continue
-            if draw[2].kind == "trivial":
-                trivial_checked = True
-                if not fam:
-                    run.fail_draw(f"{name}:{i}:trivial", p, draw, x)
-                    continue
-            run.pass_case()
-        run.check(f"{name}:trivial-sampled", trivial_checked)
+
+        def outcome(draw, mask, x):
+            net, idl = _net_of_draw(p, draw)
+            fam = cv.converges_family_liminf(p, net, x, idl).holds
+            if fam != cv.converges_topological(p, net, x, idl, sc).holds:
+                return ":scott"
+            if not fam and cv.converges_liminf(p, net, x, idl).holds:
+                return ":liminf"
+            return fam or mask != 0 or ":trivial"
+
+        verdicts = _tally(run, name, p, _sample_net(p, rng, 1000), outcome)
+        trivial = [v for key, v in verdicts.items() if key < p.n]
+        run.check(f"{name}:trivial-sampled", True in trivial or ":trivial" in trivial)
 
 
 def _suite_lawson_below_eventual(run: _Run, ctx: _Ctx) -> None:
@@ -365,8 +328,11 @@ def _suite_lawson_below_eventual(run: _Run, ctx: _Ctx) -> None:
 
 
 def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
-    """Eventual lim-inf status coincides with Lawson-topological ideal
-    convergence for every net over a finite directed index.
+    """Under the eventual ideal, eventual lim-inf status coincides with
+    Lawson-topological ideal convergence for every net over a directed
+    index of at most 3 points, on every corpus poset of at most 4
+    elements.  Only the eventual ideal is checked: under the trivial
+    ideal the two disagree on most such triples.
 
     Periodic nets over the naturals are excluded from the equivalence:
     on them the literal eventual-liminf definition outruns Lawson
@@ -613,8 +579,8 @@ def _suite_inject_failure(run: _Run, ctx: _Ctx) -> None:
 @lru_cache(maxsize=None)
 def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
     """The indexes ``_sample_net`` draws from, each with the position of
-    its greatest element and its eventual and trivial ideals, and the four
-    ideals on the naturals, built once."""
+    its greatest element and its eventual and trivial ideals,
+    and the four ideals on the naturals, built once."""
     finite = tuple(
         (
             idx,
@@ -626,78 +592,77 @@ def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
     return finite, tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """A uniform draw from ``range(n)``, ``n >= 1``.
+def _sample_net(p: FinitePoset, rng: random.Random, count: int) -> tuple[list[int], list[tuple]]:
+    """``count`` random triples over ``p``, each a draw of a (net, ideal)
+    pair and a point ``x``: with even odds, a finite-index net under its
+    eventual or trivial ideal, or a constant-track net of period 1 to 3
+    under one of the four ideals on the naturals.
 
-    This is the rejection loop over ``getrandbits`` that
-    ``Random._randbelow_with_getrandbits`` runs for ``rng.choice`` and
-    ``rng.randrange(n)`` on CPython 3.10 to 3.12, without their argument
-    handling, so it consumes the same bits, returns the same indexes and
-    leaves the same state.  :func:`_sample_net` runs the same loop inline
-    for its value draws.  ``test_sample_net_draws_match_random_choice``
-    compares both with those calls; the pinned sha256s of
-    ``test_small_all_report_bytes_are_pinned`` and
-    ``test_family_convergence_report_bytes_are_pinned_at_size_5`` guard
-    the report bytes.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
-def _sample_net(p: FinitePoset, rng: random.Random) -> tuple[tuple, int]:
-    """A random draw of a (net, ideal) pair over ``p``, with its trap
-    mask (:func:`convergence._build_trap_mask`): with even odds, a
-    finite-index net under its eventual or trivial ideal, or a
-    constant-track net of period 1 to 3 under one of the four ideals on
-    the naturals.
-
-    The draw is ``(i, vals, idl)``: ``i >= 0`` names a finite index and
+    Returns the key ``mask * p.n + x`` of each triple and its draw
+    ``(i, vals, idl)``: ``i >= 0`` names a finite index and
     ``i = -period`` a track net, ``vals`` holds the value indexes into
     ``p.elements`` and ``idl`` is the drawn ideal; :func:`_net_of_draw`
-    builds the net.  Every index is drawn by the loop of :func:`_below`,
-    so the draws are those of ``rng.choice`` over the same sequences and
-    ``rng.randrange(3)``.
+    builds the net.  Every index and the point are drawn by the
+    ``getrandbits`` rejection loop that ``Random._randbelow_with_getrandbits``
+    runs for ``rng.choice`` and ``rng.randrange(n)`` on CPython 3.10 to
+    3.13, inlined, so the triples and the final generator state are those
+    of ``rng.choice`` over the same sequences, ``rng.randrange(3)`` and
+    ``rng.randrange(p.n)``, at less cost.
 
     No net is built: the mask is read from the draw in the closed form
-    of ``_build_trap_mask`` (``0`` under the trivial ideal, the value at
-    the index's top under the eventual ideal, the union of the track
-    values under a proper ideal on the naturals), and the suites build a
-    net only to decide a (mask, point) pair they have not met on the
-    poset or to report a failing triple.
+    of :func:`convergence._build_trap_mask` (``0`` under the trivial
+    ideal, the value at the index's top under the eventual ideal, the
+    union of the track values under a proper ideal on the naturals).
     ``test_sample_net_draws_match_random_choice`` compares the draws, the
-    ideals and the mask with the ``rng.choice`` formulation and with
-    ``_net_slot`` of the built net."""
+    ideals, the points, the masks (with ``_net_slot`` of the built net)
+    and the generator state with the ``rng.choice`` formulation; the
+    pinned sha256s of ``test_small_all_report_bytes_are_pinned`` and
+    ``test_family_convergence_report_bytes_are_pinned_at_size_5`` guard
+    the report bytes."""
     finite, omega = _sampling_ideals()
-    if rng.random() < 0.5:
-        i = _below(rng, len(finite))
-        idx, top, ideals = finite[i]
-        size = idx.n
-    else:
-        i = -1 - _below(rng, 3)
-        size, ideals = -i, omega
-    # The value draws are _below(rng, n), inlined with one bit width.
-    n = p.n
-    width = n.bit_length()
-    getrandbits = rng.getrandbits
-    vals = []
-    for _ in range(size):
-        r = getrandbits(width)
-        while r >= n:
+    n, nf = p.n, len(finite)
+    width, width_f = n.bit_length(), nf.bit_length()
+    random_, getrandbits = rng.random, rng.getrandbits
+    keys, draws = [], []
+    for _ in range(count):
+        if random_() < 0.5:
+            i = getrandbits(width_f)
+            while i >= nf:
+                i = getrandbits(width_f)
+            idx, top, ideals = finite[i]
+            size = idx.n
+        else:
+            size = getrandbits(2)
+            while size >= 3:
+                size = getrandbits(2)
+            size += 1
+            i, ideals = -size, omega
+        vals = []
+        for _ in range(size):
             r = getrandbits(width)
-        vals.append(r)
-    idl = ideals[_below(rng, len(ideals))]
-    if idl.kind == "trivial":
-        trap = 0
-    elif i >= 0:
-        trap = 1 << vals[top]
-    else:
-        trap = 0
-        for v in vals:
-            trap |= 1 << v
-    return (i, vals, idl), trap
+            while r >= n:
+                r = getrandbits(width)
+            vals.append(r)
+        k = len(ideals)
+        w = k.bit_length()
+        r = getrandbits(w)
+        while r >= k:
+            r = getrandbits(w)
+        idl = ideals[r]
+        if idl.kind == "trivial":
+            mask = 0
+        elif i >= 0:
+            mask = 1 << vals[top]
+        else:
+            mask = 0
+            for v in vals:
+                mask |= 1 << v
+        x = getrandbits(width)
+        while x >= n:
+            x = getrandbits(width)
+        keys.append(mask * n + x)
+        draws.append((i, vals, idl))
+    return keys, draws
 
 
 def _net_of_draw(p: FinitePoset, draw: tuple) -> tuple[cv.Net, cv.Ideal]:
@@ -707,6 +672,31 @@ def _net_of_draw(p: FinitePoset, draw: tuple) -> tuple[cv.Net, cv.Ideal]:
     if i >= 0:
         return cv.FiniteNet(_sampling_ideals()[0][i][0], values), idl
     return cv.TrackNet(len(values), tuple(map(cv.const_track, values))), idl
+
+
+def _tally(run: _Run, name: str, p: FinitePoset, block: tuple, outcome) -> dict:
+    """Count one poset's sampled triples (a :func:`_sample_net` block) as
+    cases, in draw order, and return each drawn key's verdict.
+
+    ``outcome(draw, mask, x)`` decides a triple: ``None`` if it is no
+    case, ``True`` if it passes, else the suffix of its failure label.
+    Triples with one key get one outcome (the mask and the point fix
+    every verdict the suites read), so each key is decided once, on its
+    first draw.  Each failing triple keeps its label ``{name}:{i}{suffix}``
+    and its own witness; ``test_sampled_suites_report_failures_like_literal_loop``
+    compares the reports with the literal per-triple loops."""
+    verdicts: dict = {}
+    for i, (key, draw) in enumerate(zip(*block)):
+        if key in verdicts:
+            v = verdicts[key]
+        else:
+            v = verdicts[key] = outcome(draw, *divmod(key, p.n))
+        if v is True:
+            run.cases += 1
+        elif v is not None:
+            net, idl = _net_of_draw(p, draw)
+            run.check(f"{name}:{i}{v}", False, _triple_witness(p, net, key % p.n, idl))
+    return verdicts
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

@@ -122,25 +122,27 @@ def _sample_net_with_random_choice(p, rng):
 
 
 def test_sample_net_draws_match_random_choice():
-    """``_sample_net`` and a point drawn through ``_below`` give the draws
-    (the ideals as the same objects), the points and the generator state
-    of the ``rng.choice``/``randrange`` formulation, draw by draw, for 5
+    """A ``_sample_net`` block gives the draws (the ideals as the same
+    objects), the points and the generator state of the
+    ``rng.choice``/``randrange`` formulation, triple by triple, for 5
     seeds on every poset of the size-4 corpus (named posets of up to 8
-    elements included).  The net ``_net_of_draw`` builds is the
-    formulation's net, and the closed-form mask is that net's trap mask
-    (``_net_slot``)."""
+    elements included), with the state compared after each poset's
+    block.  The net ``_net_of_draw`` builds is the formulation's net, the
+    key's mask is that net's trap mask (``_net_slot``), and the mask is
+    ``0`` iff the ideal is trivial, the fact ``trivial-sampled`` reads."""
     for seed in range(5):
+        fast, slow = random.Random(seed), random.Random(seed)
         for p in corpus.all_corpus(4).values():
-            fast, slow = random.Random(seed), random.Random(seed)
-            for _ in range(300):
-                draw, mask = suites._sample_net(p, fast)
-                x = suites._below(fast, p.n)
+            keys, draws = suites._sample_net(p, fast, 300)
+            assert len(keys) == len(draws) == 300
+            for key, draw in zip(keys, draws):
+                mask, x = divmod(key, p.n)
                 net_ref, idl_ref, draw_ref = _sample_net_with_random_choice(p, slow)
-                x_ref = slow.randrange(p.n)
-                assert draw[:2] == draw_ref[:2] and x == x_ref, (seed, p.name)
+                assert draw[:2] == draw_ref[:2] and x == slow.randrange(p.n), (seed, p.name)
                 net, idl = suites._net_of_draw(p, draw)
                 assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
                 assert mask == cv._net_slot(p, net, idl), (seed, p.name)
+                assert (mask == 0) == (idl.kind == "trivial"), (seed, p.name)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
 
 
@@ -153,12 +155,11 @@ def test_sample_net_mask_reads_the_value_at_the_index_top(monkeypatch):
     monkeypatch.setattr(suites.cp, "directed_index_posets", lambda _n: (top_first,))
     suites._sampling_ideals.cache_clear()
     try:
-        rng = random.Random(0)
+        keys, draws = suites._sample_net(chain3, random.Random(0), 200)
         telling = 0
-        for _ in range(200):
-            draw, mask = suites._sample_net(chain3, rng)
+        for key, draw in zip(keys, draws):
             net, idl = suites._net_of_draw(chain3, draw)
-            assert mask == cv._net_slot(chain3, net, idl), draw
+            assert key // chain3.n == cv._net_slot(chain3, net, idl), draw
             i, vals, _ = draw
             telling += i >= 0 and idl.kind == "eventual" and vals[0] != vals[-1]
         assert telling > 0
@@ -257,6 +258,60 @@ def test_sampled_suites_match_literal_triple_loop(suite):
         assert suites.emit_report(suites.run_suite(suite, max_size=4, seed=seed)) == expected, seed
 
 
+# Verdicts the failure-path test turns wrong, per case: predicate -> a
+# test on (point index, trivial ideal?) that picks where it answers the
+# opposite.  ``scattered`` makes every sampled suite fail at a few
+# points; ``trivial-scott`` makes every trivial-ideal triple fail the
+# Scott check, so none reaches the trivial check and
+# ``family-convergence-topological`` fails ``trivial-sampled`` too.
+FLIPS = {
+    "scattered": {
+        "converges_liminf": lambda x, trivial: (x, trivial) in {(2, False), (1, True)},
+        "converges_family_liminf": lambda x, trivial: (x, trivial) in {(0, False), (1, True)},
+        "converges_topological": lambda x, trivial: (x, trivial) == (1, True),
+    },
+    "trivial-scott": {"converges_topological": lambda x, trivial: trivial},
+}
+FLIP_CASES = [(suite, "scattered") for suite in sorted(LITERAL_SUITES)]
+FLIP_CASES.append(("family-convergence-topological", "trivial-scott"))
+
+
+@pytest.mark.parametrize(("suite", "case"), FLIP_CASES)
+def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypatch):
+    """With the predicates of ``FLIPS[case]`` answering wrongly at chosen
+    points and ideals, each sampled suite fails, and its report at size 4
+    (seeds 0 and 1) is byte for byte that of the literal per-triple loop:
+    the ordered loop of ``suites._tally`` keeps each failure's label,
+    order and witness, and ``trivial-sampled`` holds only where a
+    trivial-ideal triple reached the trivial check.  The flips depend
+    only on the point and on whether the ideal is trivial, which a
+    triple's key fixes (mask ``0`` iff trivial), so the suites' one
+    decision per key stays exact."""
+    for pred, flips in FLIPS[case].items():
+
+        def flipped(p, net, x, idl, *rest, original=getattr(cv, pred), flips=flips):
+            verdict = original(p, net, x, idl, *rest)
+            if flips(x, idl.kind == "trivial"):
+                return verdict._replace(holds=not verdict.holds)
+            return verdict
+
+        monkeypatch.setattr(cv, pred, flipped)
+    suffixes = set()
+    for seed in range(2):
+        ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
+        run = suites._Run(suite, seed)
+        LITERAL_SUITES[suite](run, ctx)
+        expected = suites.emit_report(run.report(0.0))
+        report = suites.run_suite(suite, max_size=4, seed=seed)
+        assert suites.emit_report(report) == expected, seed
+        assert not report.ok, seed
+        suffixes |= {f["case"].rsplit(":", 1)[1] for f in report.failures}
+    if case == "trivial-scott":
+        assert suffixes == {"scott", "trivial-sampled"}
+    elif suite == "family-convergence-topological":
+        assert {"scott", "liminf", "trivial"} <= suffixes
+
+
 # The predicate each sampled suite calls first on a (mask, point) pair it
 # has not decided on the poset, and the triples it draws per poset.
 SAMPLED_SUITES = {
@@ -272,11 +327,11 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
     built by the ``rng.choice``/``randrange`` formulation, the three
     convergence predicates (and, in ``waybelow-forces-family``, the
     premise by exception sets) give equal answers to triples of one poset
-    with equal closed-form trap mask (from ``_sample_net``) and point.
-    And the suite decides each (mask, point) pair whose premise holds by
-    exactly one call at that pair.  So each case gets its own triple's
-    verdict, which the report alone does not show where every case
-    passes."""
+    with equal key, the closed-form trap mask and the point of a
+    ``_sample_net`` block.  And the suite decides each (mask, point) pair
+    whose premise holds by exactly one call at that pair.  So each case
+    gets its own triple's verdict, which the report alone does not show
+    where every case passes."""
     decider, per_poset = SAMPLED_SUITES[suite]
     for seed in range(3):
         ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
@@ -288,9 +343,8 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
                 [p.up_of_mask(g) for g in p.antichain_masks if wb.set_way_below(p, g, 1 << ix)]
                 for ix in range(p.n)
             ]
-            for _ in range(per_poset):
-                _, mask = suites._sample_net(p, fast)
-                x = suites._below(fast, p.n)
+            for key in suites._sample_net(p, fast, per_poset)[0]:
+                mask, x = divmod(key, p.n)
                 net, idl, _ = _sample_net_with_random_choice(p, slow)
                 assert x == slow.randrange(p.n)
                 premise = suite != "waybelow-forces-family" or all(
@@ -304,6 +358,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
                 )
                 key = (name, mask, x)
                 assert answers.setdefault(key, answer) == answer, (seed, key)
+            assert fast.getstate() == slow.getstate(), (seed, name)
         needed = Counter(key for key, answer in answers.items() if answer[3])
         calls: Counter = Counter()
         original = getattr(cv, decider)
