@@ -26,8 +26,9 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def smyth_directed(ups: Sequence[int]) -> bool:
-    """Smyth-directedness of a family given by its members' upper sets.
+def smyth_meet(ups: Sequence[int]) -> int | None:
+    """The meet of a Smyth-directed family's upper sets, or None when the
+    family (given by its members' upper sets) is not directed.
 
     ``f <= k`` in the Smyth preorder iff ``up(k) <= up(f)``.  A finite
     family is directed iff the meet of the upper sets is one of them: such
@@ -39,7 +40,7 @@ def smyth_directed(ups: Sequence[int]) -> bool:
     meet = -1
     for u in ups:
         meet &= u
-    return bool(ups) and meet in ups
+    return meet if meet in ups else None
 
 
 @dataclass(frozen=True)

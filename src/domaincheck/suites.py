@@ -75,7 +75,6 @@ def parse_report(data: bytes) -> SuiteReport:
 
 @dataclass
 class _Ctx:
-    max_size: int
     seed: int
     corpus: dict[str, FinitePoset] = field(default_factory=dict)
 
@@ -220,7 +219,11 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
 
 def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
     """The derived family-convergence topology is finest: any topology in
-    which every family-convergent net converges is contained in it."""
+    which every family-convergent net converges is contained in it.
+
+    The family-convergent probes ``(net, ideal, point)`` are decided once
+    per poset; a candidate topology meets the premise iff every probe
+    converges in it."""
     probe_class = cv.NetClass(max_index_size=2, omega_tracks=True, max_track_period=2)
     for name, p in ctx.corpus.items():
         derived = cv.derive_convergence_topology(p, "family")
@@ -230,18 +233,14 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
             "lawson": tp.lawson_topology(p),
             "discrete": tp.discrete_topology(p),
         }
+        probes = []
+        for net in cv.generate_nets(p, probe_class):
+            idl = cv.ideal("eventual", cv.net_index(net))
+            probes += [
+                (net, idl, ix) for ix in range(p.n) if cv.converges_family_liminf(p, net, ix, idl).holds
+            ]
         for label, topo in pool.items():
-            premise = True
-            for net in cv.generate_nets(p, probe_class):
-                idl = cv.ideal("eventual", cv.net_index(net))
-                for ix in range(p.n):
-                    if cv.converges_family_liminf(p, net, ix, idl).holds:
-                        if not cv.converges_topological(p, net, ix, idl, topo).holds:
-                            premise = False
-                            break
-                if not premise:
-                    break
-            if premise:
+            if all(cv.converges_topological(p, net, ix, idl, topo).holds for net, idl, ix in probes):
                 run.check(f"{name}:{label}", topo.opens <= derived.opens)
             else:
                 run.check(f"{name}:{label}:vacuous", True)
@@ -399,26 +398,27 @@ def _suite_continuity_criterion(run: _Run, ctx: _Ctx) -> None:
 
 
 def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
-    """Every Smyth-directed family of at most three antichains yields a
-    directed transversal, checked here, and the upper-set corollary finds
-    its member for the meet of the members' upper sets: the smallest
-    qualifying target, so a member inside it is inside every larger one
+    """Every family of at most three antichains that
+    ``_directed_antichain_families`` yields is Smyth-directed and yields
+    a directed transversal, both checked here, and the upper-set
+    corollary finds its member for the meet of the members' upper sets
+    (the greatest member's, yielded first): the smallest qualifying
+    target, so a member inside it is inside every larger one
     (``test_corollary_exhaustive_scott_opens`` tries every Scott open)."""
     for name, p in ctx.corpus.items():
         directed_fams = list(tp._directed_antichain_families(p, 3))
         for fam, _ups in directed_fams:
             rep = rd.extract_directed(p, fam)
             ok = (
-                p.is_directed_mask_pairwise(rep.directed_set)
+                rd.is_directed_family(p, fam)
+                and p.is_directed_mask_pairwise(rep.directed_set)
                 and all(rep.directed_set & f for f in fam)
                 and rep.directed_set & ~_union(fam) == 0
             )
             run.check(f"{name}:extract:{fam}", ok, rep.to_dict(p) if not ok else None)
         corollary_cases = 0
         for fam, ups in directed_fams:
-            meet = p.universe
-            for u in ups:
-                meet &= u
+            meet = ups[0]  # the greatest member's upper set is the meet
             try:
                 member = rd.rudin_corollary(p, fam, meet)
             except NoWitness:
@@ -752,7 +752,7 @@ def run_suite(name: str, *, max_size: int = 5, seed: int = 0) -> SuiteReport:
         return _run_all(max_size=max_size, seed=seed)
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(suite_names())}, all")
-    ctx = _Ctx(max_size=max_size, seed=seed, corpus=cp.all_corpus(max_size))
+    ctx = _Ctx(seed=seed, corpus=cp.all_corpus(max_size))
     run = _Run(name, seed)
     t0 = time.perf_counter()
     SUITES[name](run, ctx)
@@ -761,7 +761,7 @@ def run_suite(name: str, *, max_size: int = 5, seed: int = 0) -> SuiteReport:
 
 def _run_all(*, max_size: int, seed: int) -> SuiteReport:
     before = oplog.call_counts()
-    ctx = _Ctx(max_size=max_size, seed=seed, corpus=cp.all_corpus(max_size))
+    ctx = _Ctx(seed=seed, corpus=cp.all_corpus(max_size))
     t0 = time.perf_counter()
     total = _Run("all", seed)
     for name in suite_names():

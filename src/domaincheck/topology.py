@@ -183,13 +183,14 @@ def _directed_antichain_families(p: FinitePoset, family_bound: int):
     each with its members' upper sets, generated by greatest member.
 
     A finite family is Smyth-directed iff it owns a greatest member ``g``,
-    one whose upper set is the meet of all members' upper sets
-    (:func:`~domaincheck.order.smyth_directed`), and an antichain is fixed
-    by its upper set, so ``g`` is unique.  The directed families with
-    greatest member ``g`` are therefore exactly ``(g, *rest)`` for each
-    set ``rest`` of at most ``family_bound - 1`` other antichains whose
-    upper sets contain ``up(g)``: each family is yielded once, ``g``
-    first, and the meet of its upper sets is ``up(g)``.
+    one whose upper set is the meet of all members' upper sets (the
+    meet :func:`~domaincheck.order.smyth_meet` returns), and an antichain
+    is fixed by its upper set, so ``g`` is unique.  The directed families
+    with greatest member ``g`` are therefore exactly ``(g, *rest)`` for
+    each set ``rest`` of at most ``family_bound - 1`` other antichains
+    whose upper sets contain ``up(g)``: each family is yielded once, ``g``
+    first, so the first upper set ``up(g)`` is the family's
+    ``smyth_meet``, which the ``rudin`` suite reads as its meet.
     ``test_directed_family_matches_pairwise_smyth_definition`` compares
     the output with the ``combinations`` scan filtered by the pairwise
     definition."""

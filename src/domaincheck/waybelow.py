@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import topology as tp
 from .errors import PreconditionFailed
 from .oplog import logged
-from .order import FinitePoset, smyth_directed
+from .order import FinitePoset, smyth_meet
 
 def _as_mask(p: FinitePoset, s: int | Iterable[str]) -> int:
     return s if isinstance(s, int) else p.mask_of(s)
@@ -140,11 +140,7 @@ def classify(p: FinitePoset) -> ClassifyReport:
 
     quasi = True
     for x in range(p.n):
-        ups = [p.up_of_mask(f) for f in fin_of(p, x)]
-        meet_ups = p.universe
-        for u in ups:
-            meet_ups &= u
-        if not smyth_directed(ups) or meet_ups != p.up[x]:
+        if smyth_meet([p.up_of_mask(f) for f in fin_of(p, x)]) != p.up[x]:
             quasi = False
             witnesses["quasi_continuous"] = {"point": p.elements[x]}
             break

@@ -246,6 +246,7 @@ def test_ascending_net_converges_everywhere():
 
 
 SMALL_TRACKS = [cv.const_track(v) for v in (0, 1, 2, 3, A, TOP)] + [cv.ascend_track()]
+SMALL_NETS = [cv.track_net(*c) for period in (1, 2) for c in product(SMALL_TRACKS, repeat=period)]
 
 
 def test_side_predicates_on_small_track_nets():
@@ -254,10 +255,9 @@ def test_side_predicates_on_small_track_nets():
     family lim-inf convergence equals Scott-topological convergence (an
     independent closed form over the binding opens), and lim-inf and
     eventual lim-inf convergence each imply it.  The counts are frozen."""
-    nets = [cv.track_net(*c) for period in (1, 2) for c in product(SMALL_TRACKS, repeat=period)]
-    assert len(nets) == 56
+    assert len(SMALL_NETS) == 56
     triples = family = liminf = eventual = 0
-    for net in nets:
+    for net in SMALL_NETS:
         for kind in cv.IDEAL_KINDS:
             idl = cv.ideal(kind)
             for x in (A, TOP, 0, 1, 2, 3, 4):
@@ -273,6 +273,34 @@ def test_side_predicates_on_small_track_nets():
                 liminf += lim
                 eventual += ev
     assert (triples, family, liminf, eventual) == (1568, 776, 770, 200)
+
+
+def _binding_cuts(topo, x, stab):
+    """The opens one binding open stands for: where the neighbourhoods of
+    ``x`` are tails (``inf`` in Scott and Lawson, ``a`` in Scott), the cut
+    at every ``t <= stab``; elsewhere the one open."""
+    if x == TOP and topo != "lower" or x == A and topo == "scott":
+        return [sn.sideset(tail=t, has_a=x == A, has_top=True) for t in range(stab + 1)]
+    return [sn.binding_open(topo, x, stab)]
+
+
+def test_side_binding_open_decides_like_every_cut():
+    """Topological convergence tests one binding open, the cut at the
+    net's stabilization bound.  Trapping is monotone in the region, so
+    that verdict equals the one over every cut up to the bound, on the
+    nets, ideals and points of ``test_side_predicates_on_small_track_nets``
+    in all three topologies."""
+    for net in SMALL_NETS:
+        stab = cv.stabilization_bound(net)
+        for kind in cv.IDEAL_KINDS:
+            idl = cv.ideal(kind)
+            for x in (A, TOP, 0, 1, 2, 3, 4):
+                for topo in ("scott", "lawson", "lower"):
+                    every_cut = all(
+                        sn._eventually_inside(net, cut, idl) for cut in _binding_cuts(topo, x, stab)
+                    )
+                    got = sn.converges_topological(net, x, idl, topo).holds
+                    assert got == every_cut, (net, kind, x, topo)
 
 
 def test_constant_net_converges_below_value():

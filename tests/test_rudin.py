@@ -10,7 +10,7 @@ from domaincheck import rudin as rd
 from domaincheck import topology as tp
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import NotDirectedFamily, PreconditionFailed
-from domaincheck.order import build_finite_poset
+from domaincheck.order import build_finite_poset, smyth_meet
 from domaincheck.waybelow import smyth_leq
 
 DIAMOND = build_finite_poset(
@@ -34,11 +34,14 @@ def test_family_directedness():
 def test_directed_family_matches_pairwise_smyth_definition():
     """The greatest-member test equals the literal definition, every pair
     dominated by a member in the Smyth preorder, on every family of one
-    to ``tp.FAMILY_BOUND`` antichains over every poset of size at most 4.
+    to ``tp.FAMILY_BOUND`` antichains over every poset of size at most 4:
+    ``smyth_meet`` returns the AND of the members' upper sets exactly
+    when the definition holds, and None otherwise.
 
     The generator ``tp._directed_antichain_families`` at each bound ``k``
     yields exactly the directed families of at most ``k`` antichains, as
-    a set of member sets, none twice, each with its members' upper sets."""
+    a set of member sets, none twice, each with its members' upper sets,
+    the first of which is the meet."""
     for n in (1, 2, 3, 4):
         for p in generate_all_posets(n):
             antichains = list(p.iter_antichain_masks())
@@ -51,6 +54,11 @@ def test_directed_family_matches_pairwise_smyth_definition():
                         for g in fam
                     )
                     assert rd.is_directed_family(p, fam) == literal, (p.name, fam)
+                    meet = p.universe
+                    for f in fam:
+                        meet &= p.up_of_mask(f)
+                    expected = meet if literal else None
+                    assert smyth_meet([p.up_of_mask(f) for f in fam]) == expected, (p.name, fam)
                     if literal:
                         directed.add(frozenset(fam))
                 generated = list(tp._directed_antichain_families(p, k))
@@ -60,7 +68,9 @@ def test_directed_family_matches_pairwise_smyth_definition():
                 for fam, ups in generated:
                     assert len(fam) <= k
                     assert ups == tuple(p.up_of_mask(f) for f in fam), (p.name, fam)
+                    assert smyth_meet(ups) == ups[0], (p.name, fam)
     assert not rd.is_directed_family(DIAMOND, ())
+    assert smyth_meet(()) is None
 
 
 def test_extract_diamond_golden():
@@ -77,14 +87,25 @@ def test_extract_chain_golden():
     assert CHAIN3.ids_of(rep.directed_set) == ("c0", "c1", "c2")
 
 
+# Both entry points share one precondition path; the corollary gets the
+# whole carrier, an upper set holding every meet, as its target.
+ENTRY_POINTS = (rd.extract_directed, lambda p, fam: rd.rudin_corollary(p, fam, p.universe))
+
+
 def test_extract_rejects_non_directed_family():
-    with pytest.raises(NotDirectedFamily):
-        rd.extract_directed(DIAMOND, [DIAMOND.mask_of(["l"]), DIAMOND.mask_of(["r"])])
+    for entry in ENTRY_POINTS:
+        with pytest.raises(NotDirectedFamily):
+            entry(DIAMOND, [DIAMOND.mask_of(["l"]), DIAMOND.mask_of(["r"])])
+        with pytest.raises(NotDirectedFamily):
+            entry(DIAMOND, [])
 
 
 def test_extract_rejects_empty_member():
-    with pytest.raises(PreconditionFailed):
-        rd.extract_directed(DIAMOND, [0])
+    for entry in ENTRY_POINTS:
+        with pytest.raises(PreconditionFailed):
+            entry(DIAMOND, [0])
+        with pytest.raises(PreconditionFailed):
+            entry(DIAMOND, [DIAMOND.mask_of(["top"]), 0])
 
 
 def test_report_serialization():

@@ -251,7 +251,7 @@ def test_sampled_suites_match_literal_triple_loop(suite):
     triple by calling it (the premise of ``waybelow-forces-family`` by
     exception sets), at size 4 for seeds 0 to 2."""
     for seed in range(3):
-        ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
+        ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
         run = suites._Run(suite, seed)
         LITERAL_SUITES[suite](run, ctx)
         expected = suites.emit_report(run.report(0.0))
@@ -298,7 +298,7 @@ def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypat
         monkeypatch.setattr(cv, pred, flipped)
     suffixes = set()
     for seed in range(2):
-        ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
+        ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
         run = suites._Run(suite, seed)
         LITERAL_SUITES[suite](run, ctx)
         expected = suites.emit_report(run.report(0.0))
@@ -334,7 +334,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
     where every case passes."""
     decider, per_poset = SAMPLED_SUITES[suite]
     for seed in range(3):
-        ctx = suites._Ctx(max_size=4, seed=seed, corpus=corpus.all_corpus(4))
+        ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
         fast, slow = ctx.rng(suite), ctx.rng(suite)
         answers: dict = {}
         for name, p in ctx.corpus.items():

@@ -12,7 +12,7 @@ from domaincheck import suites
 from domaincheck import topology as tp
 from domaincheck.corpus import generate_all_posets, named_posets
 from domaincheck.errors import TooLarge
-from domaincheck.order import build_finite_poset, smyth_directed
+from domaincheck.order import build_finite_poset, smyth_meet
 from domaincheck.sidenat import A, TOP
 
 DIAMOND = build_finite_poset(
@@ -86,11 +86,9 @@ def _family_opens_by_member_scan(p):
     constraints = []
     for k in range(1, tp.FAMILY_BOUND + 1):
         for ups in combinations(p.antichain_ups, k):
-            if not smyth_directed(ups):
+            meet = smyth_meet(ups)
+            if meet is None:
                 continue
-            meet = p.universe
-            for u in ups:
-                meet &= u
             xmask = 0
             for x in range(p.n):
                 if meet & ~p.up[x] == 0:
@@ -200,8 +198,12 @@ def test_side_interior_closure():
 
 
 def test_side_binding_opens_contain_point():
+    """The binding open holds the point, is open, and lies inside the
+    binding open of every smaller stabilization bound."""
     for kind in ("scott", "lawson", "lower"):
         for x in (0, 3, A, TOP):
-            for region in sn.binding_opens(kind, x, 5):
-                assert x in region
-                assert sn.is_open(kind, region)
+            region = sn.binding_open(kind, x, 5)
+            assert x in region
+            assert sn.is_open(kind, region)
+            for t in range(5):
+                assert sn.diff(region, sn.binding_open(kind, x, t)) == sn.EMPTY, (kind, x, t)
