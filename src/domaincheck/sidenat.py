@@ -316,7 +316,19 @@ def _upset(elems: Iterable[SideElement]) -> SideSet:
 
 
 def _subset(x: SideSet, y: SideSet) -> bool:
-    return diff(x, y).is_empty
+    """``x`` is inside ``y``, read from the canonical fields without
+    building ``diff(x, y)``.  True iff each flag of ``x`` is one of
+    ``y``, every natural of ``x.nats`` is in ``y``, and, when ``x`` has a
+    tail, ``y`` has one no later: a canonical ``y`` never holds
+    ``y.tail - 1``, so a later tail would leave ``y.tail - 1 >= x.tail``
+    outside ``y``.  ``test_subset_matches_window_inclusion`` compares it
+    with inclusion on a window; :func:`way_below_oracle` tests membership
+    with ``in`` and never calls it."""
+    if (x.has_a and not y.has_a) or (x.has_top and not y.has_top):
+        return False
+    if x.tail is not None and (y.tail is None or y.tail > x.tail):
+        return False
+    return all(n in y for n in x.nats)
 
 
 @logged("waybelow.set")

@@ -223,7 +223,14 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
 
     The family-convergent probes ``(net, ideal, point)`` are decided once
     per poset; a candidate topology meets the premise iff every probe
-    converges in it."""
+    converges in it.  Both predicates read a net only through its trap
+    mask (:func:`convergence._net_slot`), against ``p.up[x]`` and
+    ``topo.neighborhoods[x]``, so on one poset their verdicts are fixed
+    by the key ``mask * p.n + x``: each key is decided on its first net,
+    and one probe per family-convergent key stands for all of them.
+    ``test_enumerating_suites_match_literal_net_loop`` compares the
+    report with the literal per-net loop, and
+    ``test_enumerated_verdicts_depend_on_mask_and_point`` checks the key."""
     probe_class = cv.NetClass(max_index_size=2, omega_tracks=True, max_track_period=2)
     for name, p in ctx.corpus.items():
         derived = cv.derive_convergence_topology(p, "family")
@@ -233,12 +240,16 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
             "lawson": tp.lawson_topology(p),
             "discrete": tp.discrete_topology(p),
         }
-        probes = []
+        decided: dict = {}
         for net in cv.generate_nets(p, probe_class):
             idl = cv.ideal("eventual", cv.net_index(net))
-            probes += [
-                (net, idl, ix) for ix in range(p.n) if cv.converges_family_liminf(p, net, ix, idl).holds
-            ]
+            base = cv._net_slot(p, net, idl) * p.n
+            for ix in range(p.n):
+                key = base + ix
+                if key not in decided:
+                    conv = cv.converges_family_liminf(p, net, ix, idl).holds
+                    decided[key] = (net, idl, ix) if conv else None
+        probes = [probe for probe in decided.values() if probe]
         for label, topo in pool.items():
             if all(cv.converges_topological(p, net, ix, idl, topo).holds for net, idl, ix in probes):
                 run.check(f"{name}:{label}", topo.opens <= derived.opens)
@@ -333,6 +344,17 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     elements.  Only the eventual ideal is checked: under the trivial
     ideal the two disagree on most such triples.
 
+    Every net is enumerated, and each failing (net, point) pair keeps its
+    own label.  Both predicates read a net only through its trap mask
+    (:func:`convergence._net_slot`), against ``p.antichain_ups`` and
+    ``p.up[x]`` and against ``law.neighborhoods[x]``, so on one poset
+    their verdicts are fixed by the key ``mask * p.n + x``, and each key
+    is decided on its first net.  The eventual mask of a finite-index
+    net is one value, so a poset has at most ``p.n ** 2`` keys.
+    ``test_enumerating_suites_match_literal_net_loop`` compares the
+    report with the literal per-net loop, and
+    ``test_enumerated_verdicts_depend_on_mask_and_point`` checks the key.
+
     Periodic nets over the naturals are excluded from the equivalence:
     on them the literal eventual-liminf definition outruns Lawson
     convergence, and the last cases pin those counterexamples down so
@@ -343,13 +365,20 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
         if p.n > 4:
             continue
         law = tp.lawson_topology(p)
+        verdicts: dict = {}
         for idx in cp.directed_index_posets(3):
             idl = I_by_index.setdefault(idx.name, cv.ideal("eventual", idx))
             for values in product(p.elements, repeat=idx.n):
                 net = cv.FiniteNet(idx, values)
+                base = cv._net_slot(p, net, idl) * p.n
                 for ix in range(p.n):
-                    a = cv.is_eventual_liminf(p, net, ix, idl).holds
-                    b = cv.converges_topological(p, net, ix, idl, law).holds
+                    key = base + ix
+                    if key not in verdicts:
+                        verdicts[key] = (
+                            cv.is_eventual_liminf(p, net, ix, idl).holds,
+                            cv.converges_topological(p, net, ix, idl, law).holds,
+                        )
+                    a, b = verdicts[key]
                     if a != b:
                         run.check(
                             f"{name}:{idx.name}:{values}:{p.elements[ix]}",

@@ -154,6 +154,23 @@ def _window(s, k=24):
     return out
 
 
+def test_subset_matches_window_inclusion():
+    """``_subset`` reads inclusion from the canonical fields; on every
+    canonical set with naturals below 5, a tail ``None`` or 0 to 6 and
+    either flag, it is inclusion on a window past every natural."""
+    sets = {
+        sn.sideset(nats=[n for n in range(5) if bits >> n & 1], tail=tail, has_a=a, has_top=top)
+        for bits in range(1 << 5)
+        for tail in (None, *range(7))
+        for a in (False, True)
+        for top in (False, True)
+    }
+    windows = {s: _window(s) for s in sets}
+    for s, ws in windows.items():
+        for t, wt in windows.items():
+            assert sn._subset(s, t) == (ws <= wt), (s, t)
+
+
 @given(sidesets(), sidesets())
 def test_algebra_pointwise(s, t):
     assert _window(sn.union(s, t)) == _window(s) | _window(t)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -371,6 +372,188 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
         suites.run_suite(suite, max_size=4, seed=seed)
         monkeypatch.undo()
         assert calls == needed, seed
+
+
+# The net class ``finest-topology`` probes with.
+FINEST_PROBES = cv.NetClass(max_index_size=2, omega_tracks=True, max_track_period=2)
+
+
+def _literal_finest_topology(run, ctx):
+    for name, p in ctx.corpus.items():
+        derived = cv.derive_convergence_topology(p, "family")
+        pool = {
+            "indiscrete": tp.indiscrete_topology(p),
+            "scott": tp.scott_topology(p),
+            "lawson": tp.lawson_topology(p),
+            "discrete": tp.discrete_topology(p),
+        }
+        probes = []
+        for net in cv.generate_nets(p, FINEST_PROBES):
+            idl = cv.ideal("eventual", cv.net_index(net))
+            probes += [
+                (net, idl, ix) for ix in range(p.n) if cv.converges_family_liminf(p, net, ix, idl).holds
+            ]
+        for label, topo in pool.items():
+            if all(cv.converges_topological(p, net, ix, idl, topo).holds for net, idl, ix in probes):
+                run.check(f"{name}:{label}", topo.opens <= derived.opens)
+            else:
+                run.check(f"{name}:{label}:vacuous", True)
+
+
+def _literal_eventual_liminf_lawson(run, ctx):
+    for name, p in ctx.corpus.items():
+        if p.n > 4:
+            continue
+        law = tp.lawson_topology(p)
+        for idx in corpus.directed_index_posets(3):
+            idl = cv.ideal("eventual", idx)
+            for values in product(p.elements, repeat=idx.n):
+                net = cv.FiniteNet(idx, values)
+                for ix in range(p.n):
+                    a = cv.is_eventual_liminf(p, net, ix, idl).holds
+                    b = cv.converges_topological(p, net, ix, idl, law).holds
+                    if a != b:
+                        run.check(
+                            f"{name}:{idx.name}:{values}:{p.elements[ix]}",
+                            False,
+                            {"eventual": a, "lawson": b},
+                        )
+        run.check(f"{name}:exhaustive", True)
+    d = ctx.corpus["diamond"]
+    I = cv.ideal("eventual")
+    alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
+    gap_finite = (
+        cv.is_eventual_liminf(d, alt, "l", I).holds
+        and not cv.converges_topological(d, alt, "l", I, tp.lawson_topology(d)).holds
+    )
+    run.check("pinned:periodic-net-gap:diamond", gap_finite)
+    net = cv.track_net(cv.ascend_track(), cv.const_track(A))
+    gap_side = (
+        sn.is_eventual_liminf(net, A, I).holds
+        and not sn.converges_topological(net, A, I, "lawson").holds
+    )
+    run.check("pinned:periodic-net-gap:side", gap_side)
+
+
+LITERAL_NET_LOOPS = {
+    "eventual-liminf-lawson": _literal_eventual_liminf_lawson,
+    "finest-topology": _literal_finest_topology,
+}
+
+
+def _literal_report(suite, seed):
+    ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
+    run = suites._Run(suite, seed)
+    LITERAL_NET_LOOPS[suite](run, ctx)
+    return suites.emit_report(run.report(0.0))
+
+
+@pytest.mark.parametrize("suite", sorted(LITERAL_NET_LOOPS))
+def test_enumerating_suites_match_literal_net_loop(suite):
+    """Each enumerating suite, which decides one net per (trap mask,
+    point) key and poset, reports the bytes of a literal loop that calls
+    every predicate on every enumerated net, at size 4 for seeds 0 to 2."""
+    for seed in range(3):
+        report = suites.run_suite(suite, max_size=4, seed=seed)
+        assert suites.emit_report(report) == _literal_report(suite, seed), seed
+
+
+# Verdicts the failure-path test turns wrong: predicate -> a test on
+# (poset, point) that picks where it answers the opposite.  Negating the
+# family verdict at index 0 makes every probe that family-converges on
+# ``p2_1``, ``p3_2``, ``p4_3`` and ``chain_2`` (index 0 the bottom, every
+# other point maximal) converge in the discrete topology, so
+# ``finest-topology`` fails there; it also feeds ``is_eventual_liminf``.
+NET_FLIPS = {
+    "converges_family_liminf": lambda p, x: x == 0,
+    "is_eventual_liminf": lambda p, x: p.name == "diamond" and x in (1, "l"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LITERAL_NET_LOOPS))
+def test_enumerating_suites_report_failures_like_literal_loop(suite, monkeypatch):
+    """With the predicates of ``NET_FLIPS`` answering wrongly at chosen
+    points, each enumerating suite fails, and its report at size 4
+    (seeds 0 and 1) is byte for byte that of the literal per-net loop:
+    each failure keeps its label, order and witness.  The flips depend
+    only on the poset and the point, which a key fixes."""
+    for pred, flips in NET_FLIPS.items():
+
+        def flipped(p, net, x, idl, *rest, original=getattr(cv, pred), flips=flips):
+            verdict = original(p, net, x, idl, *rest)
+            if flips(p, x):
+                return verdict._replace(holds=not verdict.holds)
+            return verdict
+
+        monkeypatch.setattr(cv, pred, flipped)
+    for seed in range(2):
+        report = suites.run_suite(suite, max_size=4, seed=seed)
+        assert not report.ok, seed
+        assert suites.emit_report(report) == _literal_report(suite, seed), seed
+
+
+def _enumerated_nets(suite, p):
+    """The (net, ideal) pairs ``suite`` enumerates on ``p``."""
+    if suite == "finest-topology":
+        for net in cv.generate_nets(p, FINEST_PROBES):
+            yield net, cv.ideal("eventual", cv.net_index(net))
+    elif p.n <= 4:
+        for idx in corpus.directed_index_posets(3):
+            idl = cv.ideal("eventual", idx)
+            for values in product(p.elements, repeat=idx.n):
+                yield cv.FiniteNet(idx, values), idl
+
+
+# The predicate each enumerating suite decides a (mask, point) key with.
+NET_DECIDERS = {
+    "eventual-liminf-lawson": "is_eventual_liminf",
+    "finest-topology": "converges_family_liminf",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(NET_DECIDERS))
+def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
+    """Over every net the suite enumerates at size 4, the predicates it
+    reads (eventual lim-inf, family lim-inf, and topological convergence
+    in the Lawson topology and in ``finest-topology``'s pool) give equal
+    answers to nets of one poset with equal trap mask, at each point.
+    And the suite decides each (mask, point) key by exactly one call at
+    that key, which a report where every case passes cannot show."""
+    needed: Counter = Counter()
+    for p in corpus.all_corpus(4).values():
+        topos = [
+            tp.indiscrete_topology(p),
+            tp.scott_topology(p),
+            tp.lawson_topology(p),
+            tp.discrete_topology(p),
+        ]
+        answers: dict = {}
+        for net, idl in _enumerated_nets(suite, p):
+            mask = cv._net_slot(p, net, idl)
+            for x in range(p.n):
+                answer = (
+                    cv.is_eventual_liminf(p, net, x, idl).holds,
+                    cv.converges_family_liminf(p, net, x, idl).holds,
+                    *(cv.converges_topological(p, net, x, idl, topo).holds for topo in topos),
+                )
+                assert answers.setdefault((mask, x), answer) == answer, (p.name, mask, x)
+                needed[p.name, mask, x] = 1
+    if suite == "eventual-liminf-lawson":
+        # the pinned periodic-net case on the diamond
+        d = corpus.all_corpus(4)["diamond"]
+        alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
+        needed[d.name, cv._net_slot(d, alt, cv.ideal("eventual")), d.index("l")] += 1
+    calls: Counter = Counter()
+    original = getattr(cv, NET_DECIDERS[suite])
+
+    def recording(p, net, x, idl):
+        calls[p.name, cv._net_slot(p, net, idl), p.index(x) if isinstance(x, str) else x] += 1
+        return original(p, net, x, idl)
+
+    monkeypatch.setattr(cv, NET_DECIDERS[suite], recording)
+    assert suites.run_suite(suite, max_size=4, seed=0).ok
+    monkeypatch.undo()
+    assert calls == needed
 
 
 def _stdout_sha256(*argv: str) -> str:
