@@ -26,7 +26,7 @@ from . import topology as tp
 from . import waybelow as wb
 from . import sidenat as sn
 from .errors import DomainCheckError, UnknownElement
-from .order import FinitePoset, poset_from_json
+from .order import FinitePoset, json_field, poset_from_json
 from .sidenat import SIDE_NAT, A, TOP, SideNat
 
 Backend = FinitePoset | SideNat
@@ -110,17 +110,12 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
         out = {
             "poset": "side_nat",
             "note": f"naturals shown up to {points[-3]}",
-            "points": [
-                [sn.format_side_element(x), sn.format_side_element(y)]
-                for x in points
-                for y in points
-                if sn.point_way_below(x, y)
-            ],
+            "points": [[str(x), str(y)] for x in points for y in points if sn.point_way_below(x, y)],
         }
         if args.sets:
             chains = list(sn.iter_antichains_upto(4))
             out["sets"] = [
-                [[sn.format_side_element(e) for e in g], [sn.format_side_element(e) for e in h]]
+                [[str(e) for e in g], [str(e) for e in h]]
                 for g in chains
                 for h in chains
                 if sn.set_way_below(g, h)
@@ -161,7 +156,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     ideal_spec = json.loads(Path(args.ideal).read_text())
     if not isinstance(ideal_spec, dict):
         raise DomainCheckError("the ideal JSON must be an object with a 'kind' field")
-    idl = cv.ideal(ideal_spec["kind"], cv.net_index(net))
+    idl = cv.ideal(json_field(ideal_spec, "kind", "the ideal JSON document"), cv.net_index(net))
     x = _parse_point(p, args.point)
     # The predicates of both backends share names; the side-point ones take no poset.
     lib, backend = (sn, ()) if isinstance(p, SideNat) else (cv, (p,))

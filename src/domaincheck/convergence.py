@@ -42,7 +42,7 @@ from .errors import (
     UnknownElement,
 )
 from .oplog import logged
-from .order import FinitePoset, bits
+from .order import FinitePoset, bits, json_field, poset_from_json
 from .topology import Topology
 
 IDEAL_KINDS = ("eventual", "finite", "density0", "trivial")
@@ -691,26 +691,24 @@ def net_from_json(text: str) -> Net:
     if not isinstance(data, dict):
         raise PreconditionFailed("a net JSON document must be an object")
     if data.get("index") == "omega":
-        docs = data["tracks"]
+        docs = json_field(data, "tracks", "the net JSON document")
         if not isinstance(docs, list) or not all(isinstance(t, dict) for t in docs):
             raise PreconditionFailed("'tracks' must be a list of objects")
         if "period" in data and data["period"] != len(docs):
             raise IndexMismatch(f"declared period {data['period']} but {len(docs)} tracks")
         tracks = []
         for t in docs:
-            if "kind" not in t:
-                raise PreconditionFailed(f"track {t!r} has no 'kind'")
-            if t["kind"] == CONST:
-                tracks.append(const_track(_net_value(t["value"])))
-            elif t["kind"] == ASCEND:
+            what = f"track {t!r} of the net JSON document"
+            kind = json_field(t, "kind", what)
+            if kind == CONST:
+                tracks.append(const_track(_net_value(json_field(t, "value", what))))
+            elif kind == ASCEND:
                 tracks.append(ascend_track())
             else:
-                raise UnknownElement(f"unknown track kind {t['kind']!r}")
+                raise UnknownElement(f"unknown track kind {kind!r}")
         return track_net(*tracks)
-    from .order import poset_from_json
-
-    index = poset_from_json(json.dumps(data["index"]))
-    mapping = data["map"]
+    index = poset_from_json(json.dumps(json_field(data, "index", "the net JSON document")))
+    mapping = json_field(data, "map", "the net JSON document")
     if not isinstance(mapping, dict):
         raise PreconditionFailed("'map' must be an object from index points to values")
     missing = [e for e in index.elements if e not in mapping]

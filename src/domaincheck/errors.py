@@ -39,10 +39,6 @@ class PreconditionFailed(DomainCheckError):
     """A documented precondition of an operation does not hold."""
 
 
-class NoWitness(DomainCheckError):
-    """A search that is guaranteed to produce a witness found none."""
-
-
 class NetClassTooSmall(DomainCheckError):
     """The configured net class cannot express a required check."""
 

@@ -103,7 +103,7 @@ class FinitePoset:
     def ids_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in bits(mask))
 
-    # -- closures and extrema ------------------------------------------
+    # -- upper sets ----------------------------------------------------
 
     def up_of_mask(self, mask: int) -> int:
         out = 0
@@ -111,22 +111,8 @@ class FinitePoset:
             out |= self.up[i]
         return out
 
-    def down_of_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= self.down[i]
-        return out
-
     def is_upper_mask(self, mask: int) -> bool:
         return self.up_of_mask(mask) == mask
-
-    def min_mask(self, mask: int) -> int:
-        """Minimal elements of ``mask``: those above no other member."""
-        out = 0
-        for i in bits(mask):
-            if self.down[i] & mask == 1 << i:
-                out |= 1 << i
-        return out
 
     # -- directedness --------------------------------------------------
 
@@ -272,11 +258,19 @@ def poset_to_json(p: FinitePoset) -> str:
     return json.dumps({"name": p.name, "elements": list(p.elements), "le": le}, indent=2)
 
 
+def json_field(doc: dict, key: str, what: str):
+    """``doc[key]``, or :class:`PreconditionFailed` naming ``key`` and ``what``."""
+    if key not in doc:
+        raise PreconditionFailed(f"{what} has no {key!r} field")
+    return doc[key]
+
+
 def poset_from_json(text: str) -> FinitePoset:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise PreconditionFailed("a poset JSON document must be an object")
-    name, elements, le = data["name"], data["elements"], data["le"]
+    what = "the poset JSON document"
+    name, elements, le = (json_field(data, key, what) for key in ("name", "elements", "le"))
     if not isinstance(name, str):
         raise PreconditionFailed("'name' must be a string")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDirectedFamily, NoWitness, PreconditionFailed
+from .errors import NotDirectedFamily, PreconditionFailed
 from .oplog import logged
 from .order import FinitePoset, bits, smyth_meet
 from .waybelow import smyth_leq  # noqa: F401  (perfbench/tracer.py wraps rudin.smyth_leq)
@@ -92,16 +92,13 @@ def rudin_corollary(p: FinitePoset, fam: tuple[int, ...], open_mask: int) -> int
     Preconditions: the family is Smyth-directed with nonempty members
     (:func:`_directed_members`), the target is an upper set, and the
     intersection of the members' upper sets lies inside the target.  Some
-    member's whole upper set is then inside the target; the proof is the
-    extraction above applied to a family this size, and on finite posets
-    the tightest member already realizes the intersection.
+    member's whole upper set is then inside the target: the intersection
+    is the meet, which :func:`_directed_members` returns only when it is
+    some member's upper set, so the search below always finds a member.
     """
     fam, ups, meet = _directed_members(p, fam)
     if not p.is_upper_mask(open_mask):
         raise PreconditionFailed("the target must be an upper set")
     if meet & ~open_mask:
         raise PreconditionFailed("the upper sets must intersect inside the target")
-    for f, u in zip(fam, ups):
-        if u & ~open_mask == 0:
-            return f
-    raise NoWitness("no family member lands inside the target")
+    return next(f for f, u in zip(fam, ups) if u & ~open_mask == 0)

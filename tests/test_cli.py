@@ -494,3 +494,47 @@ def test_missing_file_is_usage_error(capsys):
 def test_unknown_poset_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "classify", "--poset", "wat")
     assert code == 2 and "wat" in err
+
+
+GOOD_NET = {"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}
+
+
+@pytest.mark.parametrize(
+    "doc, field, document",
+    [
+        ({"net": {"index": "omega"}}, "tracks", "net"),
+        ({"net": {"index": "omega", "tracks": [{"kind": "const"}]}}, "value", "net"),
+        ({"net": {"map": {"c0": "top"}}}, "index", "net"),
+        ({"net": {"index": CHAIN2_DOC}}, "map", "net"),
+        ({"ideal": {"name": "eventual"}}, "kind", "ideal"),
+        ({"poset": {"name": "p", "elements": ["x"]}}, "le", "poset"),
+    ],
+    ids=["net-tracks", "net-value", "net-index", "net-map", "ideal-kind", "poset-le"],
+)
+def test_missing_field_names_field_and_document(tmp_path, capsys, doc, field, document):
+    """A JSON input that lacks a field exits 2 with a message naming the
+    field and the document it is missing from."""
+    if "poset" in doc:
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc["poset"]))
+        code, out, err = run_cli(capsys, "classify", "--poset", str(path))
+    else:
+        net, ideal = tmp_path / "net.json", tmp_path / "ideal.json"
+        net.write_text(json.dumps(doc.get("net", GOOD_NET)))
+        ideal.write_text(json.dumps(doc.get("ideal", {"kind": "eventual"})))
+        code, out, err = run_cli(
+            capsys,
+            "converge",
+            "--mode",
+            "family",
+            "--poset",
+            "diamond",
+            "--net",
+            str(net),
+            "--ideal",
+            str(ideal),
+            "--point",
+            "top",
+        )
+    assert code == 2 and not out
+    assert err.startswith("error:") and f"{field!r}" in err and document in err, err

@@ -27,7 +27,6 @@ def test_element_parse_format():
     assert sn.parse_side_element("17") == 17
     assert sn.parse_side_element("a") == A
     assert sn.parse_side_element("inf") == TOP
-    assert sn.format_side_element(17) == "17"
     with pytest.raises(UnknownElement):
         sn.parse_side_element("-3")
     with pytest.raises(UnknownElement):
@@ -176,12 +175,6 @@ def test_algebra_pointwise(s, t):
     assert _window(sn.union(s, t)) == _window(s) | _window(t)
     assert _window(sn.inter(s, t)) == _window(s) & _window(t)
     assert _window(sn.diff(s, t)) == _window(s) - _window(t)
-    assert _window(sn.complement(s)) == _window(sn.FULL) - _window(s)
-
-
-@given(sidesets())
-def test_complement_involutive(s):
-    assert sn.complement(sn.complement(s)) == s
 
 
 @given(sidesets())

@@ -83,6 +83,35 @@ def test_interpolation_suite_green_small():
     assert rep.ok and rep.cases > 100
 
 
+def test_interpolation_reports_a_wrong_side_witness(monkeypatch):
+    """A witness that fails ``e << x`` is a failing case of the suite, not
+    an error raised out of ``sn.interpolate``."""
+    real = sn.set_way_below
+
+    def broken(g, h):
+        return (tuple(g), tuple(h)) != ((1, A), (A,)) and real(g, h)
+
+    monkeypatch.setattr(sn, "set_way_below", broken)
+    rep = suites.run_suite("interpolation", max_size=1, seed=0)
+    assert "side:(0, 'a')<<a" in {f["case"] for f in rep.failures}
+
+
+def test_rudin_reports_a_family_that_is_not_directed(monkeypatch):
+    """A yielded family that is not Smyth-directed fails its extract case,
+    before ``extract_directed`` can raise on it."""
+    real = tp._directed_antichain_families
+
+    def with_undirected(p, bound):
+        yield from real(p, bound)
+        if p.name == "diamond":
+            l, r = p.index("l"), p.index("r")
+            yield (1 << l, 1 << r), (p.up[l], p.up[r])
+
+    monkeypatch.setattr(tp, "_directed_antichain_families", with_undirected)
+    rep = suites.run_suite("rudin", max_size=1, seed=0)
+    assert [f["case"] for f in rep.failures] == ["diamond:extract:(2, 4)"]
+
+
 def test_finite_collapse_suite_green_small():
     rep = suites.run_suite("finite-collapse", max_size=3, seed=0)
     assert rep.ok
