@@ -110,7 +110,7 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
         out = {
             "poset": "side_nat",
             "note": f"naturals shown up to {points[-3]}",
-            "points": [[str(x), str(y)] for x in points for y in points if sn.point_way_below(x, y)],
+            "points": [[str(x), str(y)] for x in points for y in points if sn.set_way_below((x,), (y,))],
         }
         if args.sets:
             chains = list(sn.iter_antichains_upto(4))

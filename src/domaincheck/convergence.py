@@ -42,7 +42,7 @@ from .errors import (
     UnknownElement,
 )
 from .oplog import logged
-from .order import FinitePoset, bits, json_field, poset_from_json
+from .order import FinitePoset, bits, json_field, poset_from_doc
 from .topology import Topology
 
 IDEAL_KINDS = ("eventual", "finite", "density0", "trivial")
@@ -513,23 +513,20 @@ def is_eventual_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     closure of every member of the eventually-below family.
 
     Both conditions are taken literally.  The first is family lim-inf
-    convergence to ``x``; the second quantifies over the whole
-    eventually-below family member by member, in antichain order, with
-    cached upper sets.  Oracle: the ``eventual-liminf-lawson`` suite
-    compares the verdicts with Lawson convergence.
+    convergence to ``x``; the second reads :func:`eventual_family` member
+    by member, in antichain order, with ``x in up(f)`` tested as
+    ``f & down[x] != 0``.  Oracles: the ``eventual-liminf-lawson`` suite
+    (Lawson convergence) and ``test_eventual_witness_matches_antichain_loop``.
     """
     first = converges_family_liminf(p, net, x, idl)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
     ix = p.index(x) if isinstance(x, str) else x
-    trap = _net_slot(p, net, idl)
-    size = 0
-    for f, u in zip(p.antichain_masks, p.antichain_ups):
-        if trap & ~u == 0:
-            if not u >> ix & 1:
-                return Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
-            size += 1
-    return Verdict(True, {"family_size": size})
+    family = eventual_family(p, net, idl)
+    for f in family:
+        if not f & p.down[ix]:
+            return Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
+    return Verdict(True, {"family_size": len(family)})
 
 
 # -- net classes and induced topologies --------------------------------------
@@ -707,8 +704,9 @@ def net_from_json(text: str) -> Net:
             else:
                 raise UnknownElement(f"unknown track kind {kind!r}")
         return track_net(*tracks)
-    index = poset_from_json(json.dumps(json_field(data, "index", "the net JSON document")))
-    mapping = json_field(data, "map", "the net JSON document")
+    what = "the net JSON document"
+    index = poset_from_doc(json_field(data, "index", what), f"the 'index' of {what}")
+    mapping = json_field(data, "map", what)
     if not isinstance(mapping, dict):
         raise PreconditionFailed("'map' must be an object from index points to values")
     missing = [e for e in index.elements if e not in mapping]

@@ -266,10 +266,13 @@ def json_field(doc: dict, key: str, what: str):
 
 
 def poset_from_json(text: str) -> FinitePoset:
-    data = json.loads(text)
+    return poset_from_doc(json.loads(text), "the poset JSON document")
+
+
+def poset_from_doc(data, what: str) -> FinitePoset:
+    """The poset a parsed JSON object describes; errors name the object ``what``."""
     if not isinstance(data, dict):
-        raise PreconditionFailed("a poset JSON document must be an object")
-    what = "the poset JSON document"
+        raise PreconditionFailed(f"{what} must be an object")
     name, elements, le = (json_field(data, key, what) for key in ("name", "elements", "le"))
     if not isinstance(name, str):
         raise PreconditionFailed("'name' must be a string")

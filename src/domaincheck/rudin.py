@@ -7,7 +7,7 @@ elementary: the family owns a member whose upper set is the meet of all
 (:func:`~domaincheck.order.smyth_meet` returns that meet), and a
 least-indexed pick below one of its points, one pick per member, already
 forms a directed set with that point on top.  The ``rudin`` suite checks
-every extracted transversal.
+every extracted transversal; the open-set corollary reads its report.
 """
 
 from __future__ import annotations
@@ -26,28 +26,10 @@ def is_directed_family(p: FinitePoset, fam: tuple[int, ...]) -> bool:
     return smyth_meet([p.up_of_mask(f) for f in fam]) is not None
 
 
-def _directed_members(p: FinitePoset, fam: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], int]:
-    """The family's distinct members, their upper sets and the meet of
-    those, once the family is checked to be Smyth-directed with nonempty
-    members.
-
-    Raises :class:`PreconditionFailed` when a member is empty, since
-    nothing can meet the empty member, and :class:`NotDirectedFamily`
-    when the family is not Smyth-directed.
-    """
-    fam = tuple(dict.fromkeys(fam))
-    if any(f == 0 for f in fam):
-        raise PreconditionFailed("family members must be nonempty")
-    ups = [p.up_of_mask(f) for f in fam]
-    meet = smyth_meet(ups)
-    if meet is None:
-        raise NotDirectedFamily("the family is not directed under the Smyth preorder")
-    return fam, ups, meet
-
-
 @dataclass(frozen=True)
 class RudinReport:
     family: tuple[int, ...]
+    ups: tuple[int, ...]  # each member's upper set, in ``family`` order
     tightest: int
     peak: int
     picks: tuple[int, ...]
@@ -65,7 +47,8 @@ class RudinReport:
 
 @logged("rudin.extract")
 def extract_directed(p: FinitePoset, fam: tuple[int, ...]) -> RudinReport:
-    """Build the directed transversal of a Smyth-directed family.
+    """Build the directed transversal of a Smyth-directed family; the
+    report keeps the distinct members' upper sets.
 
     The tightest member is the smallest one whose upper set is the meet.
     Every member has a point below the peak, since the tightest member's
@@ -73,32 +56,37 @@ def extract_directed(p: FinitePoset, fam: tuple[int, ...]) -> RudinReport:
     meets every member and stays inside their union, which the ``rudin``
     suite checks on every result.
 
-    Raises as :func:`_directed_members` does.
+    Raises :class:`PreconditionFailed` for an empty member, which nothing
+    meets, and :class:`NotDirectedFamily` for an undirected family.
     """
-    fam, ups, meet = _directed_members(p, fam)
+    fam = tuple(dict.fromkeys(fam))
+    if any(f == 0 for f in fam):
+        raise PreconditionFailed("family members must be nonempty")
+    ups = tuple(p.up_of_mask(f) for f in fam)
+    meet = smyth_meet(ups)
+    if meet is None:
+        raise NotDirectedFamily("the family is not directed under the Smyth preorder")
     tight = min(f for f, u in zip(fam, ups) if u == meet)
     peak = next(bits(tight))
     picks = tuple(next(i for i in bits(f) if p.leq_ix(i, peak)) for f in fam)
     d = 1 << peak
     for pick in picks:
         d |= 1 << pick
-    return RudinReport(fam, tight, peak, picks, d)
+    return RudinReport(fam, ups, tight, peak, picks, d)
 
 
 @logged("rudin.corollary")
-def rudin_corollary(p: FinitePoset, fam: tuple[int, ...], open_mask: int) -> int:
-    """A member whose upper set enters an upper-closed target.
+def rudin_corollary(p: FinitePoset, rep: RudinReport, open_mask: int) -> int:
+    """The first member of ``rep.family`` whose upper set in ``rep.ups``
+    lies inside an upper-closed target.
 
-    Preconditions: the family is Smyth-directed with nonempty members
-    (:func:`_directed_members`), the target is an upper set, and the
-    intersection of the members' upper sets lies inside the target.  Some
-    member's whole upper set is then inside the target: the intersection
-    is the meet, which :func:`_directed_members` returns only when it is
-    some member's upper set, so the search below always finds a member.
+    A report exists only for a Smyth-directed family of nonempty members,
+    so the checks left are the target's: it is an upper set and holds the
+    meet of the members' upper sets, ``up(rep.tightest)``.  The meet is a
+    member's upper set, so the search below always finds a member.
     """
-    fam, ups, meet = _directed_members(p, fam)
     if not p.is_upper_mask(open_mask):
         raise PreconditionFailed("the target must be an upper set")
-    if meet & ~open_mask:
+    if rep.ups[rep.family.index(rep.tightest)] & ~open_mask:
         raise PreconditionFailed("the upper sets must intersect inside the target")
-    return next(f for f, u in zip(fam, ups) if u & ~open_mask == 0)
+    return next(f for f, u in zip(rep.family, rep.ups) if u & ~open_mask == 0)

@@ -342,11 +342,6 @@ def set_way_below(g: Iterable[SideElement], h: Iterable[SideElement]) -> bool:
     return any(isinstance(e, int) for e in ge) and _subset(_upset(he), _upset(ge))
 
 
-@logged("waybelow.point")
-def point_way_below(x: SideElement, y: SideElement) -> bool:
-    return set_way_below((x,), (y,))
-
-
 def way_below_oracle(g: Iterable[SideElement], h: Iterable[SideElement]) -> bool:
     """Decide way-below by enumerating shapes.
 
@@ -760,8 +755,7 @@ def converges_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
     eventually-below family.  Oracle:
     ``test_side_predicates_on_small_track_nets``.
     """
-    cv._check_compat(net, idl)
-    fam = cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+    fam = eventual_family(net, idl)
     if fam.contains((x,)):
         return Verdict(True, {"directed_set": [str(x)], "shape": "principal"})
     if fam.singletons_from == 0:
@@ -779,8 +773,7 @@ def converges_family_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
     read from the net's eventually-below family.  Oracle:
     ``test_side_predicates_on_small_track_nets``.
     """
-    cv._check_compat(net, idl)
-    fam = cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+    fam = eventual_family(net, idl)
     if fam.contains((x,)):
         return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
     if fam.singletons_from == 0:
@@ -816,13 +809,13 @@ def eventual_family(net: Net, idl: Ideal) -> SideFamily:
 @logged("convergence.eventual_liminf")
 def is_eventual_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
     """Eventual lim-inf: family lim-inf convergence to ``x``, with ``x`` in
-    the meet of the eventually-below family's upper sets.  Oracle:
+    the meet of the upper sets of :func:`eventual_family`.  Oracle:
     ``test_side_predicates_on_small_track_nets`` checks that the verdicts
     imply family convergence and pins their count."""
     first = converges_family_liminf(net, x, idl)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
-    fam = cv._net_slot(SIDE_NAT, net, idl, _build_eventual_family)
+    fam = eventual_family(net, idl)
     if x not in fam.upset_intersection():
         return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
     return Verdict(True, {"family": fam.to_dict()})

@@ -171,13 +171,13 @@ def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
     its upper set: the constant net at the point, under the eventual ideal."""
     I = cv.ideal("eventual")
     for name, p in ctx.corpus.items():
-        for g in p.iter_antichain_masks():
+        for g, up_g in zip(p.antichain_masks, p.antichain_ups):
             for ix in range(p.n):
                 if wb.set_way_below(p, g, 1 << ix):
                     continue
                 net = cv.track_net(cv.const_track(p.elements[ix]))
                 conv = cv.converges_family_liminf(p, net, ix, I).holds
-                escaped = not cv.ideal_member(I, cv.exception_set(p, net, p.up_of_mask(g)))
+                escaped = not cv.ideal_member(I, cv.exception_set(p, net, up_g))
                 run.check(f"{name}:{sorted(p.ids_of(g))}:{p.elements[ix]}", conv and escaped)
 
 
@@ -196,10 +196,10 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         waydown_meets = [p.universe] * p.n
-        for g in p.iter_antichain_masks():
+        for g, up_g in zip(p.antichain_masks, p.antichain_ups):
             for ix in range(p.n):
                 if wb.set_way_below(p, g, 1 << ix):
-                    waydown_meets[ix] &= p.up_of_mask(g)
+                    waydown_meets[ix] &= up_g
 
         def outcome(draw, mask, x):
             if mask & ~waydown_meets[x]:
@@ -430,11 +430,12 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
     """Every family of at most three antichains that
     ``_directed_antichain_families`` yields is Smyth-directed (else its
     extract case fails and nothing more runs on it) and yields a directed
-    transversal, and the upper-set corollary finds its member for the
-    meet of the members' upper sets (the greatest member's, yielded
-    first): the smallest qualifying target, so a member inside it is
-    inside every larger one (``test_corollary_exhaustive_scott_opens``
-    tries every Scott open)."""
+    transversal, and the upper-set corollary, reading the extracted
+    report, finds its member for the meet of the members' upper sets (the
+    greatest member's, yielded first): the smallest qualifying target, so
+    a member inside it is inside every larger one
+    (``test_corollary_exhaustive_scott_opens`` tries every Scott open).
+    The suite rebuilds the member's upper set instead of reading it."""
     for name, p in ctx.corpus.items():
         corollary_cases = 0
         for fam, ups in tp._directed_antichain_families(p, 3):
@@ -449,7 +450,7 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
             )
             run.check(f"{name}:extract:{fam}", ok, rep.to_dict(p) if not ok else None)
             meet = ups[0]  # the greatest member's upper set is the meet
-            member = rd.rudin_corollary(p, fam, meet)
+            member = rd.rudin_corollary(p, rep, meet)
             corollary_cases += 1
             if p.up_of_mask(member) & ~meet:
                 run.check(f"{name}:corollary:{fam}:{meet}", False, {"member": list(p.ids_of(member))})

@@ -506,10 +506,21 @@ GOOD_NET = {"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}
         ({"net": {"index": "omega", "tracks": [{"kind": "const"}]}}, "value", "net"),
         ({"net": {"map": {"c0": "top"}}}, "index", "net"),
         ({"net": {"index": CHAIN2_DOC}}, "map", "net"),
+        ({"net": {"index": {"name": "c", "elements": ["c0"]}, "map": {"c0": "top"}}}, "le", "net"),
+        ({"net": {"index": 5, "map": {}}}, "index", "net"),
         ({"ideal": {"name": "eventual"}}, "kind", "ideal"),
         ({"poset": {"name": "p", "elements": ["x"]}}, "le", "poset"),
     ],
-    ids=["net-tracks", "net-value", "net-index", "net-map", "ideal-kind", "poset-le"],
+    ids=[
+        "net-tracks",
+        "net-value",
+        "net-index",
+        "net-map",
+        "net-index-le",
+        "net-index-not-object",
+        "ideal-kind",
+        "poset-le",
+    ],
 )
 def test_missing_field_names_field_and_document(tmp_path, capsys, doc, field, document):
     """A JSON input that lacks a field exits 2 with a message naming the

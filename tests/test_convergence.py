@@ -7,6 +7,7 @@ for the finite reductions) and then frozen.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -593,6 +594,44 @@ def test_topological_matches_open_scan():
                             )
                             compared += 1
     assert compared == 17928
+
+
+def _eventual_by_antichain_loop(p, net, ix, idl):
+    """Eventual lim-inf with its second condition as a loop over every
+    antichain and its upper set: each antichain whose upper set traps the
+    net must have ``x`` in that upper set."""
+    first = cv.converges_family_liminf(p, net, ix, idl)
+    if not first.holds:
+        return cv.Verdict(False, {"failed": "family_liminf", **first.witness})
+    trap = cv._net_slot(p, net, idl)
+    size = 0
+    for f, u in zip(p.antichain_masks, p.antichain_ups):
+        if trap & ~u == 0:
+            if not u >> ix & 1:
+                return cv.Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
+            size += 1
+    return cv.Verdict(True, {"family_size": size})
+
+
+def test_eventual_witness_matches_antichain_loop():
+    """``is_eventual_liminf`` reads ``eventual_family`` and gives the
+    verdict and the witness (the first failing member, or the family
+    size) of the loop over the antichains, for every poset of size at
+    most 3, net of the class with every compatible ideal, and point."""
+    netclass = cv.NetClass(max_index_size=3, max_track_period=3)
+    witnesses: Counter[str] = Counter()
+    for n in range(1, 4):
+        for p in generate_all_posets(n):
+            for net in cv.generate_nets(p, netclass):
+                for idl in _compatible_ideals(net):
+                    for ix in range(p.n):
+                        fast = cv.is_eventual_liminf(p, net, ix, idl)
+                        assert fast == _eventual_by_antichain_loop(p, net, ix, idl), (
+                            p.name, net, idl.kind, ix,
+                        )
+                        witnesses[fast.witness.get("failed", "holds")] += 1
+    assert sum(witnesses.values()) == 4740
+    assert set(witnesses) == {"holds", "family_liminf", "membership"}
 
 
 def test_topology_neighborhoods_reject_non_closed_opens():

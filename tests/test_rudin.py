@@ -87,9 +87,9 @@ def test_extract_chain_golden():
     assert CHAIN3.ids_of(rep.directed_set) == ("c0", "c1", "c2")
 
 
-# Both entry points share one precondition path; the corollary gets the
-# whole carrier, an upper set holding every meet, as its target.
-ENTRY_POINTS = (rd.extract_directed, lambda p, fam: rd.rudin_corollary(p, fam, p.universe))
+# Extraction is the one entry point that takes members; the corollary
+# takes its report, which exists only for a directed family.
+ENTRY_POINTS = (rd.extract_directed,)
 
 
 def test_extract_rejects_non_directed_family():
@@ -117,7 +117,7 @@ def test_report_serialization():
 def test_corollary_diamond():
     fam = [DIAMOND.mask_of(["l", "r"]), DIAMOND.mask_of(["top"])]
     target = DIAMOND.mask_of(["top"])  # Scott open, contains the meet of upper sets
-    member = rd.rudin_corollary(DIAMOND, fam, target)
+    member = rd.rudin_corollary(DIAMOND, rd.extract_directed(DIAMOND, fam), target)
     assert DIAMOND.up_of_mask(member) & ~target == 0
 
 
@@ -131,7 +131,7 @@ def test_corollary_precondition_vee():
     meet_of_members = fam[0] & fam[1]
     assert meet_of_members == 0  # plain intersection suggests applicability
     with pytest.raises(PreconditionFailed):
-        rd.rudin_corollary(VEE, fam, empty_open)
+        rd.rudin_corollary(VEE, rd.extract_directed(VEE, fam), empty_open)
 
 
 def test_exhaustive_extraction_size_four():
@@ -171,8 +171,9 @@ def test_corollary_exhaustive_scott_opens():
                     meet = p.universe
                     for f in fam:
                         meet &= p.up_of_mask(f)
+                    rep = rd.extract_directed(p, fam)
                     for u in sc.opens:
                         if meet & ~u:
                             continue
-                        member = rd.rudin_corollary(p, fam, u)
+                        member = rd.rudin_corollary(p, rep, u)
                         assert p.up_of_mask(member) & ~u == 0

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
+import pkgutil
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -132,6 +136,57 @@ def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
     (coverage,) = [f for f in rep.failures if f["case"] == "coverage:all-ops"]
     assert "rudin.extract" in coverage["missing"]
     assert "suites.run" not in coverage["missing"]
+
+
+# The operation names that a finite function and a side-point function
+# share; the coverage gate counts a call of either under the one name.
+SHARED_OPS = {
+    "convergence.eventual_family",
+    "convergence.eventual_liminf",
+    "convergence.exception_set",
+    "convergence.family_liminf",
+    "convergence.liminf",
+    "convergence.topological",
+    "waybelow.classify",
+    "waybelow.fin",
+    "waybelow.interpolate",
+    "waybelow.set",
+    "waybelow.waydown",
+}
+
+
+def test_shared_op_names_hide_no_unrun_function(monkeypatch):
+    """Every module-level function logged under a shared operation name
+    runs in ``verify --suite all``, so the coverage gate, which sees only
+    the name, cannot pass while one of the functions behind it never
+    runs.  The functions are found by their ``@logged`` lines."""
+    import domaincheck
+
+    defs: dict[str, list[tuple[object, str]]] = {}
+    for info in pkgutil.iter_modules(domaincheck.__path__):
+        module = importlib.import_module(f"domaincheck.{info.name}")
+        source = inspect.getsource(module)
+        for op, attr in re.findall(r'^@logged\("([^"]+)"\)\ndef (\w+)', source, re.M):
+            defs.setdefault(op, []).append((module, attr))
+    shared = {op: fns for op, fns in defs.items() if len(fns) > 1}
+    calls: Counter[str] = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    keys = []
+    for fns in shared.values():
+        for module, attr in fns:
+            key = f"{module.__name__}.{attr}"
+            keys.append(key)
+            monkeypatch.setattr(module, attr, counting(key, getattr(module, attr)))
+    assert suites.run_suite("all", max_size=3).ok
+    assert [k for k in keys if calls[k] == 0] == []
+    assert set(shared) == SHARED_OPS and len(keys) == 2 * len(SHARED_OPS)
 
 
 def _sample_net_with_random_choice(p, rng):
