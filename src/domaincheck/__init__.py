@@ -46,7 +46,6 @@ from .waybelow import (
     classify,
     fin_of,
     interpolate,
-    point_way_below,
     set_way_below,
     smyth_leq,
     waydown_of,
@@ -94,7 +93,6 @@ __all__ = [
     "net_to_json",
     "omega_set",
     "parse_report",
-    "point_way_below",
     "poset_from_json",
     "poset_to_json",
     "resolve_poset",

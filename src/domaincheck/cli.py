@@ -125,7 +125,7 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
     out = {
         "poset": p.name,
         "points": [
-            [x, y] for x in p.elements for y in p.elements if wb.point_way_below(p, x, y)
+            [x, y] for x in p.elements for y in p.elements if wb.set_way_below(p, (x,), (y,))
         ],
     }
     if args.sets:

@@ -315,7 +315,7 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
     proper ideal is trapped iff its exception set, a union of residue
     classes, is finite, that is, empty: the mask is the union of its
     track values.  So the mask and the point fix the verdict of every
-    predicate that reads a finite poset's slot.  The sampled suites draw
+    predicate that reads the trap mask.  The sampled suites draw
     a poset's triples as one block (``suites._sample_net``), which reads
     each mask from its draw and keys each triple by ``mask * p.n + x``;
     ``suites._tally`` decides each key once per poset, on its first
@@ -341,30 +341,6 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
     if any(track[0] != CONST for track in net.tracks):
         raise BackendUnsupported("ascending tracks only exist on the side-point dcpo")
     return 0 if idl.kind == "trivial" else union
-
-
-def _net_slot(p, net: Net, idl: Ideal, build=_build_trap_mask):
-    """The artefact ``build(p, net, idl)`` that decides trapping for a
-    (backend, net, ideal) triple: the trap mask on a finite poset
-    (:func:`_build_trap_mask`), the eventually-below family on the
-    side-point dcpo (:mod:`~domaincheck.sidenat`).
-
-    Posets, nets and ideals are immutable, so the artefact is built once
-    and reused while the same three objects come back: the net keeps one
-    slot holding the backend and the ideal it was last asked about,
-    compared by identity, and their artefact.  So the predicates of one
-    (net, ideal) triple and every point tried for one net share a
-    computation, and nothing outlives the net.  A call that raises stores
-    nothing.  ``test_trap_mask_reuse_is_keyed_on_all_three`` reuses nets
-    across posets with the same ids in different orders and across
-    ideals, and compares with the definitional check.
-    """
-    cached = net.__dict__.get("_trap_slot")
-    if cached is not None and cached[0] is p and cached[1] is idl:
-        return cached[2]
-    value = build(p, net, idl)
-    object.__setattr__(net, "_trap_slot", (p, idl, value))
-    return value
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -403,14 +379,14 @@ def converges_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     which subsumes every other directed set: the trap condition for a
     directed set with supremum above ``x`` is at least as strong at the
     supremum, whose upper set sits inside the limit's.  It reads the
-    net's trap mask (:func:`_net_slot`).  Oracle:
+    net's trap mask (:func:`_build_trap_mask`).  Oracle:
     ``test_finite_exhaustive_agrees_with_principal`` compares it with
     :func:`_converges_liminf_definitional` on every poset of size at
     most 3.
     """
     _check_compat(net, idl)
     ix = p.index(x) if isinstance(x, str) else x
-    if _net_slot(p, net, idl) & ~p.up[ix] == 0:
+    if _build_trap_mask(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
@@ -435,14 +411,14 @@ def converges_family_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     The family's upper sets must intersect inside the limit's upper set,
     and each member must trap the net up to the ideal.  The principal
     family over the limit again dominates, read from the net's trap mask
-    (:func:`_net_slot`).  Oracle:
+    (:func:`_build_trap_mask`).  Oracle:
     ``test_finite_exhaustive_agrees_with_principal`` compares it with
     :func:`_converges_family_definitional` on every poset of size at
     most 3.
     """
     _check_compat(net, idl)
     ix = p.index(x) if isinstance(x, str) else x
-    if _net_slot(p, net, idl) & ~p.up[ix] == 0:
+    if _build_trap_mask(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
@@ -474,7 +450,7 @@ def converges_topological(p: FinitePoset, net: Net, x, idl: Ideal, topo: Topolog
     ``x`` contains the minimal neighbourhood ``m(x)``
     (:attr:`Topology.neighborhoods`), and trapping is monotone in the
     region: the net converges iff it is trapped in ``m(x)``, tested with
-    the net's trap mask (:func:`_net_slot`).  The witness is the
+    the net's trap mask (:func:`_build_trap_mask`).  The witness is the
     same as that of a scan of the opens in increasing mask order: every
     open around ``x`` is a superset of ``m(x)``, hence no smaller as a
     mask, so ``m(x)`` comes first and fails whenever any of them fails.
@@ -485,7 +461,7 @@ def converges_topological(p: FinitePoset, net: Net, x, idl: Ideal, topo: Topolog
     if isinstance(topo, str):
         topo = tp.finite_topology(p, topo)
     ix = p.index(x) if isinstance(x, str) else x
-    trap = _net_slot(p, net, idl)
+    trap = _build_trap_mask(p, net, idl)
     m = topo.neighborhoods[ix]
     if trap & ~m == 0:
         return Verdict(True, {"kind": topo.kind})
@@ -500,11 +476,12 @@ def eventual_family(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     """Every finite set whose upper closure traps the net up to the ideal,
     as antichain masks, each tested through its cached upper set
     (:attr:`FinitePoset.antichain_ups`) against the net's trap mask
-    (:func:`_net_slot`); ``test_trap_masks_match_exception_sets`` checks it.
+    (:func:`_build_trap_mask`); ``test_trap_masks_match_exception_sets``
+    checks it.
     """
     _check_compat(net, idl)
-    slot = _net_slot(p, net, idl)
-    return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if slot & ~u == 0)
+    trap = _build_trap_mask(p, net, idl)
+    return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if trap & ~u == 0)
 
 
 @logged("convergence.eventual_liminf")

@@ -275,12 +275,12 @@ def poset_from_doc(data, what: str) -> FinitePoset:
         raise PreconditionFailed(f"{what} must be an object")
     name, elements, le = (json_field(data, key, what) for key in ("name", "elements", "le"))
     if not isinstance(name, str):
-        raise PreconditionFailed("'name' must be a string")
+        raise PreconditionFailed(f"{what}: 'name' must be a string")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-        raise PreconditionFailed("'elements' must be a list of element ids")
+        raise PreconditionFailed(f"{what}: 'elements' must be a list of element ids")
     if not isinstance(le, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(e, str) for e in pair)
         for pair in le
     ):
-        raise PreconditionFailed("'le' must be a list of [x, y] pairs of element ids")
+        raise PreconditionFailed(f"{what}: 'le' must be a list of [x, y] pairs of element ids")
     return build_finite_poset(name, elements, [tuple(pair) for pair in le])

@@ -224,7 +224,7 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
     The family-convergent probes ``(net, ideal, point)`` are decided once
     per poset; a candidate topology meets the premise iff every probe
     converges in it.  Both predicates read a net only through its trap
-    mask (:func:`convergence._net_slot`), against ``p.up[x]`` and
+    mask (:func:`convergence._build_trap_mask`), against ``p.up[x]`` and
     ``topo.neighborhoods[x]``, so on one poset their verdicts are fixed
     by the key ``mask * p.n + x``: each key is decided on its first net,
     and one probe per family-convergent key stands for all of them.
@@ -243,7 +243,7 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
         decided: dict = {}
         for net in cv.generate_nets(p, probe_class):
             idl = cv.ideal("eventual", cv.net_index(net))
-            base = cv._net_slot(p, net, idl) * p.n
+            base = cv._build_trap_mask(p, net, idl) * p.n
             for ix in range(p.n):
                 key = base + ix
                 if key not in decided:
@@ -344,10 +344,11 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     elements.  Only the eventual ideal is checked: under the trivial
     ideal the two disagree on most such triples.
 
-    Every net is enumerated, and each failing (net, point) pair keeps its
-    own label.  Both predicates read a net only through its trap mask
-    (:func:`convergence._net_slot`), against ``p.antichain_ups`` and
-    ``p.up[x]`` and against ``law.neighborhoods[x]``, so on one poset
+    Every net of the class is enumerated (:func:`convergence.generate_nets`
+    without tracks), and each failing (net, point) pair keeps its own
+    label.  Both predicates read a net only through its trap mask
+    (:func:`convergence._build_trap_mask`), against ``p.antichain_ups``
+    and ``p.up[x]`` and against ``law.neighborhoods[x]``, so on one poset
     their verdicts are fixed by the key ``mask * p.n + x``, and each key
     is decided on its first net.  The eventual mask of a finite-index
     net is one value, so a poset has at most ``p.n ** 2`` keys.
@@ -360,31 +361,33 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     convergence, and the last cases pin those counterexamples down so
     the gap stays visible.
     """
-    I_by_index: dict = {}
+    netclass = cv.NetClass(max_index_size=3, omega_tracks=False)
+    eventual = {
+        idx.name: cv.ideal("eventual", idx)
+        for idx in cp.directed_index_posets(netclass.max_index_size)
+    }
     for name, p in ctx.corpus.items():
         if p.n > 4:
             continue
         law = tp.lawson_topology(p)
         verdicts: dict = {}
-        for idx in cp.directed_index_posets(3):
-            idl = I_by_index.setdefault(idx.name, cv.ideal("eventual", idx))
-            for values in product(p.elements, repeat=idx.n):
-                net = cv.FiniteNet(idx, values)
-                base = cv._net_slot(p, net, idl) * p.n
-                for ix in range(p.n):
-                    key = base + ix
-                    if key not in verdicts:
-                        verdicts[key] = (
-                            cv.is_eventual_liminf(p, net, ix, idl).holds,
-                            cv.converges_topological(p, net, ix, idl, law).holds,
-                        )
-                    a, b = verdicts[key]
-                    if a != b:
-                        run.check(
-                            f"{name}:{idx.name}:{values}:{p.elements[ix]}",
-                            False,
-                            {"eventual": a, "lawson": b},
-                        )
+        for net in cv.generate_nets(p, netclass):
+            idl = eventual[net.index.name]
+            base = cv._build_trap_mask(p, net, idl) * p.n
+            for ix in range(p.n):
+                key = base + ix
+                if key not in verdicts:
+                    verdicts[key] = (
+                        cv.is_eventual_liminf(p, net, ix, idl).holds,
+                        cv.converges_topological(p, net, ix, idl, law).holds,
+                    )
+                a, b = verdicts[key]
+                if a != b:
+                    run.check(
+                        f"{name}:{net.index.name}:{net.values}:{p.elements[ix]}",
+                        False,
+                        {"eventual": a, "lawson": b},
+                    )
         run.check(f"{name}:exhaustive", True)
     d = ctx.corpus["diamond"]
     I = cv.ideal("eventual")
@@ -520,7 +523,7 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
     for name, p in ctx.corpus.items():
         ok_pts = all(
             wb._set_way_below_definitional(p, (x,), (y,))
-            == wb.point_way_below(p, x, y)
+            == wb.set_way_below(p, (x,), (y,))
             == p.leq(x, y)
             for x in p.elements
             for y in p.elements
@@ -638,8 +641,8 @@ def _sample_net(p: FinitePoset, rng: random.Random, count: int) -> tuple[list[in
     ideal, the value at the index's top under the eventual ideal, the
     union of the track values under a proper ideal on the naturals).
     ``test_sample_net_draws_match_random_choice`` compares the draws, the
-    ideals, the points, the masks (with ``_net_slot`` of the built net)
-    and the generator state with the ``rng.choice`` formulation; the
+    ideals, the points, the masks (with ``_build_trap_mask`` of the built
+    net) and the generator state with the ``rng.choice`` formulation; the
     pinned sha256s of ``test_small_all_report_bytes_are_pinned`` and
     ``test_family_convergence_report_bytes_are_pinned_at_size_5`` guard
     the report bytes."""

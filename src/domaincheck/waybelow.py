@@ -28,8 +28,7 @@ def _as_mask(p: FinitePoset, s: int | Iterable[str]) -> int:
 @logged("waybelow.smyth")
 def smyth_leq(p: FinitePoset, g, h) -> bool:
     """The Smyth preorder on finite sets: ``g <= h`` iff ``up(h) <= up(g)``."""
-    gm, hm = _as_mask(p, g), _as_mask(p, h)
-    return p.up_of_mask(hm) & ~p.up_of_mask(gm) == 0
+    return set_way_below(p, g, h)
 
 
 @logged("waybelow.set")
@@ -41,12 +40,13 @@ def set_way_below(p: FinitePoset, g, h) -> bool:
     condition is the Smyth preorder ``up(h) <= up(g)``: a singleton
     ``{y}`` with ``y`` in ``up(h)`` is directed and must meet ``up(g)``,
     and conversely a directed set whose supremum is in ``up(h)`` contains
-    that supremum.  :func:`_set_way_below_definitional` enumerates every
-    directed subset instead; the ``finite-collapse`` suite and
+    that supremum.  ``up(g)`` is an upper set, so ``up(h) <= up(g)`` iff
+    ``h <= up(g)``, and only ``up(g)`` is built.
+    :func:`_set_way_below_definitional` enumerates every directed subset
+    instead; the ``finite-collapse`` suite and
     ``test_finite_set_way_below_matches_definition`` compare the two.
     """
-    gm, hm = _as_mask(p, g), _as_mask(p, h)
-    return p.up_of_mask(hm) & ~p.up_of_mask(gm) == 0
+    return _as_mask(p, h) & ~p.up_of_mask(_as_mask(p, g)) == 0
 
 
 def _set_way_below_definitional(p: FinitePoset, g, h) -> bool:
@@ -58,11 +58,6 @@ def _set_way_below_definitional(p: FinitePoset, g, h) -> bool:
         if uph >> sup & 1 and d & upg == 0:
             return False
     return True
-
-
-@logged("waybelow.point")
-def point_way_below(p: FinitePoset, x, y) -> bool:
-    return set_way_below(p, (x,), (y,))
 
 
 @logged("waybelow.waydown")

@@ -510,6 +510,8 @@ GOOD_NET = {"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}
         ({"net": {"index": 5, "map": {}}}, "index", "net"),
         ({"ideal": {"name": "eventual"}}, "kind", "ideal"),
         ({"poset": {"name": "p", "elements": ["x"]}}, "le", "poset"),
+        ({"net": {"index": {**CHAIN2_DOC, "name": 5}, "map": {"c0": "top"}}}, "name", "net"),
+        ({"poset": {"name": "p", "elements": "x", "le": []}}, "elements", "poset"),
     ],
     ids=[
         "net-tracks",
@@ -520,6 +522,8 @@ GOOD_NET = {"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}
         "net-index-not-object",
         "ideal-kind",
         "poset-le",
+        "net-index-name-not-string",
+        "poset-elements-not-list",
     ],
 )
 def test_missing_field_names_field_and_document(tmp_path, capsys, doc, field, document):

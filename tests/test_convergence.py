@@ -7,6 +7,7 @@ for the finite reductions) and then frozen.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from itertools import product
 
@@ -407,7 +408,7 @@ def test_trap_masks_match_exception_sets():
         for p in generate_all_posets(n):
             for net in cv.generate_nets(p, netclass):
                 for idl in _compatible_ideals(net):
-                    mask = cv._net_slot(p, net, idl)
+                    mask = cv._build_trap_mask(p, net, idl)
                     assert isinstance(mask, int)
                     for region in range(p.universe + 1):
                         slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
@@ -445,7 +446,7 @@ def test_trap_mask_decides_finite_predicates():
             groups: dict = {}
             for net in cv.generate_nets(p, netclass):
                 for idl in _compatible_ideals(net):
-                    mask = cv._net_slot(p, net, idl)
+                    mask = cv._build_trap_mask(p, net, idl)
                     for x in range(p.n):
                         lim = cv.converges_liminf(p, net, x, idl).holds
                         fam = cv.converges_family_liminf(p, net, x, idl).holds
@@ -467,16 +468,16 @@ def test_trap_mask_decides_finite_predicates():
     assert triples == 4740 and shared > 0
 
 
-def test_trap_mask_reuse_is_keyed_on_all_three():
-    """Trap masks are reused only for the same backend, net and ideal.
+def test_trap_mask_is_keyed_on_all_three():
+    """A trap mask depends on the poset, the net and the ideal.
 
     The same net objects meet every poset of size 3 and a copy of each
     listing the same ids in reverse order, under every compatible ideal
     (one object per kind and index, shared by the nets on that index).
     The triples run in three orders, each with a different component
     changing between consecutive calls, and every answer is compared with
-    the definitional check.  A net with cached masks then meets a poset
-    lacking one of its values and must raise, on every call.
+    the definitional check.  A net whose masks were built then meets a
+    poset lacking one of its values and must raise, on every call.
     """
     posets = []
     for p in generate_all_posets(3):
@@ -505,7 +506,7 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
     compared = 0
     for order in orders:
         for p, net, idl in order:
-            mask = cv._net_slot(p, net, idl)
+            mask = cv._build_trap_mask(p, net, idl)
             for region in range(p.universe + 1):
                 slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
                 assert (mask & ~region == 0) == slow, (p.name, net, idl.kind, region)
@@ -518,12 +519,44 @@ def test_trap_mask_reuse_is_keyed_on_all_three():
         if "e2" not in values:
             continue
         for idl in ideals_of(net):
-            cv._net_slot(posets[0], net, idl)
+            cv._build_trap_mask(posets[0], net, idl)
             for _ in range(2):
                 with pytest.raises(UnknownElement):
-                    cv._net_slot(small, net, idl)
+                    cv._build_trap_mask(small, net, idl)
                 with pytest.raises(UnknownElement):
                     cv.converges_family_liminf(small, net, "e0", idl)
+
+
+def test_predicates_leave_nets_unchanged():
+    """Every finite and side-point predicate only reads its net: after
+    each has run on a finite-index net and a track net, under every
+    compatible ideal and at every point tried, each net holds its
+    dataclass fields and nothing else."""
+    finite_nets = [
+        cv.finite_net(CHAIN2, ["l", "top"]),
+        cv.track_net(cv.const_track("l"), cv.const_track("top")),
+    ]
+    side_nets = [cv.finite_net(CHAIN2, [0, A]), INTERLEAVED]
+    for net in finite_nets:
+        for idl in _compatible_ideals(net):
+            cv.eventual_family(DIAMOND, net, idl)
+            for x in DIAMOND.elements:
+                cv.converges_liminf(DIAMOND, net, x, idl)
+                cv.converges_family_liminf(DIAMOND, net, x, idl)
+                cv.is_eventual_liminf(DIAMOND, net, x, idl)
+                for kind in ("scott", "lawson"):
+                    cv.converges_topological(DIAMOND, net, x, idl, kind)
+    for net in side_nets:
+        for idl in _compatible_ideals(net):
+            sn.eventual_family(net, idl)
+            for x in (0, 2, A, TOP):
+                sn.converges_liminf(net, x, idl)
+                sn.converges_family_liminf(net, x, idl)
+                sn.is_eventual_liminf(net, x, idl)
+                for kind in ("scott", "lawson"):
+                    sn.converges_topological(net, x, idl, kind)
+    for net in finite_nets + side_nets:
+        assert set(vars(net)) == {f.name for f in dataclasses.fields(net)}, net
 
 
 def test_verdict_to_dict_is_holds_and_witness():
@@ -603,7 +636,7 @@ def _eventual_by_antichain_loop(p, net, ix, idl):
     first = cv.converges_family_liminf(p, net, ix, idl)
     if not first.holds:
         return cv.Verdict(False, {"failed": "family_liminf", **first.witness})
-    trap = cv._net_slot(p, net, idl)
+    trap = cv._build_trap_mask(p, net, idl)
     size = 0
     for f, u in zip(p.antichain_masks, p.antichain_ups):
         if trap & ~u == 0:

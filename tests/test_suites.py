@@ -138,55 +138,19 @@ def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
     assert "suites.run" not in coverage["missing"]
 
 
-# The operation names that a finite function and a side-point function
-# share; the coverage gate counts a call of either under the one name.
-SHARED_OPS = {
-    "convergence.eventual_family",
-    "convergence.eventual_liminf",
-    "convergence.exception_set",
-    "convergence.family_liminf",
-    "convergence.liminf",
-    "convergence.topological",
-    "waybelow.classify",
-    "waybelow.fin",
-    "waybelow.interpolate",
-    "waybelow.set",
-    "waybelow.waydown",
-}
-
-
-def test_shared_op_names_hide_no_unrun_function(monkeypatch):
-    """Every module-level function logged under a shared operation name
-    runs in ``verify --suite all``, so the coverage gate, which sees only
-    the name, cannot pass while one of the functions behind it never
-    runs.  The functions are found by their ``@logged`` lines."""
+def test_logged_op_names_are_unique():
+    """No two ``@logged`` functions register the same operation name, so
+    the coverage gate, which sees only names, fails while any one of them
+    never runs.  The names are read from the ``@logged`` lines of every
+    module, and they are all the ledger holds."""
     import domaincheck
 
-    defs: dict[str, list[tuple[object, str]]] = {}
+    names = []
     for info in pkgutil.iter_modules(domaincheck.__path__):
-        module = importlib.import_module(f"domaincheck.{info.name}")
-        source = inspect.getsource(module)
-        for op, attr in re.findall(r'^@logged\("([^"]+)"\)\ndef (\w+)', source, re.M):
-            defs.setdefault(op, []).append((module, attr))
-    shared = {op: fns for op, fns in defs.items() if len(fns) > 1}
-    calls: Counter[str] = Counter()
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    keys = []
-    for fns in shared.values():
-        for module, attr in fns:
-            key = f"{module.__name__}.{attr}"
-            keys.append(key)
-            monkeypatch.setattr(module, attr, counting(key, getattr(module, attr)))
-    assert suites.run_suite("all", max_size=3).ok
-    assert [k for k in keys if calls[k] == 0] == []
-    assert set(shared) == SHARED_OPS and len(keys) == 2 * len(SHARED_OPS)
+        source = inspect.getsource(importlib.import_module(f"domaincheck.{info.name}"))
+        names += re.findall(r'^\s*@logged\("([^"]+)"\)', source, re.M)
+    assert [op for op, n in Counter(names).items() if n > 1] == []
+    assert set(names) == oplog.all_ops()
 
 
 def _sample_net_with_random_choice(p, rng):
@@ -213,8 +177,9 @@ def test_sample_net_draws_match_random_choice():
     seeds on every poset of the size-4 corpus (named posets of up to 8
     elements included), with the state compared after each poset's
     block.  The net ``_net_of_draw`` builds is the formulation's net, the
-    key's mask is that net's trap mask (``_net_slot``), and the mask is
-    ``0`` iff the ideal is trivial, the fact ``trivial-sampled`` reads."""
+    key's mask is that net's trap mask (``_build_trap_mask``), and the
+    mask is ``0`` iff the ideal is trivial, the fact ``trivial-sampled``
+    reads."""
     for seed in range(5):
         fast, slow = random.Random(seed), random.Random(seed)
         for p in corpus.all_corpus(4).values():
@@ -226,7 +191,7 @@ def test_sample_net_draws_match_random_choice():
                 assert draw[:2] == draw_ref[:2] and x == slow.randrange(p.n), (seed, p.name)
                 net, idl = suites._net_of_draw(p, draw)
                 assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
-                assert mask == cv._net_slot(p, net, idl), (seed, p.name)
+                assert mask == cv._build_trap_mask(p, net, idl), (seed, p.name)
                 assert (mask == 0) == (idl.kind == "trivial"), (seed, p.name)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
 
@@ -244,7 +209,7 @@ def test_sample_net_mask_reads_the_value_at_the_index_top(monkeypatch):
         telling = 0
         for key, draw in zip(keys, draws):
             net, idl = suites._net_of_draw(chain3, draw)
-            assert key // chain3.n == cv._net_slot(chain3, net, idl), draw
+            assert key // chain3.n == cv._build_trap_mask(chain3, net, idl), draw
             i, vals, _ = draw
             telling += i >= 0 and idl.kind == "eventual" and vals[0] != vals[-1]
         assert telling > 0
@@ -449,7 +414,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
         original = getattr(cv, decider)
 
         def recording(p, net, x, idl):
-            calls[p.name, cv._net_slot(p, net, idl), x] += 1
+            calls[p.name, cv._build_trap_mask(p, net, idl), x] += 1
             return original(p, net, x, idl)
 
         monkeypatch.setattr(cv, decider, recording)
@@ -613,7 +578,7 @@ def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
         ]
         answers: dict = {}
         for net, idl in _enumerated_nets(suite, p):
-            mask = cv._net_slot(p, net, idl)
+            mask = cv._build_trap_mask(p, net, idl)
             for x in range(p.n):
                 answer = (
                     cv.is_eventual_liminf(p, net, x, idl).holds,
@@ -626,12 +591,12 @@ def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
         # the pinned periodic-net case on the diamond
         d = corpus.all_corpus(4)["diamond"]
         alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
-        needed[d.name, cv._net_slot(d, alt, cv.ideal("eventual")), d.index("l")] += 1
+        needed[d.name, cv._build_trap_mask(d, alt, cv.ideal("eventual")), d.index("l")] += 1
     calls: Counter = Counter()
     original = getattr(cv, NET_DECIDERS[suite])
 
     def recording(p, net, x, idl):
-        calls[p.name, cv._net_slot(p, net, idl), p.index(x) if isinstance(x, str) else x] += 1
+        calls[p.name, cv._build_trap_mask(p, net, idl), p.index(x) if isinstance(x, str) else x] += 1
         return original(p, net, x, idl)
 
     monkeypatch.setattr(cv, NET_DECIDERS[suite], recording)

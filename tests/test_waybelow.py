@@ -32,7 +32,7 @@ def test_smyth_preorder():
 def test_finite_point_way_below_is_order():
     for x in DIAMOND.elements:
         for y in DIAMOND.elements:
-            assert wb.point_way_below(DIAMOND, x, y) == DIAMOND.leq(x, y)
+            assert wb.set_way_below(DIAMOND, (x,), (y,)) == DIAMOND.leq(x, y)
 
 
 def test_finite_set_way_below_is_smyth():
