@@ -6,8 +6,17 @@ union meets every one of them.  On finite posets the construction is
 elementary: the family owns a member whose upper set is the meet of all
 (:func:`~domaincheck.order.smyth_meet` returns that meet), and a
 least-indexed pick below one of its points, one pick per member, already
-forms a directed set with that point on top.  The ``rudin`` suite checks
-every extracted transversal; the open-set corollary reads its report.
+forms a directed set with that point on top.  The open-set corollary
+reads the extracted report.
+
+A family is decided by its (greatest member, member) pairs.  The
+greatest member ``g``, whose upper set is the meet, is the tightest
+member, and the peak is ``g``'s least point; each pick depends only on
+(peak, member).  So a family's transversal is the union of its pairs'
+transversals, and its verdict is the AND of its pairs' verdicts: the
+``rudin`` suite decides the singleton ``(g,)`` and each pair ``(g, f)``
+and counts the larger families from them
+(``test_family_verdict_is_the_and_of_its_pairs``).
 """
 
 from __future__ import annotations

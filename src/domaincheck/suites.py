@@ -430,34 +430,69 @@ def _suite_continuity_criterion(run: _Run, ctx: _Ctx) -> None:
 
 
 def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
-    """Every family of at most three antichains that
-    ``_directed_antichain_families`` yields is Smyth-directed (else its
-    extract case fails and nothing more runs on it) and yields a directed
-    transversal, and the upper-set corollary, reading the extracted
-    report, finds its member for the meet of the members' upper sets (the
-    greatest member's, yielded first): the smallest qualifying target, so
-    a member inside it is inside every larger one
-    (``test_corollary_exhaustive_scott_opens`` tries every Scott open).
-    The suite rebuilds the member's upper set instead of reading it."""
+    """Every Smyth-directed family of at most three antichains yields a
+    directed transversal, and the upper-set corollary, reading the
+    extracted report, finds its member for the meet of the members'
+    upper sets: the smallest qualifying target, so a member inside it is
+    inside every larger one (``test_corollary_exhaustive_scott_opens``
+    tries every Scott open).  :func:`_rudin_family` makes one family's
+    cases.
+
+    The families come by greatest member ``g``
+    (:func:`topology._greatest_members`) and are decided by their
+    (greatest member, member) pairs:
+
+    - ``g`` is the tightest member, and the peak is ``g``'s least point;
+    - each pick depends only on (peak, member);
+    - so a family's transversal is the union of its pairs' transversals,
+      and its verdict is the AND of its pairs' verdicts.
+
+    So if the singleton ``(g,)`` and every pair ``(g, f)`` pass, the
+    ``1 + k + k(k-1)/2`` families with greatest member ``g`` (``k``
+    antichains above it) count as passing cases; if one fails, ``g``'s
+    families are replayed in enumeration order, so each failure keeps its
+    label, witness and place.  ``test_family_verdict_is_the_and_of_its_pairs``
+    checks the fact on the library, and ``test_rudin_matches_literal_family_loop``
+    compares the reports with the per-family loop."""
     for name, p in ctx.corpus.items():
         corollary_cases = 0
-        for fam, ups in tp._directed_antichain_families(p, 3):
-            if not rd.is_directed_family(p, fam):
-                run.check(f"{name}:extract:{fam}", False, {"directed": False})
-                continue
-            rep = rd.extract_directed(p, fam)
-            ok = (
-                p.is_directed_mask_pairwise(rep.directed_set)
-                and all(rep.directed_set & f for f in fam)
-                and rep.directed_set & ~_union(fam) == 0
-            )
-            run.check(f"{name}:extract:{fam}", ok, rep.to_dict(p) if not ok else None)
-            meet = ups[0]  # the greatest member's upper set is the meet
-            member = rd.rudin_corollary(p, rep, meet)
-            corollary_cases += 1
-            if p.up_of_mask(member) & ~meet:
-                run.check(f"{name}:corollary:{fam}:{meet}", False, {"member": list(p.ids_of(member))})
+        for g, up_g, above in tp._greatest_members(p):
+            probe = _Run(run.suite, run.seed)
+            for fam, ups in tp._families_with_greatest(g, up_g, above, 2):
+                _rudin_family(probe, name, p, fam, ups)
+            if probe.failures:
+                for fam, ups in tp._families_with_greatest(g, up_g, above, 3):
+                    corollary_cases += _rudin_family(run, name, p, fam, ups)
+            else:
+                k = len(above)
+                families = 1 + k + k * (k - 1) // 2
+                run.cases += families
+                corollary_cases += families
         run.check(f"{name}:corollary-count", corollary_cases > 0, {"count": corollary_cases})
+
+
+def _rudin_family(run: _Run, name: str, p: FinitePoset, fam: tuple, ups: tuple) -> bool:
+    """One family's cases: it is Smyth-directed (else its extract case
+    fails and nothing more runs on it), its transversal is directed,
+    meets every member and stays inside their union, and the corollary's
+    member for the meet ``ups[0]`` (the greatest member's upper set)
+    lies inside it.  The member's upper set is rebuilt, not read from
+    the report.  Returns whether the corollary ran."""
+    if not rd.is_directed_family(p, fam):
+        run.check(f"{name}:extract:{fam}", False, {"directed": False})
+        return False
+    rep = rd.extract_directed(p, fam)
+    ok = (
+        p.is_directed_mask_pairwise(rep.directed_set)
+        and all(rep.directed_set & f for f in fam)
+        and rep.directed_set & ~_union(fam) == 0
+    )
+    run.check(f"{name}:extract:{fam}", ok, rep.to_dict(p) if not ok else None)
+    meet = ups[0]
+    member = rd.rudin_corollary(p, rep, meet)
+    if p.up_of_mask(member) & ~meet:
+        run.check(f"{name}:corollary:{fam}:{meet}", False, {"member": list(p.ids_of(member))})
+    return True
 
 
 def _union(masks) -> int:

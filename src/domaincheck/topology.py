@@ -194,13 +194,27 @@ def _directed_antichain_families(p: FinitePoset, family_bound: int):
     ``test_directed_family_matches_pairwise_smyth_definition`` compares
     the output with the ``combinations`` scan filtered by the pairwise
     definition."""
+    for g, up_g, above in _greatest_members(p):
+        yield from _families_with_greatest(g, up_g, above, family_bound)
+
+
+def _greatest_members(p: FinitePoset):
+    """Each antichain ``g`` as a greatest member: ``(g, up(g), above)``,
+    where ``above`` lists the other antichains ``(f, up(f))`` whose upper
+    sets contain ``up(g)``, in antichain order."""
     chains = list(zip(p.antichain_masks, p.antichain_ups))
     for g, up_g in chains:
-        above = [(f, u) for f, u in chains if f != g and up_g & ~u == 0]
-        for size in range(family_bound):
-            for rest in combinations(above, size):
-                fs, us = zip(*rest) if rest else ((), ())
-                yield (g, *fs), (up_g, *us)
+        yield g, up_g, [(f, u) for f, u in chains if f != g and up_g & ~u == 0]
+
+
+def _families_with_greatest(g: int, up_g: int, above: list, family_bound: int):
+    """The families of at most ``family_bound`` antichains with greatest
+    member ``g`` (one step of :func:`_greatest_members`), each with its
+    members' upper sets, by size and then in ``combinations`` order."""
+    for size in range(family_bound):
+        for rest in combinations(above, size):
+            fs, us = zip(*rest) if rest else ((), ())
+            yield (g, *fs), (up_g, *us)
 
 
 @logged("topology.family_liminf")

@@ -8,7 +8,7 @@ import pytest
 
 from domaincheck import rudin as rd
 from domaincheck import topology as tp
-from domaincheck.corpus import generate_all_posets
+from domaincheck.corpus import all_corpus, generate_all_posets
 from domaincheck.errors import NotDirectedFamily, PreconditionFailed
 from domaincheck.order import build_finite_poset, smyth_meet
 from domaincheck.waybelow import smyth_leq
@@ -177,3 +177,33 @@ def test_corollary_exhaustive_scott_opens():
                             continue
                         member = rd.rudin_corollary(p, rep, u)
                         assert p.up_of_mask(member) & ~u == 0
+
+
+def test_family_verdict_is_the_and_of_its_pairs():
+    """The fact the ``rudin`` suite decides by, on the library's own
+    functions: for every family ``_directed_antichain_families(p, 3)``
+    yields on every poset of ``all_corpus(4)``, the tightest member is
+    the greatest member ``g``, the transversal is the OR of those of
+    ``(g,)`` and of each pair ``(g, f)``, and the corollary's member for
+    ``up(g)`` is ``g``.  The families number ``1 + k + k(k-1)/2`` per
+    greatest member with ``k`` antichains above it.  A fault that shows
+    only on families of three members fails here, where the suite,
+    which decides pairs, cannot see it."""
+    for p in all_corpus(4).values():
+        reports = {fam: rd.extract_directed(p, fam) for fam, _ups in tp._directed_antichain_families(p, 2)}
+        count = 0
+        for fam, _ups in tp._directed_antichain_families(p, 3):
+            g = fam[0]
+            rep = rd.extract_directed(p, fam)
+            assert rep.tightest == g, (p.name, fam)
+            directed_set = reports[(g,)].directed_set
+            for f in fam[1:]:
+                directed_set |= reports[(g, f)].directed_set
+            assert rep.directed_set == directed_set, (p.name, fam)
+            assert rd.rudin_corollary(p, rep, p.up_of_mask(g)) == g, (p.name, fam)
+            count += 1
+        closed_form = 0
+        for _g, _up_g, above in tp._greatest_members(p):
+            k = len(above)
+            closed_form += 1 + k + k * (k - 1) // 2
+        assert count == closed_form, p.name

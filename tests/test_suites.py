@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -17,6 +18,7 @@ import pytest
 
 from domaincheck import convergence as cv
 from domaincheck import corpus, oplog, suites
+from domaincheck import rudin as rd
 from domaincheck import topology as tp
 from domaincheck import waybelow as wb
 from domaincheck.errors import UnknownSuite
@@ -102,18 +104,26 @@ def test_interpolation_reports_a_wrong_side_witness(monkeypatch):
 
 def test_rudin_reports_a_family_that_is_not_directed(monkeypatch):
     """A yielded family that is not Smyth-directed fails its extract case,
-    before ``extract_directed`` can raise on it."""
-    real = tp._directed_antichain_families
+    before ``extract_directed`` can raise on it: an undirected pair
+    ``(l, r)`` injected into the antichains above ``l`` fails, and so
+    do the families of three that hold it."""
+    real = tp._greatest_members
 
-    def with_undirected(p, bound):
-        yield from real(p, bound)
-        if p.name == "diamond":
-            l, r = p.index("l"), p.index("r")
-            yield (1 << l, 1 << r), (p.up[l], p.up[r])
+    def with_undirected(p):
+        for g, up_g, above in real(p):
+            if p.name == "diamond" and g == 1 << p.index("l"):
+                r = p.index("r")
+                above = [*above, (1 << r, p.up[r])]
+            yield g, up_g, above
 
-    monkeypatch.setattr(tp, "_directed_antichain_families", with_undirected)
+    monkeypatch.setattr(tp, "_greatest_members", with_undirected)
     rep = suites.run_suite("rudin", max_size=1, seed=0)
-    assert [f["case"] for f in rep.failures] == ["diamond:extract:(2, 4)"]
+    assert [f["case"] for f in rep.failures] == [
+        "diamond:extract:(2, 4)",
+        "diamond:extract:(2, 1, 4)",
+        "diamond:extract:(2, 6, 4)",
+    ]
+    assert all(f["directed"] is False for f in rep.failures)
 
 
 def test_finite_collapse_suite_green_small():
@@ -603,6 +613,75 @@ def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
     assert suites.run_suite(suite, max_size=4, seed=0).ok
     monkeypatch.undo()
     assert calls == needed
+
+
+def _literal_rudin(run, ctx):
+    """The ``rudin`` suite as a loop over every family, each decided by
+    calling the library on it."""
+    for name, p in ctx.corpus.items():
+        corollary_cases = 0
+        for fam, ups in tp._directed_antichain_families(p, 3):
+            if not rd.is_directed_family(p, fam):
+                run.check(f"{name}:extract:{fam}", False, {"directed": False})
+                continue
+            rep = rd.extract_directed(p, fam)
+            ok = (
+                p.is_directed_mask_pairwise(rep.directed_set)
+                and all(rep.directed_set & f for f in fam)
+                and rep.directed_set & ~suites._union(fam) == 0
+            )
+            run.check(f"{name}:extract:{fam}", ok, rep.to_dict(p) if not ok else None)
+            meet = ups[0]  # the greatest member's upper set is the meet
+            member = rd.rudin_corollary(p, rep, meet)
+            corollary_cases += 1
+            if p.up_of_mask(member) & ~meet:
+                run.check(f"{name}:corollary:{fam}:{meet}", False, {"member": list(p.ids_of(member))})
+        run.check(f"{name}:corollary-count", corollary_cases > 0, {"count": corollary_cases})
+
+
+# Wrong answers the Rudin failure-path test injects: library function ->
+# (a test on (greatest member, member), the wrong answer).  A call is
+# answered wrongly when the test holds for the family's first member
+# ``g`` and any of its members, ``g`` included, so the flips depend only
+# on (``g``, member) pairs.  The wrong answers: "not directed", a
+# transversal without the peak (which misses ``g``), and the last member
+# in place of the first one inside the target.
+RUDIN_FLIPS = {
+    "is_directed_family": (lambda g, f: (g, f) == (2, 1), lambda arg, out: not out),
+    "extract_directed": (
+        lambda g, f: g == f == 4,
+        lambda arg, rep: dataclasses.replace(rep, directed_set=rep.directed_set & ~(1 << rep.peak)),
+    ),
+    "rudin_corollary": (lambda g, f: (g, f) == (8, 6), lambda rep, member: rep.family[-1]),
+}
+
+
+@pytest.mark.parametrize("flip", [None, *RUDIN_FLIPS])
+def test_rudin_matches_literal_family_loop(flip, monkeypatch):
+    """The ``rudin`` suite, which decides each greatest member's
+    singleton and pairs and replays its families only when one of them
+    fails, reports the bytes of the literal per-family loop at size 4,
+    seeds 0 and 1: where every case passes, and with one library
+    function of ``RUDIN_FLIPS`` answering wrongly, where the report fails
+    and some failure is a family of three members."""
+    if flip is not None:
+        picks, wrong = RUDIN_FLIPS[flip]
+
+        def flipped(p, arg, *rest, original=getattr(rd, flip)):
+            out = original(p, arg, *rest)
+            fam = arg.family if isinstance(arg, rd.RudinReport) else tuple(arg)
+            return wrong(arg, out) if any(picks(fam[0], f) for f in fam) else out
+
+        monkeypatch.setattr(rd, flip, flipped)
+    for seed in range(2):
+        ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
+        run = suites._Run("rudin", seed)
+        _literal_rudin(run, ctx)
+        report = suites.run_suite("rudin", max_size=4, seed=seed)
+        assert suites.emit_report(report) == suites.emit_report(run.report(0.0)), seed
+        assert report.ok == (flip is None), seed
+        if flip is not None:
+            assert any(re.search(r"\(\d+, \d+, \d+\)", f["case"]) for f in report.failures), seed
 
 
 def _stdout_sha256(*argv: str) -> str:

@@ -4,6 +4,11 @@
         --workload all-4:601-610 --workload suites-5:611-615 --seconds 20 \
         --parent-rev bce3118 --summary "what the change does" --out BENCH_18.json
 
+Before the first run, each checkout's ``src/**/__pycache__`` folders are
+deleted, so both sides start from the same state: a checkout whose
+bytecode caches came from earlier runs reads a lower ``peak_rss_mb``
+than a fresh one.
+
 For each workload and each seed, ``perfbench/run.py --trace 0`` runs once
 in each checkout, one after the other: the parent first at the 1st, 3rd,
 ... seed and the change first at the others, so that a drift in the
@@ -25,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +46,12 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def clear_bytecode(checkout: Path) -> None:
+    """Delete the ``__pycache__`` folders under ``checkout/src``."""
+    for cache in sorted((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -126,6 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    for checkout in checkouts.values():
+        clear_bytecode(checkout)
     workloads = {}
     for item in args.workload:
         name, _, seeds = item.partition(":")
