@@ -179,10 +179,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_rudin(args: argparse.Namespace) -> int:
-    p = _resolve_backend(args.poset)
+    p = _require_finite(_resolve_backend(args.poset), "directed transversal extraction")
     fam_spec = json.loads(Path(args.family).read_text())
-    if isinstance(p, SideNat):
-        raise DomainCheckError("directed transversals are extracted on finite posets")
     sets = fam_spec.get("sets") if isinstance(fam_spec, dict) else None
     if not isinstance(sets, list) or not all(
         isinstance(s, list) and all(isinstance(e, str) for e in s) for s in sets

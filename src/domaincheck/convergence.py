@@ -349,10 +349,11 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
 class Verdict(NamedTuple):
     """A predicate's answer and the witness that supports it.
 
-    A named tuple, because the sampled suites build hundreds of thousands
-    of them per run and a tuple is the cheapest immutable record to
-    build.  :meth:`to_dict` is the CLI's JSON form;
-    ``test_verdict_to_dict_is_holds_and_witness`` pins it.
+    A named tuple, because a run builds one per predicate call (14,835
+    finite ones for ``verify --suite all --max-size 4 --seed 0``) and a
+    tuple is the cheapest immutable record to build.  :meth:`to_dict` is
+    the CLI's JSON form; ``test_verdict_to_dict_is_holds_and_witness``
+    pins it.
     """
 
     holds: bool

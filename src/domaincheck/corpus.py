@@ -1,17 +1,18 @@
 """Test corpora: named finite posets and exhaustive enumeration by size.
 
-The exhaustive generator walks every strict relation on positions
-``0..n-1`` that only relates smaller positions to larger ones, keeps the
-transitive ones, and deduplicates up to isomorphism with a canonical
-relabeling.  Every finite poset admits such a position-respecting
-labeling (any linear extension), so the walk reaches every isomorphism
-class.
+Removing a maximal point from a poset of size ``n`` leaves one of size
+``n - 1``, so the generator extends each representative of size
+``n - 1`` by a new maximal point over each of its down-sets.  One
+canonical form, the least walk encoding over linear extensions
+(:func:`_least_encoding`), deduplicates, orders and labels the results:
+the classes come in the order, and with the labels, of a walk over every
+transitive relation on positions in increasing encoding that keeps the
+first of each class, which ``tests/test_corpus.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
 
 from .errors import TooLarge
 from .oplog import logged
@@ -25,88 +26,67 @@ MAX_ENUMERATED_SIZE = 6
 UNLABELED_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 
 
-def _transitive_strict_relations(n: int):
-    """Strict orders on ``range(n)`` relating only lower to higher positions.
+def _least_encoding(below: list[int]) -> int:
+    """The least walk encoding of a strict order over its linear extensions.
 
-    Yields ``above`` tables: ``above[i]`` is the mask of positions
-    strictly above ``i``.
+    ``below[e]`` is the mask of elements strictly below ``e``.  Placing
+    the elements at positions along a linear extension relates only
+    smaller positions to larger ones; bit ``b`` of the encoding is set
+    when the ``b``-th position pair ``(i, j)``, ``i < j`` in row order,
+    is related.  Isomorphic orders have the same set of such relations,
+    so the least is a canonical form.  Bits are only added as positions
+    fill, so a partial encoding not below the best one cuts its branch.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for sel in range(1 << len(pairs)):
-        above = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if sel >> b & 1:
-                above[i] |= 1 << j
-        ok = True
-        for i in range(n - 1, -1, -1):
-            acc = 0
-            for j in bits(above[i]):
-                acc |= above[j]
-            if acc & ~above[i]:
-                ok = False
-                break
-        if ok:
-            yield tuple(above)
+    n = len(below)
+    bit = [[0] * n for _ in range(n)]
+    for b, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        bit[i][j] = 1 << b
+    where = [0] * n
+    best = 1 << n * n  # above every encoding
 
+    def place(pos: int, placed: int, code: int) -> None:
+        nonlocal best
+        if pos == n:
+            best = code
+            return
+        for e in range(n):
+            if placed >> e & 1 or below[e] & ~placed:
+                continue
+            step = code
+            for k in bits(below[e]):
+                step |= bit[where[k]][pos]
+            if step < best:
+                where[e] = pos
+                place(pos + 1, placed | 1 << e, step)
 
-def _canonical_key(n: int, above: tuple[int, ...]) -> int:
-    """Least relation encoding over all profile-respecting relabelings.
-
-    Positions are grouped by the isomorphism-invariant profile (strict
-    up-set size, strict down-set size) and each group is mapped onto a
-    slot range fixed by the sorted profile values, so isomorphic
-    relations range over the same set of encodings.
-    """
-    below = [0] * n
-    for i in range(n):
-        for j in bits(above[i]):
-            below[j] |= 1 << i
-    profile = [(bin(above[i]).count("1"), bin(below[i]).count("1")) for i in range(n)]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pr in enumerate(profile):
-        groups.setdefault(pr, []).append(i)
-    slotted = []
-    start = 0
-    for value in sorted(groups):
-        members = groups[value]
-        slotted.append((members, range(start, start + len(members))))
-        start += len(members)
-    best = None
-    for parts in product(*(permutations(slots) for _, slots in slotted)):
-        perm = [0] * n
-        for (members, _), news in zip(slotted, parts):
-            for old, new in zip(members, news):
-                perm[old] = new
-        key = 0
-        for i in range(n):
-            pi = perm[i]
-            for j in bits(above[i]):
-                key |= 1 << (pi * n + perm[j])
-        if best is None or key < best:
-            best = key
-    assert best is not None
+    place(0, 0, 0)
     return best
 
 
 @logged("corpus.generate")
 @lru_cache(maxsize=None)
 def generate_all_posets(n: int) -> tuple[FinitePoset, ...]:
-    """Every poset on ``n`` elements up to isomorphism, deterministically named."""
+    """Every poset on ``n`` elements up to isomorphism, in increasing
+    order of its least walk encoding, named ``p{n}_{k}`` by that order
+    and with element ``e{i}`` at position ``i`` of that encoding."""
     if n < 1:
         raise TooLarge("poset enumeration needs a positive size")
     if n > MAX_ENUMERATED_SIZE:
         raise TooLarge(f"poset enumeration is capped at {MAX_ENUMERATED_SIZE} elements")
-    seen: set[int] = set()
-    out: list[FinitePoset] = []
-    for above in _transitive_strict_relations(n):
-        key = _canonical_key(n, above)
-        if key in seen:
-            continue
-        seen.add(key)
-        elems = [f"e{i}" for i in range(n)]
-        le = [(f"e{i}", f"e{j}") for i in range(n) for j in bits(above[i])]
-        out.append(build_finite_poset(f"p{n}_{len(out)}", elems, le))
-    return tuple(out)
+    # The new point ``n - 1`` lies over the down-set outside ``upper``.
+    codes = {0} if n == 1 else {
+        _least_encoding([d & ~(1 << i) for i, d in enumerate(p.down)] + [p.universe & ~upper])
+        for p in generate_all_posets(n - 1)
+        for upper in p.upper_masks
+    }
+    elems = [f"e{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple(
+        build_finite_poset(
+            f"p{n}_{k}", elems, [(f"e{i}", f"e{j}") for b, (i, j) in enumerate(pairs) if code >> b & 1]
+        )
+        for k, code in enumerate(sorted(codes))
+    )
 
 
 def named_posets() -> dict[str, FinitePoset]:

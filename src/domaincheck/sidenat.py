@@ -748,7 +748,13 @@ def converges_family_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
     read from the net's eventually-below family.  Oracle:
     ``test_side_predicates_on_small_track_nets``.
     """
-    fam = eventual_family(net, idl)
+    return _family_verdict(eventual_family(net, idl), x, net)
+
+
+def _family_verdict(fam: SideFamily, x: SideElement, net: Net) -> Verdict:
+    """Family lim-inf convergence to ``x`` read from the net's
+    eventually-below family ``fam``: the principal shape, the singleton
+    schema, or for the side point the pair schema."""
     if fam.contains((x,)):
         return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
     if fam.singletons_from == 0:
@@ -807,10 +813,10 @@ def is_eventual_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
     the meet of the upper sets of :func:`eventual_family`.  Oracle:
     ``test_side_predicates_on_small_track_nets`` checks that the verdicts
     imply family convergence and pins their count."""
-    first = converges_family_liminf(net, x, idl)
+    fam = eventual_family(net, idl)
+    first = _family_verdict(fam, x, net)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
-    fam = eventual_family(net, idl)
     if x not in fam.upset_intersection():
         return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
     return Verdict(True, {"family": fam.to_dict()})

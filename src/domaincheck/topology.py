@@ -173,8 +173,8 @@ def discrete_topology(p: FinitePoset) -> Topology:
 # -- topology induced by family convergence -------------------------------
 
 
-# The largest family of antichains that the family topology and the
-# exhaustive family lim-inf path enumerate.
+# The largest family of antichains that the definitional family lim-inf
+# check (``convergence._converges_family_definitional``) enumerates.
 FAMILY_BOUND = 4
 
 

@@ -116,6 +116,13 @@ def test_topology_rejects_side_nat(capsys):
     assert code == 2 and "finite" in err
 
 
+def test_rudin_rejects_side_nat_before_reading_the_family(tmp_path, capsys):
+    missing = tmp_path / "no-such-family.json"
+    code, out, err = run_cli(capsys, "rudin", "--poset", "side_nat", "--family", str(missing))
+    assert code == 2 and not out
+    assert "needs a finite poset" in err and "No such file" not in err
+
+
 def test_waybelow_table(capsys):
     code, out, _ = run_cli(capsys, "waybelow", "--poset", "p2_1", "--sets")
     d = json.loads(out)

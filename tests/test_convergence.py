@@ -236,6 +236,19 @@ def test_interleaved_eventual_liminf_only_at_side_point():
         assert not sn.is_eventual_liminf(INTERLEAVED, x, EVENTUAL).holds
 
 
+def test_side_eventual_liminf_builds_its_family_once(monkeypatch):
+    built = []
+    build = sn.eventual_family
+
+    def counting(net, idl):
+        built.append(net)
+        return build(net, idl)
+
+    monkeypatch.setattr(sn, "eventual_family", counting)
+    assert sn.is_eventual_liminf(INTERLEAVED, A, EVENTUAL).holds
+    assert len(built) == 1
+
+
 def test_ascending_net_converges_everywhere():
     # the naturals form a directed set with supremum top that the net
     # eventually enters at every level, and the top dominates every point
