@@ -5,6 +5,10 @@ listing the poset corpus, classifying a poset, tabulating the way-below
 relation, printing a topology, checking a single convergence instance,
 and extracting a directed transversal from a family of sets.
 
+This is the one place that resolves element ids and topology names: the
+finite library takes points as indexes, sets as masks and topologies as
+:class:`~domaincheck.topology.Topology` objects.
+
 Exit codes: 0 on success, 1 when a verification suite reports failures
 or the reader closes standard output before the output is written, 2 on
 usage or input errors.
@@ -58,11 +62,10 @@ def _opens_as_lists(p: FinitePoset, opens) -> list[list]:
 
 
 def _parse_point(p: Backend, raw: str):
+    """A side-point element, or the index of an element id of a finite poset."""
     if isinstance(p, SideNat):
         return sn.parse_side_element(raw)
-    if raw not in p.elements:
-        raise UnknownElement(f"{raw!r} is not an element of {p.name!r}")
-    return raw
+    return p.index(raw)
 
 
 def _emit(obj: dict) -> None:
@@ -90,11 +93,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        for name, p in cp.all_corpus(_check_max_size(args.max_size)).items():
-            sys.stdout.write(f"{name} {p.n}\n")
-        return 0
-    raise DomainCheckError(f"unknown corpus action {args.action!r}")
+    # argparse admits only "list".
+    for name, p in cp.all_corpus(_check_max_size(args.max_size)).items():
+        sys.stdout.write(f"{name} {p.n}\n")
+    return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -125,7 +127,10 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
     out = {
         "poset": p.name,
         "points": [
-            [x, y] for x in p.elements for y in p.elements if wb.set_way_below(p, (x,), (y,))
+            [x, y]
+            for i, x in enumerate(p.elements)
+            for j, y in enumerate(p.elements)
+            if wb.set_way_below(p, 1 << i, 1 << j)
         ],
     }
     if args.sets:
@@ -166,10 +171,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         verdict = lib.converges_family_liminf(*backend, net, x, idl)
     elif args.mode == "eventual":
         verdict = lib.is_eventual_liminf(*backend, net, x, idl)
-    elif args.mode == "topo":
-        verdict = lib.converges_topological(*backend, net, x, idl, args.topology)
-    else:
-        raise DomainCheckError(f"unknown mode {args.mode!r}")
+    else:  # "topo", the last of argparse's choices
+        topo = args.topology if isinstance(p, SideNat) else tp.finite_topology(p, args.topology)
+        verdict = lib.converges_topological(*backend, net, x, idl, topo)
     out = {"mode": args.mode, "point": args.point, "ideal": idl.kind}
     if args.mode == "topo":
         out["topology"] = args.topology
@@ -256,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except DomainCheckError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (DomainCheckError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -19,8 +19,10 @@ stabilization argument: past the largest natural mentioned by the net,
 growing a region's cut point changes level sets by finite sets only, and
 every ideal here is invariant under finite modifications.
 
-The predicates here take a finite poset; :mod:`~domaincheck.sidenat`
-has those of the side-point dcpo, on the same nets and ideals.
+The predicates here take a finite poset, the limit as the index of a
+point in it, and a :class:`Topology` object; element ids and topology
+names are resolved by the command line.  :mod:`~domaincheck.sidenat`
+has the predicates of the side-point dcpo, on the same nets and ideals.
 """
 
 from __future__ import annotations
@@ -145,10 +147,6 @@ def omega_union(a: OmegaSet, b: OmegaSet) -> OmegaSet:
 
 def omega_inter(a: OmegaSet, b: OmegaSet) -> OmegaSet:
     return _omega_pointwise(a, b, lambda p, q: p and q)
-
-
-def omega_diff(a: OmegaSet, b: OmegaSet) -> OmegaSet:
-    return _omega_pointwise(a, b, lambda p, q: p and not q)
 
 
 def omega_complement(a: OmegaSet) -> OmegaSet:
@@ -373,12 +371,13 @@ def _check_compat(net: Net, idl: Ideal) -> None:
 
 
 @logged("convergence.liminf")
-def converges_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
-    """Lim-inf convergence: some directed set below the limit traps the net.
+def converges_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
+    """Lim-inf convergence to the point of index ``ix``: some directed
+    set below the limit traps the net.
 
     This tests the principal witness, the singleton of the limit itself,
     which subsumes every other directed set: the trap condition for a
-    directed set with supremum above ``x`` is at least as strong at the
+    directed set with supremum above ``ix`` is at least as strong at the
     supremum, whose upper set sits inside the limit's.  It reads the
     net's trap mask (:func:`_build_trap_mask`).  Oracle:
     ``test_finite_exhaustive_agrees_with_principal`` compares it with
@@ -386,17 +385,15 @@ def converges_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     most 3.
     """
     _check_compat(net, idl)
-    ix = p.index(x) if isinstance(x, str) else x
     if _build_trap_mask(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
 
-def _converges_liminf_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
+def _converges_liminf_definitional(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
     """Lim-inf convergence on a finite poset, by the definition: some
-    directed subset with supremum above ``x`` traps the net at each of its
-    points."""
-    ix = p.index(x) if isinstance(x, str) else x
+    directed subset with supremum above index ``ix`` traps the net at each
+    of its points."""
     for d, sup in p.directed_sups:
         if not p.leq_ix(ix, sup):
             continue
@@ -406,8 +403,9 @@ def _converges_liminf_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> V
 
 
 @logged("convergence.family_liminf")
-def converges_family_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
-    """Lim-inf convergence along a Smyth-directed family of finite sets.
+def converges_family_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
+    """Lim-inf convergence to the point of index ``ix`` along a
+    Smyth-directed family of finite sets.
 
     The family's upper sets must intersect inside the limit's upper set,
     and each member must trap the net up to the ideal.  The principal
@@ -418,18 +416,16 @@ def converges_family_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
     most 3.
     """
     _check_compat(net, idl)
-    ix = p.index(x) if isinstance(x, str) else x
     if _build_trap_mask(p, net, idl) & ~p.up[ix] == 0:
         return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
 
-def _converges_family_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
+def _converges_family_definitional(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
     """Family lim-inf convergence on a finite poset, by the definition:
     some Smyth-directed family of at most ``topology.FAMILY_BOUND``
-    antichains, whose upper sets meet inside ``up(x)``, traps the net at
+    antichains, whose upper sets meet inside ``up(ix)``, traps the net at
     each member."""
-    ix = p.index(x) if isinstance(x, str) else x
     for fam, ups in tp._directed_antichain_families(p, tp.FAMILY_BOUND):
         meet = p.universe
         for u in ups:
@@ -442,26 +438,22 @@ def _converges_family_definitional(p: FinitePoset, net: Net, x, idl: Ideal) -> V
 
 
 @logged("convergence.topological")
-def converges_topological(p: FinitePoset, net: Net, x, idl: Ideal, topo: Topology | str) -> Verdict:
-    """Ideal convergence in a topology: every neighborhood of ``x`` traps
-    the net up to the ideal.  ``topo`` is a :class:`Topology` or the name
-    of one (:func:`topology.finite_topology`).
+def converges_topological(p: FinitePoset, net: Net, ix: int, idl: Ideal, topo: Topology) -> Verdict:
+    """Ideal convergence in the topology ``topo``: every neighborhood of
+    the point of index ``ix`` traps the net up to the ideal.
 
     A finite topology is closed under intersections, so every open around
-    ``x`` contains the minimal neighbourhood ``m(x)``
+    ``ix`` contains the minimal neighbourhood ``m(ix)``
     (:attr:`Topology.neighborhoods`), and trapping is monotone in the
-    region: the net converges iff it is trapped in ``m(x)``, tested with
+    region: the net converges iff it is trapped in ``m(ix)``, tested with
     the net's trap mask (:func:`_build_trap_mask`).  The witness is the
     same as that of a scan of the opens in increasing mask order: every
-    open around ``x`` is a superset of ``m(x)``, hence no smaller as a
-    mask, so ``m(x)`` comes first and fails whenever any of them fails.
+    open around ``ix`` is a superset of ``m(ix)``, hence no smaller as a
+    mask, so ``m(ix)`` comes first and fails whenever any of them fails.
     ``test_topological_matches_open_scan`` compares the two.  A family of
-    opens whose ``m(x)`` is not open raises :class:`PreconditionFailed`.
+    opens whose ``m(ix)`` is not open raises :class:`PreconditionFailed`.
     """
     _check_compat(net, idl)
-    if isinstance(topo, str):
-        topo = tp.finite_topology(p, topo)
-    ix = p.index(x) if isinstance(x, str) else x
     trap = _build_trap_mask(p, net, idl)
     m = topo.neighborhoods[ix]
     if trap & ~m == 0:
@@ -486,20 +478,20 @@ def eventual_family(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
 
 
 @logged("convergence.eventual_liminf")
-def is_eventual_liminf(p: FinitePoset, net: Net, x, idl: Ideal) -> Verdict:
-    """Eventual lim-inf: the limit of some family trap, lying in the upper
-    closure of every member of the eventually-below family.
+def is_eventual_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
+    """Eventual lim-inf to the point of index ``ix``: the limit of some
+    family trap, lying in the upper closure of every member of the
+    eventually-below family.
 
     Both conditions are taken literally.  The first is family lim-inf
-    convergence to ``x``; the second reads :func:`eventual_family` member
-    by member, in antichain order, with ``x in up(f)`` tested as
-    ``f & down[x] != 0``.  Oracles: the ``eventual-liminf-lawson`` suite
+    convergence to ``ix``; the second reads :func:`eventual_family` member
+    by member, in antichain order, with ``ix in up(f)`` tested as
+    ``f & down[ix] != 0``.  Oracles: the ``eventual-liminf-lawson`` suite
     (Lawson convergence) and ``test_eventual_witness_matches_antichain_loop``.
     """
-    first = converges_family_liminf(p, net, x, idl)
+    first = converges_family_liminf(p, net, ix, idl)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
-    ix = p.index(x) if isinstance(x, str) else x
     family = eventual_family(p, net, idl)
     for f in family:
         if not f & p.down[ix]:

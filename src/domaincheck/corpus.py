@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import TooLarge
+from .errors import TooLarge, UnknownElement
 from .oplog import logged
 from .order import FinitePoset, bits, build_finite_poset
 from .sidenat import truncate_side_nat
@@ -156,16 +156,14 @@ def directed_index_posets(max_size: int) -> tuple[FinitePoset, ...]:
 
 
 def resolve_poset(name: str) -> FinitePoset:
-    """Look up a corpus poset by name, accepting both naming schemes."""
+    """Look up a corpus poset by name: a named poset, or an enumerated one
+    under exactly the name :func:`generate_all_posets` gives it."""
     named = named_posets()
     if name in named:
         return named[name]
-    if name.startswith("p") and "_" in name:
-        size, _, idx = name[1:].partition("_")
-        if size.isdigit() and idx.isdigit():
-            posets = generate_all_posets(int(size))
-            if int(idx) < len(posets):
-                return posets[int(idx)]
-    from .errors import UnknownElement
-
+    size = name[1:].partition("_")[0]
+    if name.startswith("p") and size in [str(n) for n in range(1, MAX_ENUMERATED_SIZE + 1)]:
+        for p in generate_all_posets(int(size)):
+            if p.name == name:
+                return p
     raise UnknownElement(f"no corpus poset named {name!r}")

@@ -112,7 +112,7 @@ def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
             for ix in range(p.n):
                 if not wb.set_way_below(p, h, 1 << ix):
                     continue
-                f = wb.interpolate(p, h, p.elements[ix])
+                f = wb.interpolate(p, h, ix)
                 ok = wb.set_way_below(p, h, f) and wb.set_way_below(p, f, 1 << ix)
                 run.check(
                     f"{name}:{sorted(p.ids_of(h))}<<{p.elements[ix]}",
@@ -393,8 +393,8 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     I = cv.ideal("eventual")
     alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
     gap_finite = (
-        cv.is_eventual_liminf(d, alt, "l", I).holds
-        and not cv.converges_topological(d, alt, "l", I, tp.lawson_topology(d)).holds
+        cv.is_eventual_liminf(d, alt, d.index("l"), I).holds
+        and not cv.converges_topological(d, alt, d.index("l"), I, tp.lawson_topology(d)).holds
     )
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
@@ -557,11 +557,11 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
     collapses to."""
     for name, p in ctx.corpus.items():
         ok_pts = all(
-            wb._set_way_below_definitional(p, (x,), (y,))
-            == wb.set_way_below(p, (x,), (y,))
+            wb._set_way_below_definitional(p, 1 << i, 1 << j)
+            == wb.set_way_below(p, 1 << i, 1 << j)
             == p.leq(x, y)
-            for x in p.elements
-            for y in p.elements
+            for i, x in enumerate(p.elements)
+            for j, y in enumerate(p.elements)
         )
         run.check(f"{name}:points", ok_pts)
         ok_sets = all(

@@ -9,11 +9,13 @@ all directed subsets; the ``finite-collapse`` suite and
 ``test_finite_set_way_below_matches_definition`` check the closed form
 against it.  The side-point dcpo's counterparts, with their shape oracle,
 live in :mod:`~domaincheck.sidenat`.
+
+Points are indexes and finite sets are masks; the command line resolves
+element ids.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import topology as tp
@@ -21,20 +23,20 @@ from .errors import PreconditionFailed
 from .oplog import logged
 from .order import FinitePoset, smyth_meet
 
-def _as_mask(p: FinitePoset, s: int | Iterable[str]) -> int:
-    return s if isinstance(s, int) else p.mask_of(s)
-
 
 @logged("waybelow.smyth")
-def smyth_leq(p: FinitePoset, g, h) -> bool:
-    """The Smyth preorder on finite sets: ``g <= h`` iff ``up(h) <= up(g)``."""
-    return set_way_below(p, g, h)
+def smyth_leq(p: FinitePoset, g: int, h: int) -> bool:
+    """The Smyth preorder on finite sets, given as masks: ``g <= h`` iff
+    ``up(h) <= up(g)``.  Decided from both upper sets, independently of
+    :func:`set_way_below`, which the ``finite-collapse`` suite compares
+    with it."""
+    return p.up_of_mask(h) & ~p.up_of_mask(g) == 0
 
 
 @logged("waybelow.set")
-def set_way_below(p: FinitePoset, g, h) -> bool:
-    """``g`` is way below ``h``: every directed set whose supremum lands
-    in ``up(h)`` already meets ``up(g)``.
+def set_way_below(p: FinitePoset, g: int, h: int) -> bool:
+    """The set of mask ``g`` is way below that of mask ``h``: every
+    directed set whose supremum lands in ``up(h)`` already meets ``up(g)``.
 
     On a finite poset every directed set contains its supremum, so the
     condition is the Smyth preorder ``up(h) <= up(g)``: a singleton
@@ -46,14 +48,13 @@ def set_way_below(p: FinitePoset, g, h) -> bool:
     instead; the ``finite-collapse`` suite and
     ``test_finite_set_way_below_matches_definition`` compare the two.
     """
-    return _as_mask(p, h) & ~p.up_of_mask(_as_mask(p, g)) == 0
+    return h & ~p.up_of_mask(g) == 0
 
 
-def _set_way_below_definitional(p: FinitePoset, g, h) -> bool:
-    """Way-below on a finite poset, by the definition: no directed subset
-    with supremum in ``up(h)`` misses ``up(g)``."""
-    gm, hm = _as_mask(p, g), _as_mask(p, h)
-    upg, uph = p.up_of_mask(gm), p.up_of_mask(hm)
+def _set_way_below_definitional(p: FinitePoset, g: int, h: int) -> bool:
+    """Way-below of masks on a finite poset, by the definition: no
+    directed subset with supremum in ``up(h)`` misses ``up(g)``."""
+    upg, uph = p.up_of_mask(g), p.up_of_mask(h)
     for d, sup in p.directed_sups:
         if uph >> sup & 1 and d & upg == 0:
             return False
@@ -61,9 +62,9 @@ def _set_way_below_definitional(p: FinitePoset, g, h) -> bool:
 
 
 @logged("waybelow.waydown")
-def waydown_of(p: FinitePoset, x) -> int:
-    """All points way below ``x`` (the pointwise approximants of ``x``)."""
-    ix = p.index(x) if isinstance(x, str) else x
+def waydown_of(p: FinitePoset, ix: int) -> int:
+    """The mask of all points way below the point of index ``ix`` (its
+    pointwise approximants)."""
     out = 0
     for y in range(p.n):
         if set_way_below(p, 1 << y, 1 << ix):
@@ -72,23 +73,22 @@ def waydown_of(p: FinitePoset, x) -> int:
 
 
 @logged("waybelow.fin")
-def fin_of(p: FinitePoset, x) -> tuple[int, ...]:
-    """The approximating family of ``x``: the antichain masks way below it
-    (a finite set generates the upper set of its minimal elements)."""
-    ix = p.index(x) if isinstance(x, str) else x
+def fin_of(p: FinitePoset, ix: int) -> tuple[int, ...]:
+    """The approximating family of the point of index ``ix``: the
+    antichain masks way below it (a finite set generates the upper set of
+    its minimal elements)."""
     return tuple(f for f in p.iter_antichain_masks() if set_way_below(p, f, 1 << ix))
 
 
 @logged("waybelow.interpolate")
-def interpolate(p: FinitePoset, h, x) -> int:
-    """Given ``h`` way below ``x``, produce ``e`` with ``h << e << x``:
-    on a finite poset ``{x}`` itself interpolates.  Raises
-    :class:`PreconditionFailed` when ``h`` is not way below ``x``.
+def interpolate(p: FinitePoset, h: int, ix: int) -> int:
+    """Given the mask ``h`` way below the point of index ``ix``, produce
+    a mask ``e`` with ``h << e << ix``: on a finite poset ``{ix}`` itself
+    interpolates.  Raises :class:`PreconditionFailed` when ``h`` is not
+    way below ``ix``.
     """
-    hm = _as_mask(p, h)
-    ix = p.index(x) if isinstance(x, str) else x
-    if not set_way_below(p, hm, 1 << ix):
-        raise PreconditionFailed(f"{p.ids_of(hm)!r} is not way below {p.elements[ix]!r}")
+    if not set_way_below(p, h, 1 << ix):
+        raise PreconditionFailed(f"{p.ids_of(h)!r} is not way below {p.elements[ix]!r}")
     return 1 << ix
 
 

@@ -252,7 +252,7 @@ def test_converge_prints_the_backend_predicate(tmp_path, capsys, poset, mode, to
         else:
             p = named_posets()[poset]
             extra = (tp.finite_topology(p, topology),) if topology else ()
-            direct = finite(p, net, point, idl, *extra)
+            direct = finite(p, net, p.index(point), idl, *extra)
         expected = json.loads(json.dumps(direct.to_dict()))
         assert {k: printed[k] for k in ("holds", "witness")} == expected, point
 
@@ -501,6 +501,26 @@ def test_missing_file_is_usage_error(capsys):
 def test_unknown_poset_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "classify", "--poset", "wat")
     assert code == 2 and "wat" in err
+
+
+@pytest.mark.parametrize("name", ["p0_0", "p7_0", "p2_01"])
+def test_unlisted_corpus_name_is_unknown(capsys, name):
+    """An enumerated poset resolves only under the name ``corpus list``
+    prints: no size outside 1 to 6, no index with a leading zero."""
+    code, out, err = run_cli(capsys, "classify", "--poset", name)
+    assert (code, out, err) == (2, "", f"error: no corpus poset named {name!r}\n")
+
+
+def test_unknown_point_is_usage_error(tmp_path, capsys):
+    """``--point`` is resolved to an index by the poset's own id lookup,
+    whose error names the point and the poset."""
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"kind": "eventual"}))
+    argv = ["converge", "--mode", "liminf", "--poset", "diamond", "--net", str(net)]
+    code, out, err = run_cli(capsys, *argv, "--ideal", str(ideal), "--point", "zz")
+    assert (code, out, err) == (2, "", "error: 'zz' is not an element of 'diamond'\n")
 
 
 GOOD_NET = {"index": "omega", "tracks": [{"kind": "const", "value": "top"}]}

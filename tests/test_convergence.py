@@ -97,7 +97,6 @@ def test_omega_algebra_pointwise(s, t):
     su, tu = set(s.members_upto(window)), set(t.members_upto(window))
     assert set(cv.omega_union(s, t).members_upto(window)) == su | tu
     assert set(cv.omega_inter(s, t).members_upto(window)) == su & tu
-    assert set(cv.omega_diff(s, t).members_upto(window)) == su - tu
 
 
 @given(_omegas)
@@ -339,11 +338,16 @@ def test_diamond_alternating_l_top_frozen():
     net = _diamond_alternating("l", "top")
     gi = cv.eventual_family(DIAMOND, net, EVENTUAL)
     assert {DIAMOND.ids_of(f) for f in gi} == {("bot",), ("l",), ("l", "r")}
-    winners = [x for x in DIAMOND.elements if cv.is_eventual_liminf(DIAMOND, net, x, EVENTUAL).holds]
+    winners = [
+        x
+        for ix, x in enumerate(DIAMOND.elements)
+        if cv.is_eventual_liminf(DIAMOND, net, ix, EVENTUAL).holds
+    ]
     assert winners == ["l"]
     law = tp.lawson_topology(DIAMOND)
-    assert not cv.converges_topological(DIAMOND, net, "l", EVENTUAL, law).holds
-    assert cv.converges_topological(DIAMOND, net, "l", EVENTUAL, tp.scott_topology(DIAMOND)).holds
+    l = DIAMOND.index("l")
+    assert not cv.converges_topological(DIAMOND, net, l, EVENTUAL, law).holds
+    assert cv.converges_topological(DIAMOND, net, l, EVENTUAL, tp.scott_topology(DIAMOND)).holds
 
 
 def test_diamond_alternating_l_r_frozen():
@@ -351,7 +355,7 @@ def test_diamond_alternating_l_r_frozen():
     gi = cv.eventual_family(DIAMOND, net, EVENTUAL)
     assert {DIAMOND.ids_of(f) for f in gi} == {("bot",), ("l", "r")}
     assert not any(
-        cv.is_eventual_liminf(DIAMOND, net, x, EVENTUAL).holds for x in DIAMOND.elements
+        cv.is_eventual_liminf(DIAMOND, net, ix, EVENTUAL).holds for ix in range(DIAMOND.n)
     )
 
 
@@ -384,8 +388,8 @@ def test_finite_exhaustive_agrees_with_principal():
                         (cv.converges_liminf, cv._converges_liminf_definitional),
                         (cv.converges_family_liminf, cv._converges_family_definitional),
                     ):
-                        fast = mode(p, net, x, idl).holds
-                        slow = oracle(p, net, x, idl).holds
+                        fast = mode(p, net, p.index(x), idl).holds
+                        slow = oracle(p, net, p.index(x), idl).holds
                         assert fast == slow, (mode.__name__, p.name, net, x, idl.kind)
                         compared += 1
     assert compared == 5976
@@ -397,14 +401,14 @@ def test_finite_eventual_liminf_is_tail_value():
         net = cv.finite_net(CHAIN2, values)
         tail = values[1]  # c1 is the greatest index point
         for x in DIAMOND.elements:
-            assert cv.is_eventual_liminf(DIAMOND, net, x, idl).holds == (x == tail)
+            assert cv.is_eventual_liminf(DIAMOND, net, DIAMOND.index(x), idl).holds == (x == tail)
 
 
 def test_trivial_ideal_converges_everywhere():
     idl = cv.ideal("trivial", CHAIN2)
     net = cv.finite_net(CHAIN2, ["top", "bot"])
     for x in DIAMOND.elements:
-        assert cv.converges_family_liminf(DIAMOND, net, x, idl).holds
+        assert cv.converges_family_liminf(DIAMOND, net, DIAMOND.index(x), idl).holds
 
 
 def test_trap_masks_match_exception_sets():
@@ -553,12 +557,12 @@ def test_predicates_leave_nets_unchanged():
     for net in finite_nets:
         for idl in _compatible_ideals(net):
             cv.eventual_family(DIAMOND, net, idl)
-            for x in DIAMOND.elements:
+            for x in range(DIAMOND.n):
                 cv.converges_liminf(DIAMOND, net, x, idl)
                 cv.converges_family_liminf(DIAMOND, net, x, idl)
                 cv.is_eventual_liminf(DIAMOND, net, x, idl)
-                for kind in ("scott", "lawson"):
-                    cv.converges_topological(DIAMOND, net, x, idl, kind)
+                for topo in (tp.scott_topology(DIAMOND), tp.lawson_topology(DIAMOND)):
+                    cv.converges_topological(DIAMOND, net, x, idl, topo)
     for net in side_nets:
         for idl in _compatible_ideals(net):
             sn.eventual_family(net, idl)
@@ -574,7 +578,8 @@ def test_predicates_leave_nets_unchanged():
 
 def test_verdict_to_dict_is_holds_and_witness():
     """A verdict has two fields, and its JSON form holds exactly those."""
-    verdict = cv.converges_family_liminf(DIAMOND, cv.track_net(cv.const_track("top")), "l", EVENTUAL)
+    net = cv.track_net(cv.const_track("top"))
+    verdict = cv.converges_family_liminf(DIAMOND, net, DIAMOND.index("l"), EVENTUAL)
     assert cv.Verdict._fields == ("holds", "witness")
     assert verdict.to_dict() == {"holds": True, "witness": {"family": [["l"]], "shape": "principal"}}
     assert cv.Verdict(False, {}).to_dict() == {"holds": False, "witness": {}}

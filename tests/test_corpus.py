@@ -192,3 +192,5 @@ def test_resolve():
     assert cp.resolve_poset("p3_2").n == 3
     with pytest.raises(UnknownElement):
         cp.resolve_poset("zilch")
+    for name, p in cp.all_corpus(cp.MAX_ENUMERATED_SIZE).items():
+        assert cp.resolve_poset(name) == p, name

@@ -482,8 +482,8 @@ def _literal_eventual_liminf_lawson(run, ctx):
     I = cv.ideal("eventual")
     alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
     gap_finite = (
-        cv.is_eventual_liminf(d, alt, "l", I).holds
-        and not cv.converges_topological(d, alt, "l", I, tp.lawson_topology(d)).holds
+        cv.is_eventual_liminf(d, alt, d.index("l"), I).holds
+        and not cv.converges_topological(d, alt, d.index("l"), I, tp.lawson_topology(d)).holds
     )
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
@@ -525,7 +525,7 @@ def test_enumerating_suites_match_literal_net_loop(suite):
 # ``finest-topology`` fails there; it also feeds ``is_eventual_liminf``.
 NET_FLIPS = {
     "converges_family_liminf": lambda p, x: x == 0,
-    "is_eventual_liminf": lambda p, x: p.name == "diamond" and x in (1, "l"),
+    "is_eventual_liminf": lambda p, x: p.name == "diamond" and x == 1,
 }
 
 
@@ -606,7 +606,7 @@ def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
     original = getattr(cv, NET_DECIDERS[suite])
 
     def recording(p, net, x, idl):
-        calls[p.name, cv._build_trap_mask(p, net, idl), p.index(x) if isinstance(x, str) else x] += 1
+        calls[p.name, cv._build_trap_mask(p, net, idl), x] += 1
         return original(p, net, x, idl)
 
     monkeypatch.setattr(cv, NET_DECIDERS[suite], recording)

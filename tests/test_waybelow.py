@@ -8,7 +8,7 @@ from domaincheck import waybelow as wb
 from domaincheck import sidenat as sn
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import PreconditionFailed
-from domaincheck.order import build_finite_poset
+from domaincheck.order import bits, build_finite_poset
 from domaincheck.sidenat import A, TOP
 
 DIAMOND = build_finite_poset(
@@ -23,16 +23,31 @@ DIAMOND_FIN_TOP = {("bot",), ("l",), ("r",), ("l", "r"), ("top",)}
 
 
 def test_smyth_preorder():
-    assert wb.smyth_leq(DIAMOND, ["bot"], ["l", "r"])
-    assert wb.smyth_leq(DIAMOND, ["l", "r"], ["top"])
-    assert not wb.smyth_leq(DIAMOND, ["top"], ["l"])
-    assert wb.smyth_leq(DIAMOND, ["l"], ["l"])
+    m = DIAMOND.mask_of
+    assert wb.smyth_leq(DIAMOND, m(["bot"]), m(["l", "r"]))
+    assert wb.smyth_leq(DIAMOND, m(["l", "r"]), m(["top"]))
+    assert not wb.smyth_leq(DIAMOND, m(["top"]), m(["l"]))
+    assert wb.smyth_leq(DIAMOND, m(["l"]), m(["l"]))
+
+
+def test_smyth_leq_does_not_read_set_way_below(monkeypatch):
+    """``smyth_leq`` decides the Smyth preorder by its own definition, so
+    the ``finite-collapse`` suite compares two rules, not one with itself:
+    with ``set_way_below`` answering wrongly, ``g <= h`` still holds iff
+    every point of ``h`` lies above some point of ``g``."""
+    monkeypatch.setattr(wb, "set_way_below", lambda p, g, h: True)
+    chains = list(DIAMOND.iter_antichain_masks())
+    for g in chains:
+        for h in chains:
+            smyth = all(any(DIAMOND.leq_ix(i, j) for i in bits(g)) for j in bits(h))
+            assert wb.smyth_leq(DIAMOND, g, h) == smyth, (g, h)
 
 
 def test_finite_point_way_below_is_order():
     for x in DIAMOND.elements:
         for y in DIAMOND.elements:
-            assert wb.set_way_below(DIAMOND, (x,), (y,)) == DIAMOND.leq(x, y)
+            g, h = DIAMOND.mask_of([x]), DIAMOND.mask_of([y])
+            assert wb.set_way_below(DIAMOND, g, h) == DIAMOND.leq(x, y)
 
 
 def test_finite_set_way_below_is_smyth():
@@ -65,7 +80,7 @@ def test_finite_set_way_below_matches_definition():
 
 
 def test_fin_of_diamond_top():
-    fam = wb.fin_of(DIAMOND, "top")
+    fam = wb.fin_of(DIAMOND, DIAMOND.index("top"))
     assert {DIAMOND.ids_of(f) for f in fam} == DIAMOND_FIN_TOP
 
 
@@ -128,7 +143,7 @@ def test_interpolation_side():
 
 
 def test_interpolation_finite():
-    m = wb.interpolate(DIAMOND, DIAMOND.mask_of(["l", "r"]), "top")
+    m = wb.interpolate(DIAMOND, DIAMOND.mask_of(["l", "r"]), DIAMOND.index("top"))
     assert DIAMOND.ids_of(m) == ("top",)
 
 
