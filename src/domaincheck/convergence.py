@@ -470,8 +470,10 @@ def eventual_family(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
     as antichain masks, each tested through its cached upper set
     (:attr:`FinitePoset.antichain_ups`) against the net's trap mask
     (:func:`_build_trap_mask`); ``test_trap_masks_match_exception_sets``
-    checks it.
+    checks it.  A poset of more than :data:`topology.MAX_TOPOLOGY_ELEMENTS`
+    elements is refused before its antichains are enumerated.
     """
+    tp._guard_size(p)
     _check_compat(net, idl)
     trap = _build_trap_mask(p, net, idl)
     return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if trap & ~u == 0)
@@ -509,7 +511,7 @@ TRACK_PERIOD = 3
 
 @dataclass(frozen=True)
 class NetClass:
-    """The family of nets a derivation quantifies over.
+    """The nets a derivation quantifies over (no track net at period 0).
 
     Always contains every constant net (one-point indexes come first);
     shrinking the class can only enlarge the derived topology, and the
@@ -517,8 +519,17 @@ class NetClass:
     """
 
     max_index_size: int = 4
-    omega_tracks: bool = True
     max_track_period: int = TRACK_PERIOD
+
+    def traps(self, p: FinitePoset) -> list[int]:
+        """The trap masks (:func:`_build_trap_mask`) of the class's nets
+        on ``p`` under the eventual ideal, in increasing order: a
+        finite-index net gives the singleton of its value at the index's
+        top, and a constant-track net its value set, so the masks are the
+        nonempty ones of at most ``max(1, max_track_period)`` points
+        (``test_net_class_traps_match_built_masks``)."""
+        width = max(1, self.max_track_period)
+        return [m for m in range(1, p.universe + 1) if bin(m).count("1") <= width]
 
 
 def generate_nets(p: FinitePoset, netclass: NetClass) -> Iterator[Net]:
@@ -529,10 +540,9 @@ def generate_nets(p: FinitePoset, netclass: NetClass) -> Iterator[Net]:
     for idx in directed_index_posets(netclass.max_index_size):
         for values in product(p.elements, repeat=idx.n):
             yield FiniteNet(idx, values)
-    if netclass.omega_tracks:
-        for period in range(1, netclass.max_track_period + 1):
-            for combo in product(p.elements, repeat=period):
-                yield track_net(*(const_track(v) for v in combo))
+    for period in range(1, netclass.max_track_period + 1):
+        for combo in product(p.elements, repeat=period):
+            yield track_net(*(const_track(v) for v in combo))
 
 
 _MODE_PREDICATES = {
@@ -573,41 +583,34 @@ def derive_convergence_topology(p: FinitePoset, mode: str) -> Topology:
     :func:`_derive_naive` replays the convergence predicates and
     exception sets definitionally over every net of the class.
 
-    This function enumerates trap masks instead of nets.  Under the
-    eventual ideal a net is trapped in a region exactly when the region
-    contains its trap mask (:func:`_build_trap_mask`): the value at the
-    top for a finite-index net, which so behaves as the constant net at
-    that value, and the set of track values for a constant-track net.
-    So the class contributes the singletons and, outside the eventual
-    mode, every nonempty value set of at most ``TRACK_PERIOD`` points.
-
-    The condition "for every trap ``t`` with limits ``L``, either ``L``
-    misses ``U`` or ``t`` lies inside ``U``" holds exactly when
-    ``mins[x]`` lies inside ``U`` for every ``x`` in ``U``, where
-    ``mins[x]`` is the OR of the traps whose limits contain ``x``; so the
-    opens come from those neighbourhood masks.
+    This function enumerates the class's trap masks
+    (:meth:`NetClass.traps`) instead of its nets.  The condition "for
+    every trap ``t`` with limits ``L``, either ``L`` misses ``U`` or ``t``
+    lies inside ``U``" holds exactly when ``mins[x]`` lies inside ``U``
+    for every ``x`` in ``U``, where ``mins[x]`` is the OR of the traps
+    whose limits contain ``x``; so the opens come from those
+    neighbourhood masks.
     ``test_derived_naive_matches_reduced`` compares this function with
     :func:`_derive_naive` in every mode on every poset of size at most 4.
     """
     if mode not in _MODE_PREDICATES:
         raise UnknownElement(f"unknown convergence mode {mode!r}")
-    if mode == "eventual":
-        traps = [1 << ix for ix in range(p.n)]
-        antichain_ups = p.antichain_ups
-    else:
-        traps = [m for m in range(1, p.universe + 1) if bin(m).count("1") <= TRACK_PERIOD]
-        antichain_ups = ()
+    antichain_ups = p.antichain_ups if mode == "eventual" else ()
     mins = [0] * p.n
-    for t in traps:
+    for t in _derivation_class(mode).traps(p):
         for x in bits(_limits_of_trap(p, t, antichain_ups)):
             mins[x] |= t
     return tp._from_neighborhoods(p, mins, f"net_{mode}")
 
 
+def _derivation_class(mode: str) -> NetClass:
+    return NetClass(max_track_period=0 if mode == "eventual" else TRACK_PERIOD)
+
+
 def _derive_naive(p: FinitePoset, mode: str) -> Topology:
     predicate = _MODE_PREDICATES[mode]
     constraints = []
-    for net in generate_nets(p, NetClass(omega_tracks=mode != "eventual")):
+    for net in generate_nets(p, _derivation_class(mode)):
         idl = ideal("eventual", net_index(net))
         limits = 0
         for ix in range(p.n):

@@ -221,17 +221,17 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
     """The derived family-convergence topology is finest: any topology in
     which every family-convergent net converges is contained in it.
 
-    The family-convergent probes ``(net, ideal, point)`` are decided once
-    per poset; a candidate topology meets the premise iff every probe
-    converges in it.  Both predicates read a net only through its trap
-    mask (:func:`convergence._build_trap_mask`), against ``p.up[x]`` and
-    ``topo.neighborhoods[x]``, so on one poset their verdicts are fixed
-    by the key ``mask * p.n + x``: each key is decided on its first net,
-    and one probe per family-convergent key stands for all of them.
+    A candidate topology meets the premise iff every family-convergent
+    probe ``(net, point)`` converges in it.  Both predicates read a net
+    only through its trap mask (:func:`convergence._build_trap_mask`), so
+    no net is enumerated: each mask of the probe class
+    (:meth:`convergence.NetClass.traps`) is stood for by the constant-track
+    net on its points, decided once at each point.
     ``test_enumerating_suites_match_literal_net_loop`` compares the
     report with the literal per-net loop, and
     ``test_enumerated_verdicts_depend_on_mask_and_point`` checks the key."""
-    probe_class = cv.NetClass(max_index_size=2, omega_tracks=True, max_track_period=2)
+    probe_class = cv.NetClass(max_index_size=2, max_track_period=2)
+    eventual = cv.ideal("eventual")
     for name, p in ctx.corpus.items():
         derived = cv.derive_convergence_topology(p, "family")
         pool = {
@@ -240,18 +240,16 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
             "lawson": tp.lawson_topology(p),
             "discrete": tp.discrete_topology(p),
         }
-        decided: dict = {}
-        for net in cv.generate_nets(p, probe_class):
-            idl = cv.ideal("eventual", cv.net_index(net))
-            base = cv._build_trap_mask(p, net, idl) * p.n
-            for ix in range(p.n):
-                key = base + ix
-                if key not in decided:
-                    conv = cv.converges_family_liminf(p, net, ix, idl).holds
-                    decided[key] = (net, idl, ix) if conv else None
-        probes = [probe for probe in decided.values() if probe]
+        probes = []
+        for mask in probe_class.traps(p):
+            net = cv.track_net(*(cv.const_track(p.elements[x]) for x in bits(mask)))
+            probes += [
+                (net, ix)
+                for ix in range(p.n)
+                if cv.converges_family_liminf(p, net, ix, eventual).holds
+            ]
         for label, topo in pool.items():
-            if all(cv.converges_topological(p, net, ix, idl, topo).holds for net, idl, ix in probes):
+            if all(cv.converges_topological(p, net, ix, eventual, topo).holds for net, ix in probes):
                 run.check(f"{name}:{label}", topo.opens <= derived.opens)
             else:
                 run.check(f"{name}:{label}:vacuous", True)
@@ -345,7 +343,7 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     ideal the two disagree on most such triples.
 
     Every net of the class is enumerated (:func:`convergence.generate_nets`
-    without tracks), and each failing (net, point) pair keeps its own
+    at track period ``0``), and each failing (net, point) pair keeps its own
     label.  Both predicates read a net only through its trap mask
     (:func:`convergence._build_trap_mask`), against ``p.antichain_ups``
     and ``p.up[x]`` and against ``law.neighborhoods[x]``, so on one poset
@@ -361,7 +359,7 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     convergence, and the last cases pin those counterexamples down so
     the gap stays visible.
     """
-    netclass = cv.NetClass(max_index_size=3, omega_tracks=False)
+    netclass = cv.NetClass(max_index_size=3, max_track_period=0)
     eventual = {
         idx.name: cv.ideal("eventual", idx)
         for idx in cp.directed_index_posets(netclass.max_index_size)
@@ -453,7 +451,12 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
     families are replayed in enumeration order, so each failure keeps its
     label, witness and place.  ``test_family_verdict_is_the_and_of_its_pairs``
     checks the fact on the library, and ``test_rudin_matches_literal_family_loop``
-    compares the reports with the per-family loop."""
+    compares the reports with the per-family loop.
+
+    The ``:corollary-count`` case checks that the corollary ran on every
+    family, counted without :func:`topology._greatest_members`: each
+    antichain ``g`` with ``k`` antichains Smyth-below it
+    (:func:`waybelow.smyth_leq`) heads ``1 + k + k(k-1)/2`` families."""
     for name, p in ctx.corpus.items():
         corollary_cases = 0
         for g, up_g, above in tp._greatest_members(p):
@@ -468,7 +471,15 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
                 families = 1 + k + k * (k - 1) // 2
                 run.cases += families
                 corollary_cases += families
-        run.check(f"{name}:corollary-count", corollary_cases > 0, {"count": corollary_cases})
+        expected = 0
+        for g in p.antichain_masks:
+            k = sum(1 for f in p.antichain_masks if f != g and wb.smyth_leq(p, f, g))
+            expected += 1 + k + k * (k - 1) // 2
+        run.check(
+            f"{name}:corollary-count",
+            corollary_cases == expected,
+            {"count": corollary_cases, "families": expected},
+        )
 
 
 def _rudin_family(run: _Run, name: str, p: FinitePoset, fam: tuple, ups: tuple) -> bool:
@@ -549,7 +560,8 @@ def _suite_sidenat(run: _Run, ctx: _Ctx) -> None:
 def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
     """On finite posets the approximation relations collapse: way below is
     the order, set way below is the Smyth preorder, the Lawson topology is
-    discrete, and the Scott topology is the family of upper sets.
+    discrete, the Scott topology is the family of upper sets, and the
+    Scott closure of a set is its down-set.
 
     Way-below is computed here by its definition, over every directed
     subset (``waybelow._set_way_below_definitional``), and compared with
@@ -578,10 +590,8 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
         run.check(f"{name}:scott-upper", sc.opens == _scott_opens_by_definition(p))
         probe = p.up[0]
         run.check(f"{name}:interior-dual", sc.interior(probe) == probe)
-        run.check(
-            f"{name}:closure-dual",
-            sc.closure(probe) == p.universe & ~sc.interior(p.universe & ~probe),
-        )
+        down = sum(1 << x for x in range(p.n) if p.up[x] & probe)
+        run.check(f"{name}:closure-dual", sc.closure(probe) == down)
 
 
 def _scott_opens_by_definition(p: FinitePoset) -> frozenset[int]:

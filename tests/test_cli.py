@@ -111,6 +111,26 @@ def test_waybelow_sets_rejects_oversized_poset_fast(tmp_path):
     assert "the limit is 14 elements" in err.decode()
 
 
+def test_converge_eventual_rejects_oversized_poset_fast(tmp_path):
+    """``converge --mode eventual`` refuses a poset too large for its
+    eventually-below family before enumerating the antichains: a
+    15-element antichain exits 2 with an ``error:`` line well inside the
+    timeout."""
+    path = tmp_path / "antichain15.json"
+    elements = [f"e{i}" for i in range(15)]
+    path.write_text(json.dumps({"name": "antichain15", "elements": elements, "le": []}))
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"index": "omega", "tracks": [{"kind": "const", "value": "e0"}]}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"kind": "eventual"}))
+    argv = ("converge", "--mode", "eventual", "--poset", str(path), "--net", str(net))
+    code, err = _cli_to(
+        subprocess.PIPE, *argv, "--ideal", str(ideal), "--point", "e0", timeout=10
+    )
+    assert code == 2 and err.decode().startswith("error:") and "15 elements" in err.decode()
+    assert "the limit is 14 elements" in err.decode()
+
+
 def test_topology_rejects_side_nat(capsys):
     code, _, err = run_cli(capsys, "topology", "--poset", "side_nat", "--kind", "scott")
     assert code == 2 and "finite" in err

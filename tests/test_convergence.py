@@ -729,8 +729,23 @@ def test_reduced_derivation_rejects_bad_input():
         cv.derive_convergence_topology(DIAMOND, "cofinite")
 
 
+def test_net_class_traps_match_built_masks():
+    """``NetClass.traps`` is the set of trap masks, under the eventual
+    ideal, of the nets the class generates, for every poset of size at
+    most 3, index sizes 1 to 3 and track periods 0 to 3."""
+    for n in range(1, 4):
+        for p in generate_all_posets(n):
+            for size, period in product(range(1, 4), range(4)):
+                nc = cv.NetClass(max_index_size=size, max_track_period=period)
+                built = {
+                    cv._build_trap_mask(p, net, cv.ideal("eventual", cv.net_index(net)))
+                    for net in cv.generate_nets(p, nc)
+                }
+                assert nc.traps(p) == sorted(built), (p.name, size, period)
+
+
 def test_netclass_generation():
-    nets = list(cv.generate_nets(DIAMOND, cv.NetClass(max_index_size=1, omega_tracks=False)))
+    nets = list(cv.generate_nets(DIAMOND, cv.NetClass(max_index_size=1, max_track_period=0)))
     assert len(nets) == 4  # one singleton index, one net per element
     with_tracks = list(
         cv.generate_nets(DIAMOND, cv.NetClass(max_index_size=1, max_track_period=1))

@@ -434,7 +434,7 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
 
 
 # The net class ``finest-topology`` probes with.
-FINEST_PROBES = cv.NetClass(max_index_size=2, omega_tracks=True, max_track_period=2)
+FINEST_PROBES = cv.NetClass(max_index_size=2, max_track_period=2)
 
 
 def _literal_finest_topology(run, ctx):
@@ -619,8 +619,9 @@ def _literal_rudin(run, ctx):
     """The ``rudin`` suite as a loop over every family, each decided by
     calling the library on it."""
     for name, p in ctx.corpus.items():
-        corollary_cases = 0
+        corollary_cases = families = 0
         for fam, ups in tp._directed_antichain_families(p, 3):
+            families += 1
             if not rd.is_directed_family(p, fam):
                 run.check(f"{name}:extract:{fam}", False, {"directed": False})
                 continue
@@ -636,7 +637,11 @@ def _literal_rudin(run, ctx):
             corollary_cases += 1
             if p.up_of_mask(member) & ~meet:
                 run.check(f"{name}:corollary:{fam}:{meet}", False, {"member": list(p.ids_of(member))})
-        run.check(f"{name}:corollary-count", corollary_cases > 0, {"count": corollary_cases})
+        run.check(
+            f"{name}:corollary-count",
+            corollary_cases == families,
+            {"count": corollary_cases, "families": families},
+        )
 
 
 # Wrong answers the Rudin failure-path test injects: library function ->
@@ -682,6 +687,31 @@ def test_rudin_matches_literal_family_loop(flip, monkeypatch):
         assert report.ok == (flip is None), seed
         if flip is not None:
             assert any(re.search(r"\(\d+, \d+, \d+\)", f["case"]) for f in report.failures), seed
+
+
+def test_rudin_corollary_count_fails_on_a_miscount(monkeypatch):
+    """``:corollary-count`` counts the families independently of the
+    enumeration: with :func:`topology._greatest_members` dropping each
+    poset's last antichain, the corollary runs on fewer families than
+    there are, and every poset's count case fails, and nothing else."""
+    original = tp._greatest_members
+    monkeypatch.setattr(tp, "_greatest_members", lambda p: list(original(p))[:-1])
+    report = suites.run_suite("rudin", max_size=3, seed=0)
+    cases = [f["case"] for f in report.failures]
+    assert cases == [f"{name}:corollary-count" for name in corpus.all_corpus(3)]
+    assert all(f["count"] < f["families"] for f in report.failures)
+
+
+def test_finite_collapse_closure_fails_with_a_wrong_interior(monkeypatch):
+    """``:closure-dual`` compares the Scott closure with the down-set,
+    not with its own definition through the interior: with
+    ``Topology.interior`` made the identity, the case fails on 11 posets
+    at size 4, and no other case does."""
+    monkeypatch.setattr(tp.Topology, "interior", lambda self, mask: mask)
+    report = suites.run_suite("finite-collapse", max_size=4, seed=0)
+    cases = [f["case"] for f in report.failures]
+    assert len(cases) == 11 and all(c.endswith(":closure-dual") for c in cases)
+    assert "p3_3:closure-dual" in cases and "p4_4:closure-dual" in cases
 
 
 def _stdout_sha256(*argv: str) -> str:
