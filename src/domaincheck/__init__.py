@@ -28,6 +28,7 @@ from .convergence import (
     net_to_json,
     omega_set,
     track_net,
+    trap_mask,
 )
 from .corpus import all_corpus, generate_all_posets, named_posets, resolve_poset
 from .errors import DomainCheckError
@@ -104,5 +105,6 @@ __all__ = [
     "smyth_leq",
     "suite_names",
     "track_net",
+    "trap_mask",
     "waydown_of",
 ]

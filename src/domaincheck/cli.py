@@ -136,7 +136,7 @@ def _cmd_waybelow(args: argparse.Namespace) -> int:
     if args.sets:
         # The set table compares every pair of antichains; refuse a poset
         # too large for it, as ``classify`` does, before enumerating any.
-        tp._guard_size(p)
+        tp._guard_size(p, "antichain enumeration")
         chains = list(p.iter_antichain_masks())
         out["sets"] = [
             [sorted(p.ids_of(g)), sorted(p.ids_of(h))]
@@ -163,17 +163,21 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise DomainCheckError("the ideal JSON must be an object with a 'kind' field")
     idl = cv.ideal(json_field(ideal_spec, "kind", "the ideal JSON document"), cv.net_index(net))
     x = _parse_point(p, args.point)
-    # The predicates of both backends share names; the side-point ones take no poset.
-    lib, backend = (sn, ()) if isinstance(p, SideNat) else (cv, (p,))
+    # The predicates of both backends share names; the side-point ones read
+    # the net and the ideal, the finite ones the pair's trap mask.
+    if isinstance(p, SideNat):
+        lib, head = sn, (net, x, idl)
+    else:
+        lib, head = cv, (p, cv.trap_mask(p, net, idl), x)
     if args.mode == "liminf":
-        verdict = lib.converges_liminf(*backend, net, x, idl)
+        verdict = lib.converges_liminf(*head)
     elif args.mode == "family":
-        verdict = lib.converges_family_liminf(*backend, net, x, idl)
+        verdict = lib.converges_family_liminf(*head)
     elif args.mode == "eventual":
-        verdict = lib.is_eventual_liminf(*backend, net, x, idl)
+        verdict = lib.is_eventual_liminf(*head)
     else:  # "topo", the last of argparse's choices
         topo = args.topology if isinstance(p, SideNat) else tp.finite_topology(p, args.topology)
-        verdict = lib.converges_topological(*backend, net, x, idl, topo)
+        verdict = lib.converges_topological(*head, topo)
     out = {"mode": args.mode, "point": args.point, "ideal": idl.kind}
     if args.mode == "topo":
         out["topology"] = args.topology

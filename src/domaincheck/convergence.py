@@ -19,10 +19,15 @@ stabilization argument: past the largest natural mentioned by the net,
 growing a region's cut point changes level sets by finite sets only, and
 every ideal here is invariant under finite modifications.
 
-The predicates here take a finite poset, the limit as the index of a
-point in it, and a :class:`Topology` object; element ids and topology
-names are resolved by the command line.  :mod:`~domaincheck.sidenat`
-has the predicates of the side-point dcpo, on the same nets and ideals.
+On a finite poset a (net, ideal) pair enters the predicates only as its
+trap mask (:func:`trap_mask`), the one int that decides in which regions
+the net is trapped.  The predicates take the poset, that mask, the limit
+as the index of a point and, for topological convergence, a
+:class:`Topology` object; element ids and topology names are resolved by
+the command line.  The definitional oracles and :func:`_derive_naive`
+read nets through :func:`exception_set` and :func:`ideal_member`
+instead.  :mod:`~domaincheck.sidenat` has the predicates of the
+side-point dcpo, which take the net and the ideal.
 """
 
 from __future__ import annotations
@@ -300,9 +305,16 @@ def _eventually_inside(p: FinitePoset, net: Net, region: int, idl: Ideal) -> boo
     return ideal_member(idl, exception_set(p, net, region))
 
 
-def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
-    """The mask that decides trapping on a finite poset: the net is
-    trapped in ``region`` up to ``idl`` iff ``mask & ~region == 0``.
+def _check_compat(net: Net, idl: Ideal) -> None:
+    index = OMEGA if isinstance(net, TrackNet) else net.index
+    if index is not idl.index and index != idl.index:
+        raise IndexMismatch("net and ideal must share an index set")
+
+
+def trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
+    """The one int through which the finite predicates read a (net,
+    ideal) pair: the net is trapped in ``region`` up to ``idl`` iff
+    ``mask & ~region == 0``.
 
     Under the trivial ideal every exception set is negligible, so the
     mask is ``0``.  A finite-index net under the eventual ideal is
@@ -312,21 +324,16 @@ def _build_trap_mask(p: FinitePoset, net: Net, idl: Ideal) -> int:
     inside: the mask is that value alone.  A constant-track net under a
     proper ideal is trapped iff its exception set, a union of residue
     classes, is finite, that is, empty: the mask is the union of its
-    track values.  So the mask and the point fix the verdict of every
-    predicate that reads the trap mask.  The sampled suites draw
-    a poset's triples as one block (``suites._sample_net``), which reads
-    each mask from its draw and keys each triple by ``mask * p.n + x``;
-    ``suites._tally`` decides each key once per poset, on its first
-    draw, and counts every triple as a case.
+    track values.  ``test_trap_masks_match_exception_sets`` checks the
+    mask against ``ideal_member(idl, exception_set(...))`` on every
+    directed index of at most 4 points.
 
-    ``test_trap_masks_match_exception_sets`` checks the mask against
-    ``ideal_member(idl, exception_set(...))`` on every directed index of
-    at most 4 points; ``test_trap_mask_decides_finite_predicates`` checks
-    the verdicts.  Values are validated as :func:`exception_set`
-    validates them, so a foreign value raises :class:`UnknownElement`
-    and an ascending track :class:`BackendUnsupported`, whatever the
-    ideal.
+    A net and an ideal on different indexes raise :class:`IndexMismatch`.
+    Values are validated as :func:`exception_set` validates them, so a
+    foreign value raises :class:`UnknownElement` and an ascending track
+    :class:`BackendUnsupported`, whatever the ideal.
     """
+    _check_compat(net, idl)
     if isinstance(net, FiniteNet):
         points = [p.index(v) for v in net.values]
         if idl.kind == "trivial":
@@ -361,31 +368,24 @@ class Verdict(NamedTuple):
         return {"holds": self.holds, "witness": self.witness}
 
 
-def _check_compat(net: Net, idl: Ideal) -> None:
-    index = OMEGA if isinstance(net, TrackNet) else net.index
-    if index is not idl.index and index != idl.index:
-        raise IndexMismatch("net and ideal must share an index set")
-
-
 # -- lim-inf convergence ----------------------------------------------------
 
 
 @logged("convergence.liminf")
-def converges_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
-    """Lim-inf convergence to the point of index ``ix``: some directed
-    set below the limit traps the net.
+def converges_liminf(p: FinitePoset, trap: int, ix: int) -> Verdict:
+    """Lim-inf convergence to the point of index ``ix`` of a net with trap
+    mask ``trap`` (:func:`trap_mask`): some directed set below the limit
+    traps the net.
 
     This tests the principal witness, the singleton of the limit itself,
     which subsumes every other directed set: the trap condition for a
     directed set with supremum above ``ix`` is at least as strong at the
-    supremum, whose upper set sits inside the limit's.  It reads the
-    net's trap mask (:func:`_build_trap_mask`).  Oracle:
+    supremum, whose upper set sits inside the limit's.  Oracle:
     ``test_finite_exhaustive_agrees_with_principal`` compares it with
     :func:`_converges_liminf_definitional` on every poset of size at
     most 3.
     """
-    _check_compat(net, idl)
-    if _build_trap_mask(p, net, idl) & ~p.up[ix] == 0:
+    if trap & ~p.up[ix] == 0:
         return Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
@@ -403,20 +403,19 @@ def _converges_liminf_definitional(p: FinitePoset, net: Net, ix: int, idl: Ideal
 
 
 @logged("convergence.family_liminf")
-def converges_family_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
-    """Lim-inf convergence to the point of index ``ix`` along a
-    Smyth-directed family of finite sets.
+def converges_family_liminf(p: FinitePoset, trap: int, ix: int) -> Verdict:
+    """Lim-inf convergence to the point of index ``ix``, along a
+    Smyth-directed family of finite sets, of a net with trap mask
+    ``trap``.
 
     The family's upper sets must intersect inside the limit's upper set,
     and each member must trap the net up to the ideal.  The principal
-    family over the limit again dominates, read from the net's trap mask
-    (:func:`_build_trap_mask`).  Oracle:
+    family over the limit again dominates.  Oracle:
     ``test_finite_exhaustive_agrees_with_principal`` compares it with
     :func:`_converges_family_definitional` on every poset of size at
     most 3.
     """
-    _check_compat(net, idl)
-    if _build_trap_mask(p, net, idl) & ~p.up[ix] == 0:
+    if trap & ~p.up[ix] == 0:
         return Verdict(True, {"family": [[p.elements[ix]]], "shape": "principal"})
     return Verdict(False, {"point": p.elements[ix]})
 
@@ -438,23 +437,22 @@ def _converges_family_definitional(p: FinitePoset, net: Net, ix: int, idl: Ideal
 
 
 @logged("convergence.topological")
-def converges_topological(p: FinitePoset, net: Net, ix: int, idl: Ideal, topo: Topology) -> Verdict:
-    """Ideal convergence in the topology ``topo``: every neighborhood of
-    the point of index ``ix`` traps the net up to the ideal.
+def converges_topological(p: FinitePoset, trap: int, ix: int, topo: Topology) -> Verdict:
+    """Ideal convergence in the topology ``topo``, of a net with trap mask
+    ``trap``: every neighborhood of the point of index ``ix`` traps the
+    net up to the ideal.
 
     A finite topology is closed under intersections, so every open around
     ``ix`` contains the minimal neighbourhood ``m(ix)``
     (:attr:`Topology.neighborhoods`), and trapping is monotone in the
-    region: the net converges iff it is trapped in ``m(ix)``, tested with
-    the net's trap mask (:func:`_build_trap_mask`).  The witness is the
-    same as that of a scan of the opens in increasing mask order: every
-    open around ``ix`` is a superset of ``m(ix)``, hence no smaller as a
-    mask, so ``m(ix)`` comes first and fails whenever any of them fails.
-    ``test_topological_matches_open_scan`` compares the two.  A family of
-    opens whose ``m(ix)`` is not open raises :class:`PreconditionFailed`.
+    region: the net converges iff it is trapped in ``m(ix)``.  The
+    witness is the same as that of a scan of the opens in increasing mask
+    order: every open around ``ix`` is a superset of ``m(ix)``, hence no
+    smaller as a mask, so ``m(ix)`` comes first and fails whenever any of
+    them fails.  ``test_topological_matches_open_scan`` compares the two.
+    A family of opens whose ``m(ix)`` is not open raises
+    :class:`PreconditionFailed`.
     """
-    _check_compat(net, idl)
-    trap = _build_trap_mask(p, net, idl)
     m = topo.neighborhoods[ix]
     if trap & ~m == 0:
         return Verdict(True, {"kind": topo.kind})
@@ -465,25 +463,22 @@ def converges_topological(p: FinitePoset, net: Net, ix: int, idl: Ideal, topo: T
 
 
 @logged("convergence.eventual_family")
-def eventual_family(p: FinitePoset, net: Net, idl: Ideal) -> tuple[int, ...]:
-    """Every finite set whose upper closure traps the net up to the ideal,
-    as antichain masks, each tested through its cached upper set
-    (:attr:`FinitePoset.antichain_ups`) against the net's trap mask
-    (:func:`_build_trap_mask`); ``test_trap_masks_match_exception_sets``
+def eventual_family(p: FinitePoset, trap: int) -> tuple[int, ...]:
+    """Every finite set whose upper closure traps a net with trap mask
+    ``trap``, as antichain masks, each tested through its cached upper set
+    (:attr:`FinitePoset.antichain_ups`); ``test_eventual_witness_matches_antichain_loop``
     checks it.  A poset of more than :data:`topology.MAX_TOPOLOGY_ELEMENTS`
     elements is refused before its antichains are enumerated.
     """
-    tp._guard_size(p)
-    _check_compat(net, idl)
-    trap = _build_trap_mask(p, net, idl)
+    tp._guard_size(p, "antichain enumeration")
     return tuple(f for f, u in zip(p.antichain_masks, p.antichain_ups) if trap & ~u == 0)
 
 
 @logged("convergence.eventual_liminf")
-def is_eventual_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict:
-    """Eventual lim-inf to the point of index ``ix``: the limit of some
-    family trap, lying in the upper closure of every member of the
-    eventually-below family.
+def is_eventual_liminf(p: FinitePoset, trap: int, ix: int) -> Verdict:
+    """Eventual lim-inf to the point of index ``ix`` of a net with trap
+    mask ``trap``: the limit of some family trap, lying in the upper
+    closure of every member of the eventually-below family.
 
     Both conditions are taken literally.  The first is family lim-inf
     convergence to ``ix``; the second reads :func:`eventual_family` member
@@ -491,10 +486,10 @@ def is_eventual_liminf(p: FinitePoset, net: Net, ix: int, idl: Ideal) -> Verdict
     ``f & down[ix] != 0``.  Oracles: the ``eventual-liminf-lawson`` suite
     (Lawson convergence) and ``test_eventual_witness_matches_antichain_loop``.
     """
-    first = converges_family_liminf(p, net, ix, idl)
+    first = converges_family_liminf(p, trap, ix)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
-    family = eventual_family(p, net, idl)
+    family = eventual_family(p, trap)
     for f in family:
         if not f & p.down[ix]:
             return Verdict(False, {"failed": "membership", "member": list(p.ids_of(f))})
@@ -522,7 +517,7 @@ class NetClass:
     max_track_period: int = TRACK_PERIOD
 
     def traps(self, p: FinitePoset) -> list[int]:
-        """The trap masks (:func:`_build_trap_mask`) of the class's nets
+        """The trap masks (:func:`trap_mask`) of the class's nets
         on ``p`` under the eventual ideal, in increasing order: a
         finite-index net gives the singleton of its value at the index's
         top, and a constant-track net its value set, so the masks are the
@@ -612,9 +607,10 @@ def _derive_naive(p: FinitePoset, mode: str) -> Topology:
     constraints = []
     for net in generate_nets(p, _derivation_class(mode)):
         idl = ideal("eventual", net_index(net))
+        trap = trap_mask(p, net, idl)
         limits = 0
         for ix in range(p.n):
-            if predicate(p, net, ix, idl).holds:
+            if predicate(p, trap, ix).holds:
                 limits |= 1 << ix
         if limits:
             constraints.append((limits, net, idl))

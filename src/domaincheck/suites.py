@@ -143,19 +143,17 @@ def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
 def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     """Lim-inf convergence implies family lim-inf convergence.
 
-    On a finite poset a triple's trap mask and point fix both verdicts
-    (:func:`convergence._build_trap_mask`), and the mask is known from
-    the draw (:func:`_sample_net`), so :func:`_tally` decides each
-    (mask, point) key once per poset.  Every sampled triple is still one
-    case (``test_sampled_suites_match_literal_triple_loop``)."""
+    On a finite poset both predicates take a triple's trap mask, which
+    is known from the draw (:func:`_sample_net`), so :func:`_tally`
+    decides each (mask, point) key once per poset.  Every sampled triple
+    is still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
 
-        def outcome(draw, mask, x):
-            net, idl = _net_of_draw(p, draw)
-            if not cv.converges_liminf(p, net, x, idl).holds:
+        def outcome(mask, x):
+            if not cv.converges_liminf(p, mask, x).holds:
                 return None
-            return cv.converges_family_liminf(p, net, x, idl).holds or ""
+            return cv.converges_family_liminf(p, mask, x).holds or ""
 
         _tally(run, name, p, _sample_net(p, rng, 200), outcome)
     I = cv.ideal("eventual")
@@ -176,7 +174,7 @@ def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
                 if wb.set_way_below(p, g, 1 << ix):
                     continue
                 net = cv.track_net(cv.const_track(p.elements[ix]))
-                conv = cv.converges_family_liminf(p, net, ix, I).holds
+                conv = cv.converges_family_liminf(p, cv.trap_mask(p, net, I), ix).holds
                 escaped = not cv.ideal_member(I, cv.exception_set(p, net, up_g))
                 run.check(f"{name}:{sorted(p.ids_of(g))}:{p.elements[ix]}", conv and escaped)
 
@@ -185,14 +183,13 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     """On quasi-continuous posets, a net trapped by every set way below a
     point family-converges to that point.
 
-    On a finite poset a triple's trap mask and point fix the premise and
-    the family verdict (:func:`convergence._build_trap_mask`), and the
-    mask is known from the draw (:func:`_sample_net`).  The net is
-    trapped by every set way below ``x`` iff its mask lies inside the
-    meet of their upper sets, so the premise is one subset test, and
-    :func:`_tally` decides each (mask, point) key whose premise holds
-    once per poset.  Every sampled triple is still one case
-    (``test_sampled_suites_match_literal_triple_loop``)."""
+    On a finite poset the family verdict takes a triple's trap mask
+    (:func:`convergence.trap_mask`), which is known from the draw
+    (:func:`_sample_net`).  The net is trapped by every set way below
+    ``x`` iff its mask lies inside the meet of their upper sets, so the
+    premise is one subset test, and :func:`_tally` decides each (mask,
+    point) key whose premise holds once per poset.  Every sampled triple
+    is still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         waydown_meets = [p.universe] * p.n
@@ -201,11 +198,10 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
                 if wb.set_way_below(p, g, 1 << ix):
                     waydown_meets[ix] &= up_g
 
-        def outcome(draw, mask, x):
+        def outcome(mask, x):
             if mask & ~waydown_meets[x]:
                 return None
-            net, idl = _net_of_draw(p, draw)
-            return cv.converges_family_liminf(p, net, x, idl).holds or ""
+            return cv.converges_family_liminf(p, mask, x).holds or ""
 
         _tally(run, name, p, _sample_net(p, rng, 200), outcome)
     I = cv.ideal("eventual")
@@ -222,16 +218,15 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
     which every family-convergent net converges is contained in it.
 
     A candidate topology meets the premise iff every family-convergent
-    probe ``(net, point)`` converges in it.  Both predicates read a net
-    only through its trap mask (:func:`convergence._build_trap_mask`), so
-    no net is enumerated: each mask of the probe class
-    (:meth:`convergence.NetClass.traps`) is stood for by the constant-track
-    net on its points, decided once at each point.
+    probe ``(net, point)`` converges in it.  Both predicates take a net's
+    trap mask (:func:`convergence.trap_mask`), so no net is enumerated:
+    the probes are the family-convergent (mask, point) pairs of the probe
+    class's masks (:meth:`convergence.NetClass.traps`).
     ``test_enumerating_suites_match_literal_net_loop`` compares the
     report with the literal per-net loop, and
-    ``test_enumerated_verdicts_depend_on_mask_and_point`` checks the key."""
+    ``test_enumerated_verdicts_depend_on_mask_and_point`` checks that
+    each pair is decided once."""
     probe_class = cv.NetClass(max_index_size=2, max_track_period=2)
-    eventual = cv.ideal("eventual")
     for name, p in ctx.corpus.items():
         derived = cv.derive_convergence_topology(p, "family")
         pool = {
@@ -240,16 +235,14 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
             "lawson": tp.lawson_topology(p),
             "discrete": tp.discrete_topology(p),
         }
-        probes = []
-        for mask in probe_class.traps(p):
-            net = cv.track_net(*(cv.const_track(p.elements[x]) for x in bits(mask)))
-            probes += [
-                (net, ix)
-                for ix in range(p.n)
-                if cv.converges_family_liminf(p, net, ix, eventual).holds
-            ]
+        probes = [
+            (mask, ix)
+            for mask in probe_class.traps(p)
+            for ix in range(p.n)
+            if cv.converges_family_liminf(p, mask, ix).holds
+        ]
         for label, topo in pool.items():
-            if all(cv.converges_topological(p, net, ix, eventual, topo).holds for net, ix in probes):
+            if all(cv.converges_topological(p, mask, ix, topo).holds for mask, ix in probes):
                 run.check(f"{name}:{label}", topo.opens <= derived.opens)
             else:
                 run.check(f"{name}:{label}:vacuous", True)
@@ -292,15 +285,14 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     fails, so the verdicts and the failures are those of deciding it
     everywhere.
 
-    On a finite poset a triple's trap mask and point fix all three
-    verdicts (:func:`convergence._build_trap_mask`), and the mask is
-    known from the draw (:func:`_sample_net`), so :func:`_tally` decides
-    each (mask, point) key once per poset; the case logic still gives
-    each triple its own label and witness
-    (``test_sampled_suites_match_literal_triple_loop``).  So the roughly
-    104,000 cases at size 5 rest on about 9,700 distinct keys;
-    ``test_sampled_verdicts_depend_on_class_and_point`` checks every
-    predicate on every sampled triple against those decisions.  A mask
+    On a finite poset all three predicates take a triple's trap mask
+    (:func:`convergence.trap_mask`), which is known from the draw
+    (:func:`_sample_net`), so :func:`_tally` decides each (mask, point)
+    key once per poset; the case logic still gives each triple its own
+    label and witness (``test_sampled_suites_match_literal_triple_loop``).
+    So the roughly 104,000 cases at size 5 rest on about 9,700 distinct
+    keys, and ``test_sampled_verdicts_depend_on_class_and_point`` checks
+    that each is decided by one call.  A mask
     is ``0`` iff the ideal is trivial: an eventual mask is one bit and a
     proper ideal's mask on the naturals is the union of at least one
     value.  So the trivial-ideal case reads the mask, and a
@@ -312,12 +304,11 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     for name, p in ctx.corpus.items():
         sc = tp.scott_topology(p)
 
-        def outcome(draw, mask, x):
-            net, idl = _net_of_draw(p, draw)
-            fam = cv.converges_family_liminf(p, net, x, idl).holds
-            if fam != cv.converges_topological(p, net, x, idl, sc).holds:
+        def outcome(mask, x):
+            fam = cv.converges_family_liminf(p, mask, x).holds
+            if fam != cv.converges_topological(p, mask, x, sc).holds:
                 return ":scott"
-            if not fam and cv.converges_liminf(p, net, x, idl).holds:
+            if not fam and cv.converges_liminf(p, mask, x).holds:
                 return ":liminf"
             return fam or mask != 0 or ":trivial"
 
@@ -344,9 +335,8 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
 
     Every net of the class is enumerated (:func:`convergence.generate_nets`
     at track period ``0``), and each failing (net, point) pair keeps its own
-    label.  Both predicates read a net only through its trap mask
-    (:func:`convergence._build_trap_mask`), against ``p.antichain_ups``
-    and ``p.up[x]`` and against ``law.neighborhoods[x]``, so on one poset
+    label.  Both predicates take a net's trap mask
+    (:func:`convergence.trap_mask`), built once per net, so on one poset
     their verdicts are fixed by the key ``mask * p.n + x``, and each key
     is decided on its first net.  The eventual mask of a finite-index
     net is one value, so a poset has at most ``p.n ** 2`` keys.
@@ -370,14 +360,13 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
         law = tp.lawson_topology(p)
         verdicts: dict = {}
         for net in cv.generate_nets(p, netclass):
-            idl = eventual[net.index.name]
-            base = cv._build_trap_mask(p, net, idl) * p.n
+            trap = cv.trap_mask(p, net, eventual[net.index.name])
             for ix in range(p.n):
-                key = base + ix
+                key = trap * p.n + ix
                 if key not in verdicts:
                     verdicts[key] = (
-                        cv.is_eventual_liminf(p, net, ix, idl).holds,
-                        cv.converges_topological(p, net, ix, idl, law).holds,
+                        cv.is_eventual_liminf(p, trap, ix).holds,
+                        cv.converges_topological(p, trap, ix, law).holds,
                     )
                 a, b = verdicts[key]
                 if a != b:
@@ -389,10 +378,10 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
         run.check(f"{name}:exhaustive", True)
     d = ctx.corpus["diamond"]
     I = cv.ideal("eventual")
-    alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
+    alt = cv.trap_mask(d, cv.track_net(cv.const_track("l"), cv.const_track("top")), I)
     gap_finite = (
-        cv.is_eventual_liminf(d, alt, d.index("l"), I).holds
-        and not cv.converges_topological(d, alt, d.index("l"), I, tp.lawson_topology(d)).holds
+        cv.is_eventual_liminf(d, alt, d.index("l")).holds
+        and not cv.converges_topological(d, alt, d.index("l"), tp.lawson_topology(d)).holds
     )
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
@@ -455,8 +444,9 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
 
     The ``:corollary-count`` case checks that the corollary ran on every
     family, counted without :func:`topology._greatest_members`: each
-    antichain ``g`` with ``k`` antichains Smyth-below it
-    (:func:`waybelow.smyth_leq`) heads ``1 + k + k(k-1)/2`` families."""
+    antichain ``g`` with ``k`` antichains ``f`` Smyth-below it
+    (``up(g) ⊆ up(f)``, each upper set built once) heads
+    ``1 + k + k(k-1)/2`` families."""
     for name, p in ctx.corpus.items():
         corollary_cases = 0
         for g, up_g, above in tp._greatest_members(p):
@@ -471,9 +461,10 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
                 families = 1 + k + k * (k - 1) // 2
                 run.cases += families
                 corollary_cases += families
+        ups = [p.up_of_mask(g) for g in p.antichain_masks]
         expected = 0
-        for g in p.antichain_masks:
-            k = sum(1 for f in p.antichain_masks if f != g and wb.smyth_leq(p, f, g))
+        for up_g in ups:
+            k = sum(up_g & ~up_f == 0 for up_f in ups) - 1  # g itself is one
             expected += 1 + k + k * (k - 1) // 2
         run.check(
             f"{name}:corollary-count",
@@ -682,12 +673,12 @@ def _sample_net(p: FinitePoset, rng: random.Random, count: int) -> tuple[list[in
     ``rng.randrange(p.n)``, at less cost.
 
     No net is built: the mask is read from the draw in the closed form
-    of :func:`convergence._build_trap_mask` (``0`` under the trivial
-    ideal, the value at the index's top under the eventual ideal, the
-    union of the track values under a proper ideal on the naturals).
+    of :func:`convergence.trap_mask` (``0`` under the trivial ideal, the
+    value at the index's top under the eventual ideal, the union of the
+    track values under a proper ideal on the naturals).
     ``test_sample_net_draws_match_random_choice`` compares the draws, the
-    ideals, the points, the masks (with ``_build_trap_mask`` of the built
-    net) and the generator state with the ``rng.choice`` formulation; the
+    ideals, the points, the masks (with ``trap_mask`` of the built net)
+    and the generator state with the ``rng.choice`` formulation; the
     pinned sha256s of ``test_small_all_report_bytes_are_pinned`` and
     ``test_family_convergence_report_bytes_are_pinned_at_size_5`` guard
     the report bytes."""
@@ -738,7 +729,8 @@ def _sample_net(p: FinitePoset, rng: random.Random, count: int) -> tuple[list[in
 
 
 def _net_of_draw(p: FinitePoset, draw: tuple) -> tuple[cv.Net, cv.Ideal]:
-    """The (net, ideal) pair of a :func:`_sample_net` draw."""
+    """The (net, ideal) pair of a :func:`_sample_net` draw, for a failure
+    witness."""
     i, vals, idl = draw
     values = tuple([p.elements[v] for v in vals])
     if i >= 0:
@@ -750,19 +742,18 @@ def _tally(run: _Run, name: str, p: FinitePoset, block: tuple, outcome) -> dict:
     """Count one poset's sampled triples (a :func:`_sample_net` block) as
     cases, in draw order, and return each drawn key's verdict.
 
-    ``outcome(draw, mask, x)`` decides a triple: ``None`` if it is no
-    case, ``True`` if it passes, else the suffix of its failure label.
-    Triples with one key get one outcome (the mask and the point fix
-    every verdict the suites read), so each key is decided once, on its
-    first draw.  Each failing triple keeps its label ``{name}:{i}{suffix}``
-    and its own witness; ``test_sampled_suites_report_failures_like_literal_loop``
+    ``outcome(mask, x)`` decides a key: ``None`` if its triples are no
+    case, ``True`` if they pass, else the suffix of their failure label.
+    Each key is decided once, on its first draw, and each failing triple
+    keeps its label ``{name}:{i}{suffix}`` and its own witness, built from
+    its draw; ``test_sampled_suites_report_failures_like_literal_loop``
     compares the reports with the literal per-triple loops."""
     verdicts: dict = {}
     for i, (key, draw) in enumerate(zip(*block)):
         if key in verdicts:
             v = verdicts[key]
         else:
-            v = verdicts[key] = outcome(draw, *divmod(key, p.n))
+            v = verdicts[key] = outcome(*divmod(key, p.n))
         if v is True:
             run.cases += 1
         elif v is not None:

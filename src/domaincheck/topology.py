@@ -82,10 +82,10 @@ class Topology:
         return self.poset.universe & ~self.interior(self.poset.universe & ~mask)
 
 
-def _guard_size(p: FinitePoset) -> None:
+def _guard_size(p: FinitePoset, operation: str = "topology enumeration") -> None:
     if p.n > MAX_TOPOLOGY_ELEMENTS:
         raise TooLarge(
-            f"topology enumeration over {p.n} elements is not supported;"
+            f"{operation} over {p.n} elements is not supported;"
             f" the limit is {MAX_TOPOLOGY_ELEMENTS} elements"
         )
 

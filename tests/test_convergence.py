@@ -17,7 +17,6 @@ from hypothesis import given, strategies as st
 from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
 from domaincheck import topology as tp
-from domaincheck import waybelow as wb
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import (
     BackendUnsupported,
@@ -193,7 +192,7 @@ def test_exception_set_finite_index():
 
 def test_index_mismatch_guard():
     with pytest.raises(IndexMismatch):
-        cv.converges_liminf(DIAMOND, INTERLEAVED, "top", cv.ideal("eventual", CHAIN2))
+        cv.trap_mask(DIAMOND, INTERLEAVED, cv.ideal("eventual", CHAIN2))
 
 
 # -- convergence modes on the side-point dcpo -----------------------------------
@@ -329,39 +328,36 @@ def test_constant_net_converges_below_value():
 
 
 def _diamond_alternating(v1, v2):
-    return cv.track_net(cv.const_track(v1), cv.const_track(v2))
+    """The trap mask of the net alternating between ``v1`` and ``v2``."""
+    return cv.trap_mask(DIAMOND, cv.track_net(cv.const_track(v1), cv.const_track(v2)), EVENTUAL)
 
 
 def test_diamond_alternating_l_top_frozen():
     """The pinned periodic-net gap: eventual lim-inf at l without Lawson
     convergence there."""
-    net = _diamond_alternating("l", "top")
-    gi = cv.eventual_family(DIAMOND, net, EVENTUAL)
+    trap = _diamond_alternating("l", "top")
+    gi = cv.eventual_family(DIAMOND, trap)
     assert {DIAMOND.ids_of(f) for f in gi} == {("bot",), ("l",), ("l", "r")}
     winners = [
-        x
-        for ix, x in enumerate(DIAMOND.elements)
-        if cv.is_eventual_liminf(DIAMOND, net, ix, EVENTUAL).holds
+        x for ix, x in enumerate(DIAMOND.elements) if cv.is_eventual_liminf(DIAMOND, trap, ix).holds
     ]
     assert winners == ["l"]
     law = tp.lawson_topology(DIAMOND)
     l = DIAMOND.index("l")
-    assert not cv.converges_topological(DIAMOND, net, l, EVENTUAL, law).holds
-    assert cv.converges_topological(DIAMOND, net, l, EVENTUAL, tp.scott_topology(DIAMOND)).holds
+    assert not cv.converges_topological(DIAMOND, trap, l, law).holds
+    assert cv.converges_topological(DIAMOND, trap, l, tp.scott_topology(DIAMOND)).holds
 
 
 def test_diamond_alternating_l_r_frozen():
-    net = _diamond_alternating("l", "r")
-    gi = cv.eventual_family(DIAMOND, net, EVENTUAL)
+    trap = _diamond_alternating("l", "r")
+    gi = cv.eventual_family(DIAMOND, trap)
     assert {DIAMOND.ids_of(f) for f in gi} == {("bot",), ("l", "r")}
-    assert not any(
-        cv.is_eventual_liminf(DIAMOND, net, ix, EVENTUAL).holds for ix in range(DIAMOND.n)
-    )
+    assert not any(cv.is_eventual_liminf(DIAMOND, trap, ix).holds for ix in range(DIAMOND.n))
 
 
 def _nets_and_ideals(p):
     """Every net over a directed index of size <= 3 under the eventual and
-    trivial ideals, and every constant-track net of period <= 2 under all
+    trivial ideals, and every constant-track net of period <= 3 under all
     four ideal kinds."""
     from domaincheck.corpus import directed_index_posets
 
@@ -371,7 +367,7 @@ def _nets_and_ideals(p):
             net = cv.finite_net(idx, values)
             for idl in ideals:
                 yield net, idl
-    for period in (1, 2):
+    for period in (1, 2, 3):
         for values in product(p.elements, repeat=period):
             net = cv.track_net(*(cv.const_track(v) for v in values))
             for kind in cv.IDEAL_KINDS:
@@ -379,36 +375,40 @@ def _nets_and_ideals(p):
 
 
 def test_finite_exhaustive_agrees_with_principal():
+    """Lim-inf and family lim-inf convergence, decided on the trap mask,
+    equal their definitional checks by exception sets on every poset of
+    size at most 3, net and ideal of :func:`_nets_and_ideals` and point."""
     compared = 0
     for n in range(1, 4):
         for p in generate_all_posets(n):
             for net, idl in _nets_and_ideals(p):
-                for x in p.elements:
+                trap = cv.trap_mask(p, net, idl)
+                for ix in range(p.n):
                     for mode, oracle in (
                         (cv.converges_liminf, cv._converges_liminf_definitional),
                         (cv.converges_family_liminf, cv._converges_family_definitional),
                     ):
-                        fast = mode(p, net, p.index(x), idl).holds
-                        slow = oracle(p, net, p.index(x), idl).holds
-                        assert fast == slow, (mode.__name__, p.name, net, x, idl.kind)
+                        fast = mode(p, trap, ix).holds
+                        slow = oracle(p, net, ix, idl).holds
+                        assert fast == slow, (mode.__name__, p.name, net, ix, idl.kind)
                         compared += 1
-    assert compared == 5976
+    assert compared == 9480
 
 
 def test_finite_eventual_liminf_is_tail_value():
     idl = cv.ideal("eventual", CHAIN2)
     for values in product(DIAMOND.elements, repeat=2):
-        net = cv.finite_net(CHAIN2, values)
+        trap = cv.trap_mask(DIAMOND, cv.finite_net(CHAIN2, values), idl)
         tail = values[1]  # c1 is the greatest index point
         for x in DIAMOND.elements:
-            assert cv.is_eventual_liminf(DIAMOND, net, DIAMOND.index(x), idl).holds == (x == tail)
+            assert cv.is_eventual_liminf(DIAMOND, trap, DIAMOND.index(x)).holds == (x == tail)
 
 
 def test_trivial_ideal_converges_everywhere():
     idl = cv.ideal("trivial", CHAIN2)
-    net = cv.finite_net(CHAIN2, ["top", "bot"])
+    trap = cv.trap_mask(DIAMOND, cv.finite_net(CHAIN2, ["top", "bot"]), idl)
     for x in DIAMOND.elements:
-        assert cv.converges_family_liminf(DIAMOND, net, DIAMOND.index(x), idl).holds
+        assert cv.converges_family_liminf(DIAMOND, trap, DIAMOND.index(x)).holds
 
 
 def test_trap_masks_match_exception_sets():
@@ -425,7 +425,7 @@ def test_trap_masks_match_exception_sets():
         for p in generate_all_posets(n):
             for net in cv.generate_nets(p, netclass):
                 for idl in _compatible_ideals(net):
-                    mask = cv._build_trap_mask(p, net, idl)
+                    mask = cv.trap_mask(p, net, idl)
                     assert isinstance(mask, int)
                     for region in range(p.universe + 1):
                         slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
@@ -435,54 +435,11 @@ def test_trap_masks_match_exception_sets():
     top_first = build_finite_poset("top-first", ["t", "a", "b"], [("a", "t"), ("b", "t")])
     net = cv.finite_net(top_first, ["c1", "c0", "c0"])
     idl = cv.ideal("eventual", top_first)
-    mask = cv._build_trap_mask(CHAIN2, net, idl)
+    mask = cv.trap_mask(CHAIN2, net, idl)
     assert mask == 1 << CHAIN2.index("c1")
     for region in range(CHAIN2.universe + 1):
         slow = cv.ideal_member(idl, cv.exception_set(CHAIN2, net, region))
         assert (mask & ~region == 0) == slow, region
-
-
-def test_trap_mask_decides_finite_predicates():
-    """Triples with equal trap mask and point get equal verdicts, which is
-    what lets the sampled suites decide each (mask, point) pair once.  For
-    every poset of size at most 3, net of the class, compatible ideal and
-    point, lim-inf, family lim-inf and Scott convergence and the
-    ``waybelow-forces-family`` premise, by exception sets, agree within
-    each (mask, point) group, distinct nets share a group, and lim-inf
-    and family lim-inf equal their definitional checks."""
-    netclass = cv.NetClass(max_index_size=3, max_track_period=3)
-    triples = 0
-    shared = 0
-    for n in range(1, 4):
-        for p in generate_all_posets(n):
-            sc = tp.scott_topology(p)
-            antichains = list(zip(p.antichain_masks, p.antichain_ups))
-            waydown_ups = [
-                [u for g, u in antichains if wb.set_way_below(p, g, 1 << ix)] for ix in range(p.n)
-            ]
-            groups: dict = {}
-            for net in cv.generate_nets(p, netclass):
-                for idl in _compatible_ideals(net):
-                    mask = cv._build_trap_mask(p, net, idl)
-                    for x in range(p.n):
-                        lim = cv.converges_liminf(p, net, x, idl).holds
-                        fam = cv.converges_family_liminf(p, net, x, idl).holds
-                        assert lim == cv._converges_liminf_definitional(p, net, x, idl).holds
-                        assert fam == cv._converges_family_definitional(p, net, x, idl).holds
-                        verdicts = (
-                            lim,
-                            fam,
-                            cv.converges_topological(p, net, x, idl, sc).holds,
-                            all(
-                                cv.ideal_member(idl, cv.exception_set(p, net, u))
-                                for u in waydown_ups[x]
-                            ),
-                        )
-                        first = groups.setdefault((mask, x), (net, verdicts))
-                        assert first[1] == verdicts, (p.name, net, idl.kind, x)
-                        shared += first[0] != net
-                        triples += 1
-    assert triples == 4740 and shared > 0
 
 
 def test_trap_mask_is_keyed_on_all_three():
@@ -523,7 +480,7 @@ def test_trap_mask_is_keyed_on_all_three():
     compared = 0
     for order in orders:
         for p, net, idl in order:
-            mask = cv._build_trap_mask(p, net, idl)
+            mask = cv.trap_mask(p, net, idl)
             for region in range(p.universe + 1):
                 slow = cv.ideal_member(idl, cv.exception_set(p, net, region))
                 assert (mask & ~region == 0) == slow, (p.name, net, idl.kind, region)
@@ -536,19 +493,18 @@ def test_trap_mask_is_keyed_on_all_three():
         if "e2" not in values:
             continue
         for idl in ideals_of(net):
-            cv._build_trap_mask(posets[0], net, idl)
+            cv.trap_mask(posets[0], net, idl)
             for _ in range(2):
                 with pytest.raises(UnknownElement):
-                    cv._build_trap_mask(small, net, idl)
-                with pytest.raises(UnknownElement):
-                    cv.converges_family_liminf(small, net, "e0", idl)
+                    cv.trap_mask(small, net, idl)
 
 
 def test_predicates_leave_nets_unchanged():
-    """Every finite and side-point predicate only reads its net: after
-    each has run on a finite-index net and a track net, under every
-    compatible ideal and at every point tried, each net holds its
-    dataclass fields and nothing else."""
+    """``trap_mask``, the finite predicates' one reader of a net, and
+    every side-point predicate only read their net: after each has run on
+    a finite-index net and a track net, under every compatible ideal and
+    at every point tried, each net holds its dataclass fields and nothing
+    else."""
     finite_nets = [
         cv.finite_net(CHAIN2, ["l", "top"]),
         cv.track_net(cv.const_track("l"), cv.const_track("top")),
@@ -556,13 +512,7 @@ def test_predicates_leave_nets_unchanged():
     side_nets = [cv.finite_net(CHAIN2, [0, A]), INTERLEAVED]
     for net in finite_nets:
         for idl in _compatible_ideals(net):
-            cv.eventual_family(DIAMOND, net, idl)
-            for x in range(DIAMOND.n):
-                cv.converges_liminf(DIAMOND, net, x, idl)
-                cv.converges_family_liminf(DIAMOND, net, x, idl)
-                cv.is_eventual_liminf(DIAMOND, net, x, idl)
-                for topo in (tp.scott_topology(DIAMOND), tp.lawson_topology(DIAMOND)):
-                    cv.converges_topological(DIAMOND, net, x, idl, topo)
+            cv.trap_mask(DIAMOND, net, idl)
     for net in side_nets:
         for idl in _compatible_ideals(net):
             sn.eventual_family(net, idl)
@@ -578,23 +528,18 @@ def test_predicates_leave_nets_unchanged():
 
 def test_verdict_to_dict_is_holds_and_witness():
     """A verdict has two fields, and its JSON form holds exactly those."""
-    net = cv.track_net(cv.const_track("top"))
-    verdict = cv.converges_family_liminf(DIAMOND, net, DIAMOND.index("l"), EVENTUAL)
+    trap = cv.trap_mask(DIAMOND, cv.track_net(cv.const_track("top")), EVENTUAL)
+    verdict = cv.converges_family_liminf(DIAMOND, trap, DIAMOND.index("l"))
     assert cv.Verdict._fields == ("holds", "witness")
     assert verdict.to_dict() == {"holds": True, "witness": {"family": [["l"]], "shape": "principal"}}
     assert cv.Verdict(False, {}).to_dict() == {"holds": False, "witness": {}}
 
 
-def _finite_predicates(p, net, x, idl):
-    yield lambda: cv.converges_liminf(p, net, x, idl)
-    yield lambda: cv.converges_family_liminf(p, net, x, idl)
-    yield lambda: cv.converges_topological(p, net, x, idl, tp.scott_topology(p))
-    yield lambda: cv.eventual_family(p, net, idl)
-    yield lambda: cv.is_eventual_liminf(p, net, x, idl)
-
-
 @pytest.mark.parametrize("kind", cv.IDEAL_KINDS)
 def test_finite_predicates_reject_foreign_values_and_ascending_tracks(kind):
+    """A net enters the finite predicates only through ``trap_mask``,
+    which rejects a value foreign to the poset and an ascending track
+    under every ideal kind."""
     bad = [
         (cv.track_net(cv.const_track("top"), cv.const_track("nowhere")), UnknownElement),
         (cv.track_net(cv.const_track("top"), cv.ascend_track()), BackendUnsupported),
@@ -603,10 +548,8 @@ def test_finite_predicates_reject_foreign_values_and_ascending_tracks(kind):
     if kind in ("eventual", "trivial"):
         bad.append((cv.finite_net(CHAIN2, ["top", "nowhere"]), UnknownElement))
     for net, error in bad:
-        idl = cv.ideal(kind, cv.net_index(net))
-        for call in _finite_predicates(DIAMOND, net, "l", idl):
-            with pytest.raises(error):
-                call()
+        with pytest.raises(error):
+            cv.trap_mask(DIAMOND, net, cv.ideal(kind, cv.net_index(net)))
 
 
 def _scan_opens(p, net, ix, idl, topo):
@@ -637,9 +580,10 @@ def test_topological_matches_open_scan():
             ]
             for net in cv.generate_nets(p, netclass):
                 for idl in _compatible_ideals(net):
+                    trap = cv.trap_mask(p, net, idl)
                     for topo in topologies:
                         for ix in range(p.n):
-                            fast = cv.converges_topological(p, net, ix, idl, topo)
+                            fast = cv.converges_topological(p, trap, ix, topo)
                             assert fast == _scan_opens(p, net, ix, idl, topo), (
                                 p.name, net, idl.kind, topo.kind, ix,
                             )
@@ -647,14 +591,13 @@ def test_topological_matches_open_scan():
     assert compared == 17928
 
 
-def _eventual_by_antichain_loop(p, net, ix, idl):
+def _eventual_by_antichain_loop(p, trap, ix):
     """Eventual lim-inf with its second condition as a loop over every
     antichain and its upper set: each antichain whose upper set traps the
     net must have ``x`` in that upper set."""
-    first = cv.converges_family_liminf(p, net, ix, idl)
+    first = cv.converges_family_liminf(p, trap, ix)
     if not first.holds:
         return cv.Verdict(False, {"failed": "family_liminf", **first.witness})
-    trap = cv._build_trap_mask(p, net, idl)
     size = 0
     for f, u in zip(p.antichain_masks, p.antichain_ups):
         if trap & ~u == 0:
@@ -668,20 +611,16 @@ def test_eventual_witness_matches_antichain_loop():
     """``is_eventual_liminf`` reads ``eventual_family`` and gives the
     verdict and the witness (the first failing member, or the family
     size) of the loop over the antichains, for every poset of size at
-    most 3, net of the class with every compatible ideal, and point."""
-    netclass = cv.NetClass(max_index_size=3, max_track_period=3)
+    most 4, every trap mask and every point."""
     witnesses: Counter[str] = Counter()
-    for n in range(1, 4):
+    for n in range(1, 5):
         for p in generate_all_posets(n):
-            for net in cv.generate_nets(p, netclass):
-                for idl in _compatible_ideals(net):
-                    for ix in range(p.n):
-                        fast = cv.is_eventual_liminf(p, net, ix, idl)
-                        assert fast == _eventual_by_antichain_loop(p, net, ix, idl), (
-                            p.name, net, idl.kind, ix,
-                        )
-                        witnesses[fast.witness.get("failed", "holds")] += 1
-    assert sum(witnesses.values()) == 4740
+            for trap in range(p.universe + 1):
+                for ix in range(p.n):
+                    fast = cv.is_eventual_liminf(p, trap, ix)
+                    assert fast == _eventual_by_antichain_loop(p, trap, ix), (p.name, trap, ix)
+                    witnesses[fast.witness.get("failed", "holds")] += 1
+    assert sum(witnesses.values()) == 1162
     assert set(witnesses) == {"holds", "family_liminf", "membership"}
 
 
@@ -691,9 +630,8 @@ def test_topology_neighborhoods_reject_non_closed_opens():
     p = build_finite_poset("antichain3", ["a", "b", "c"], [])
     ab, ac = p.mask_of(["a", "b"]), p.mask_of(["a", "c"])
     topo = tp.Topology(p, "hand-built", frozenset({0, ab, ac, p.universe}))
-    net = cv.track_net(cv.const_track("a"))
     with pytest.raises(PreconditionFailed):
-        cv.converges_topological(p, net, "b", cv.ideal("eventual"), topo)
+        cv.converges_topological(p, 1 << p.index("a"), p.index("b"), topo)
 
 
 # -- derived topologies ---------------------------------------------------------
@@ -738,7 +676,7 @@ def test_net_class_traps_match_built_masks():
             for size, period in product(range(1, 4), range(4)):
                 nc = cv.NetClass(max_index_size=size, max_track_period=period)
                 built = {
-                    cv._build_trap_mask(p, net, cv.ideal("eventual", cv.net_index(net)))
+                    cv.trap_mask(p, net, cv.ideal("eventual", cv.net_index(net)))
                     for net in cv.generate_nets(p, nc)
                 }
                 assert nc.traps(p) == sorted(built), (p.name, size, period)

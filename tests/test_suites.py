@@ -187,7 +187,7 @@ def test_sample_net_draws_match_random_choice():
     seeds on every poset of the size-4 corpus (named posets of up to 8
     elements included), with the state compared after each poset's
     block.  The net ``_net_of_draw`` builds is the formulation's net, the
-    key's mask is that net's trap mask (``_build_trap_mask``), and the
+    key's mask is that net's trap mask (``trap_mask``), and the
     mask is ``0`` iff the ideal is trivial, the fact ``trivial-sampled``
     reads."""
     for seed in range(5):
@@ -201,7 +201,7 @@ def test_sample_net_draws_match_random_choice():
                 assert draw[:2] == draw_ref[:2] and x == slow.randrange(p.n), (seed, p.name)
                 net, idl = suites._net_of_draw(p, draw)
                 assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
-                assert mask == cv._build_trap_mask(p, net, idl), (seed, p.name)
+                assert mask == cv.trap_mask(p, net, idl), (seed, p.name)
                 assert (mask == 0) == (idl.kind == "trivial"), (seed, p.name)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
 
@@ -219,7 +219,7 @@ def test_sample_net_mask_reads_the_value_at_the_index_top(monkeypatch):
         telling = 0
         for key, draw in zip(keys, draws):
             net, idl = suites._net_of_draw(chain3, draw)
-            assert key // chain3.n == cv._build_trap_mask(chain3, net, idl), draw
+            assert key // chain3.n == cv.trap_mask(chain3, net, idl), draw
             i, vals, _ = draw
             telling += i >= 0 and idl.kind == "eventual" and vals[0] != vals[-1]
         assert telling > 0
@@ -233,8 +233,9 @@ def _literal_liminf_to_family(run, ctx):
         for i in range(200):
             net, idl, _ = _sample_net_with_random_choice(p, rng)
             x = rng.randrange(p.n)
-            lim = cv.converges_liminf(p, net, x, idl).holds
-            fam = cv.converges_family_liminf(p, net, x, idl).holds
+            trap = cv.trap_mask(p, net, idl)
+            lim = cv.converges_liminf(p, trap, x).holds
+            fam = cv.converges_family_liminf(p, trap, x).holds
             if lim:
                 run.check(f"{name}:{i}", fam, suites._triple_witness(p, net, x, idl))
     I = cv.ideal("eventual")
@@ -258,7 +259,7 @@ def _literal_waybelow_forces_family(run, ctx):
             premise = all(
                 cv.ideal_member(idl, cv.exception_set(p, net, u)) for u in waydown_ups[x]
             )
-            fam = cv.converges_family_liminf(p, net, x, idl).holds
+            fam = cv.converges_family_liminf(p, cv.trap_mask(p, net, idl), x).holds
             if premise:
                 run.check(f"{name}:{i}", fam, suites._triple_witness(p, net, x, idl))
     I = cv.ideal("eventual")
@@ -278,9 +279,10 @@ def _literal_family_convergence_topological(run, ctx):
         for i in range(1000):
             net, idl, _ = _sample_net_with_random_choice(p, rng)
             x = rng.randrange(p.n)
-            fam = cv.converges_family_liminf(p, net, x, idl).holds
-            topo = cv.converges_topological(p, net, x, idl, sc).holds
-            lim = cv.converges_liminf(p, net, x, idl).holds
+            trap = cv.trap_mask(p, net, idl)
+            fam = cv.converges_family_liminf(p, trap, x).holds
+            topo = cv.converges_topological(p, trap, x, sc).holds
+            lim = cv.converges_liminf(p, trap, x).holds
             if fam != topo:
                 run.check(f"{name}:{i}:scott", False, suites._triple_witness(p, net, x, idl))
                 continue
@@ -307,9 +309,10 @@ LITERAL_SUITES = {
 def test_sampled_suites_match_literal_triple_loop(suite):
     """Each sampled suite, which decides one triple per (trap mask,
     point) pair and poset, reports the bytes of a literal loop that draws
-    with ``rng.choice``/``randrange`` and decides every predicate on every
-    triple by calling it (the premise of ``waybelow-forces-family`` by
-    exception sets), at size 4 for seeds 0 to 2."""
+    with ``rng.choice``/``randrange``, builds every triple's net and its
+    trap mask and decides every predicate on it (the premise of
+    ``waybelow-forces-family`` by exception sets), at size 4 for seeds 0
+    to 2."""
     for seed in range(3):
         ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
         run = suites._Run(suite, seed)
@@ -319,7 +322,7 @@ def test_sampled_suites_match_literal_triple_loop(suite):
 
 
 # Verdicts the failure-path test turns wrong, per case: predicate -> a
-# test on (point index, trivial ideal?) that picks where it answers the
+# test on (point index, trap mask 0?) that picks where it answers the
 # opposite.  ``scattered`` makes every sampled suite fail at a few
 # points; ``trivial-scott`` makes every trivial-ideal triple fail the
 # Scott check, so none reaches the trivial check and
@@ -343,15 +346,13 @@ def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypat
     (seeds 0 and 1) is byte for byte that of the literal per-triple loop:
     the ordered loop of ``suites._tally`` keeps each failure's label,
     order and witness, and ``trivial-sampled`` holds only where a
-    trivial-ideal triple reached the trivial check.  The flips depend
-    only on the point and on whether the ideal is trivial, which a
-    triple's key fixes (mask ``0`` iff trivial), so the suites' one
-    decision per key stays exact."""
+    trivial-ideal triple reached the trivial check.  The flips read the
+    point and whether the mask is ``0`` (the trivial ideal)."""
     for pred, flips in FLIPS[case].items():
 
-        def flipped(p, net, x, idl, *rest, original=getattr(cv, pred), flips=flips):
-            verdict = original(p, net, x, idl, *rest)
-            if flips(x, idl.kind == "trivial"):
+        def flipped(p, trap, x, *rest, original=getattr(cv, pred), flips=flips):
+            verdict = original(p, trap, x, *rest)
+            if flips(x, trap == 0):
                 return verdict._replace(holds=not verdict.holds)
             return verdict
 
@@ -383,49 +384,33 @@ SAMPLED_SUITES = {
 
 @pytest.mark.parametrize("suite", sorted(SAMPLED_SUITES))
 def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
-    """On the suite's sampled triples at size 4, seeds 0 to 2, with nets
-    built by the ``rng.choice``/``randrange`` formulation, the three
-    convergence predicates (and, in ``waybelow-forces-family``, the
-    premise by exception sets) give equal answers to triples of one poset
-    with equal key, the closed-form trap mask and the point of a
-    ``_sample_net`` block.  And the suite decides each (mask, point) pair
-    whose premise holds by exactly one call at that pair.  So each case
-    gets its own triple's verdict, which the report alone does not show
-    where every case passes."""
+    """The predicates take a triple's trap mask and point, so a sampled
+    suite may decide each (mask, point) key once.  On the suite's sampled
+    triples at size 4, seeds 0 to 2, it decides each key whose premise
+    holds by exactly one call at that key, which the report alone does
+    not show where every case passes.  The premise of
+    ``waybelow-forces-family`` is read from the upper sets way below the
+    point, each built here."""
     decider, per_poset = SAMPLED_SUITES[suite]
     for seed in range(3):
         ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
-        fast, slow = ctx.rng(suite), ctx.rng(suite)
-        answers: dict = {}
+        rng = ctx.rng(suite)
+        needed: Counter = Counter()
         for name, p in ctx.corpus.items():
-            sc = tp.scott_topology(p)
             waydown_ups = [
                 [p.up_of_mask(g) for g in p.antichain_masks if wb.set_way_below(p, g, 1 << ix)]
                 for ix in range(p.n)
             ]
-            for key in suites._sample_net(p, fast, per_poset)[0]:
+            for key in suites._sample_net(p, rng, per_poset)[0]:
                 mask, x = divmod(key, p.n)
-                net, idl, _ = _sample_net_with_random_choice(p, slow)
-                assert x == slow.randrange(p.n)
-                premise = suite != "waybelow-forces-family" or all(
-                    cv.ideal_member(idl, cv.exception_set(p, net, u)) for u in waydown_ups[x]
-                )
-                answer = (
-                    cv.converges_liminf(p, net, x, idl).holds,
-                    cv.converges_family_liminf(p, net, x, idl).holds,
-                    cv.converges_topological(p, net, x, idl, sc).holds,
-                    premise,
-                )
-                key = (name, mask, x)
-                assert answers.setdefault(key, answer) == answer, (seed, key)
-            assert fast.getstate() == slow.getstate(), (seed, name)
-        needed = Counter(key for key, answer in answers.items() if answer[3])
+                if suite != "waybelow-forces-family" or all(mask & ~u == 0 for u in waydown_ups[x]):
+                    needed[name, mask, x] = 1
         calls: Counter = Counter()
         original = getattr(cv, decider)
 
-        def recording(p, net, x, idl):
-            calls[p.name, cv._build_trap_mask(p, net, idl), x] += 1
-            return original(p, net, x, idl)
+        def recording(p, trap, x):
+            calls[p.name, trap, x] += 1
+            return original(p, trap, x)
 
         monkeypatch.setattr(cv, decider, recording)
         suites.run_suite(suite, max_size=4, seed=seed)
@@ -448,12 +433,12 @@ def _literal_finest_topology(run, ctx):
         }
         probes = []
         for net in cv.generate_nets(p, FINEST_PROBES):
-            idl = cv.ideal("eventual", cv.net_index(net))
+            trap = cv.trap_mask(p, net, cv.ideal("eventual", cv.net_index(net)))
             probes += [
-                (net, idl, ix) for ix in range(p.n) if cv.converges_family_liminf(p, net, ix, idl).holds
+                (trap, ix) for ix in range(p.n) if cv.converges_family_liminf(p, trap, ix).holds
             ]
         for label, topo in pool.items():
-            if all(cv.converges_topological(p, net, ix, idl, topo).holds for net, idl, ix in probes):
+            if all(cv.converges_topological(p, trap, ix, topo).holds for trap, ix in probes):
                 run.check(f"{name}:{label}", topo.opens <= derived.opens)
             else:
                 run.check(f"{name}:{label}:vacuous", True)
@@ -467,10 +452,10 @@ def _literal_eventual_liminf_lawson(run, ctx):
         for idx in corpus.directed_index_posets(3):
             idl = cv.ideal("eventual", idx)
             for values in product(p.elements, repeat=idx.n):
-                net = cv.FiniteNet(idx, values)
+                trap = cv.trap_mask(p, cv.FiniteNet(idx, values), idl)
                 for ix in range(p.n):
-                    a = cv.is_eventual_liminf(p, net, ix, idl).holds
-                    b = cv.converges_topological(p, net, ix, idl, law).holds
+                    a = cv.is_eventual_liminf(p, trap, ix).holds
+                    b = cv.converges_topological(p, trap, ix, law).holds
                     if a != b:
                         run.check(
                             f"{name}:{idx.name}:{values}:{p.elements[ix]}",
@@ -480,10 +465,10 @@ def _literal_eventual_liminf_lawson(run, ctx):
         run.check(f"{name}:exhaustive", True)
     d = ctx.corpus["diamond"]
     I = cv.ideal("eventual")
-    alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
+    alt = cv.trap_mask(d, cv.track_net(cv.const_track("l"), cv.const_track("top")), I)
     gap_finite = (
-        cv.is_eventual_liminf(d, alt, d.index("l"), I).holds
-        and not cv.converges_topological(d, alt, d.index("l"), I, tp.lawson_topology(d)).holds
+        cv.is_eventual_liminf(d, alt, d.index("l")).holds
+        and not cv.converges_topological(d, alt, d.index("l"), tp.lawson_topology(d)).holds
     )
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
@@ -509,9 +494,10 @@ def _literal_report(suite, seed):
 
 @pytest.mark.parametrize("suite", sorted(LITERAL_NET_LOOPS))
 def test_enumerating_suites_match_literal_net_loop(suite):
-    """Each enumerating suite, which decides one net per (trap mask,
-    point) key and poset, reports the bytes of a literal loop that calls
-    every predicate on every enumerated net, at size 4 for seeds 0 to 2."""
+    """Each enumerating suite, which decides one (trap mask, point) key
+    once per poset, reports the bytes of a literal loop that builds the
+    trap mask of every enumerated net and calls every predicate on it, at
+    size 4 for seeds 0 to 2."""
     for seed in range(3):
         report = suites.run_suite(suite, max_size=4, seed=seed)
         assert suites.emit_report(report) == _literal_report(suite, seed), seed
@@ -538,8 +524,8 @@ def test_enumerating_suites_report_failures_like_literal_loop(suite, monkeypatch
     only on the poset and the point, which a key fixes."""
     for pred, flips in NET_FLIPS.items():
 
-        def flipped(p, net, x, idl, *rest, original=getattr(cv, pred), flips=flips):
-            verdict = original(p, net, x, idl, *rest)
+        def flipped(p, trap, x, *rest, original=getattr(cv, pred), flips=flips):
+            verdict = original(p, trap, x, *rest)
             if flips(p, x):
                 return verdict._replace(holds=not verdict.holds)
             return verdict
@@ -572,42 +558,28 @@ NET_DECIDERS = {
 
 @pytest.mark.parametrize("suite", sorted(NET_DECIDERS))
 def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
-    """Over every net the suite enumerates at size 4, the predicates it
-    reads (eventual lim-inf, family lim-inf, and topological convergence
-    in the Lawson topology and in ``finest-topology``'s pool) give equal
-    answers to nets of one poset with equal trap mask, at each point.
-    And the suite decides each (mask, point) key by exactly one call at
-    that key, which a report where every case passes cannot show."""
+    """The predicates take a net's trap mask and a point, so an
+    enumerating suite may decide each (mask, point) key once.  At size 4
+    the suite decides each key of the nets it enumerates by exactly one
+    call at that key, which a report where every case passes cannot
+    show."""
     needed: Counter = Counter()
     for p in corpus.all_corpus(4).values():
-        topos = [
-            tp.indiscrete_topology(p),
-            tp.scott_topology(p),
-            tp.lawson_topology(p),
-            tp.discrete_topology(p),
-        ]
-        answers: dict = {}
         for net, idl in _enumerated_nets(suite, p):
-            mask = cv._build_trap_mask(p, net, idl)
+            trap = cv.trap_mask(p, net, idl)
             for x in range(p.n):
-                answer = (
-                    cv.is_eventual_liminf(p, net, x, idl).holds,
-                    cv.converges_family_liminf(p, net, x, idl).holds,
-                    *(cv.converges_topological(p, net, x, idl, topo).holds for topo in topos),
-                )
-                assert answers.setdefault((mask, x), answer) == answer, (p.name, mask, x)
-                needed[p.name, mask, x] = 1
+                needed[p.name, trap, x] = 1
     if suite == "eventual-liminf-lawson":
         # the pinned periodic-net case on the diamond
         d = corpus.all_corpus(4)["diamond"]
         alt = cv.track_net(cv.const_track("l"), cv.const_track("top"))
-        needed[d.name, cv._build_trap_mask(d, alt, cv.ideal("eventual")), d.index("l")] += 1
+        needed[d.name, cv.trap_mask(d, alt, cv.ideal("eventual")), d.index("l")] += 1
     calls: Counter = Counter()
     original = getattr(cv, NET_DECIDERS[suite])
 
-    def recording(p, net, x, idl):
-        calls[p.name, cv._build_trap_mask(p, net, idl), x] += 1
-        return original(p, net, x, idl)
+    def recording(p, trap, x):
+        calls[p.name, trap, x] += 1
+        return original(p, trap, x)
 
     monkeypatch.setattr(cv, NET_DECIDERS[suite], recording)
     assert suites.run_suite(suite, max_size=4, seed=0).ok
