@@ -163,10 +163,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise DomainCheckError("the ideal JSON must be an object with a 'kind' field")
     idl = cv.ideal(json_field(ideal_spec, "kind", "the ideal JSON document"), cv.net_index(net))
     x = _parse_point(p, args.point)
-    # The predicates of both backends share names; the side-point ones read
-    # the net and the ideal, the finite ones the pair's trap mask.
+    # The predicates of both backends share names.  The lim-inf ones read a
+    # (net, ideal) pair as one value, the side-point eventually-below family
+    # or the finite trap mask; side-point topology reads the net and ideal.
     if isinstance(p, SideNat):
-        lib, head = sn, (net, x, idl)
+        lib, head = sn, (net, x, idl) if args.mode == "topo" else (sn.eventual_family(net, idl), x)
     else:
         lib, head = cv, (p, cv.trap_mask(p, net, idl), x)
     if args.mode == "liminf":

@@ -27,7 +27,8 @@ as the index of a point and, for topological convergence, a
 the command line.  The definitional oracles and :func:`_derive_naive`
 read nets through :func:`exception_set` and :func:`ideal_member`
 instead.  :mod:`~domaincheck.sidenat` has the predicates of the
-side-point dcpo, which take the net and the ideal.
+side-point dcpo; its lim-inf ones take a pair's eventually-below family
+(``sidenat.eventual_family``), its topological one the net and ideal.
 """
 
 from __future__ import annotations

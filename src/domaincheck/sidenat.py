@@ -24,7 +24,7 @@ that decides convergence at a point, and the Scott interior.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import convergence as cv
@@ -413,12 +413,14 @@ class SideFamily:
     every ``{n}`` with ``n >= s``; ``pairs_from = q`` adds every
     ``{n, a}`` with ``n >= q``.  These schemas are the only infinite
     families the workbench needs: approximating families and ideal-level
-    families on the side-point dcpo all take this form.
+    families on the side-point dcpo all take this form.  Equality and
+    :meth:`to_dict` ignore ``checked_upto``, the window of :func:`eventual_family`.
     """
 
     explicit: tuple[tuple[SideElement, ...], ...] = ()
     singletons_from: int | None = None
     pairs_from: int | None = None
+    checked_upto: int | None = field(default=None, compare=False)
 
     def _schema_covers(self, m: tuple[SideElement, ...]) -> bool:
         if len(m) == 1 and isinstance(m[0], int) and self.singletons_from is not None:
@@ -518,6 +520,7 @@ def side_family(
     explicit: Iterable[Iterable[SideElement]] = (),
     singletons_from: int | None = None,
     pairs_from: int | None = None,
+    checked_upto: int | None = None,
 ) -> SideFamily:
     """Build a :class:`SideFamily` with normalized, deduplicated members."""
     fam = SideFamily((), singletons_from, pairs_from)
@@ -529,7 +532,7 @@ def side_family(
         if mm not in norm and not fam._schema_covers(mm):
             norm.append(mm)
     norm.sort(key=lambda m: tuple(map(element_sort_key, m)))
-    return SideFamily(tuple(norm), singletons_from, pairs_from)
+    return SideFamily(tuple(norm), singletons_from, pairs_from, checked_upto)
 
 
 @logged("sidenat.fin_of")
@@ -722,45 +725,37 @@ def _eventually_inside(net: Net, region: SideSet, idl: Ideal) -> bool:
 
 
 @logged("sidenat.converges_liminf")
-def converges_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
-    """Lim-inf convergence: some directed set below the limit traps the net.
+def converges_liminf(fam: SideFamily, x: SideElement) -> Verdict:
+    """Lim-inf convergence: some directed set below ``x`` traps the net
+    whose eventually-below family (:func:`eventual_family`) is ``fam``.
 
     The only shapes that are not dominated by the principal witness are
-    unbounded sets of naturals: ``{x}`` or every ``{n}`` is in the net's
-    eventually-below family.  Oracle:
-    ``test_side_predicates_on_small_track_nets``.
+    unbounded sets of naturals: ``{x}`` or every ``{n}`` is in ``fam``.
+    Oracle: ``test_side_predicates_on_small_track_nets``.
     """
-    fam = eventual_family(net, idl)
     if fam.contains((x,)):
         return Verdict(True, {"directed_set": [str(x)], "shape": "principal"})
     if fam.singletons_from == 0:
-        return Verdict(True, {"shape": "natural_chain", "checked_upto": cv.stabilization_bound(net)})
+        return Verdict(True, {"shape": "natural_chain", "checked_upto": fam.checked_upto})
     return Verdict(False, {"point": str(x)})
 
 
 @logged("sidenat.converges_family_liminf")
-def converges_family_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
+def converges_family_liminf(fam: SideFamily, x: SideElement) -> Verdict:
     """Lim-inf convergence along a Smyth-directed family of finite sets.
 
     Besides the principal family there are two undominated shapes, the
     all-singletons schema (whose upper sets meet in the top alone, hence
     work for any limit) and, for the side point, the pair schema, each
-    read from the net's eventually-below family.  Oracle:
+    read from the net's eventually-below family ``fam``.  Oracle:
     ``test_side_predicates_on_small_track_nets``.
     """
-    return _family_verdict(eventual_family(net, idl), x, net)
-
-
-def _family_verdict(fam: SideFamily, x: SideElement, net: Net) -> Verdict:
-    """Family lim-inf convergence to ``x`` read from the net's
-    eventually-below family ``fam``: the principal shape, the singleton
-    schema, or for the side point the pair schema."""
     if fam.contains((x,)):
         return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
     if fam.singletons_from == 0:
-        return Verdict(True, {"shape": "singleton_schema", "checked_upto": cv.stabilization_bound(net)})
+        return Verdict(True, {"shape": "singleton_schema", "checked_upto": fam.checked_upto})
     if x == A and fam.pairs_from == 0:
-        return Verdict(True, {"shape": "pair_schema", "checked_upto": cv.stabilization_bound(net)})
+        return Verdict(True, {"shape": "pair_schema", "checked_upto": fam.checked_upto})
     return Verdict(False, {"point": str(x)})
 
 
@@ -784,10 +779,11 @@ def eventual_family(net: Net, idl: Ideal) -> SideFamily:
     """The eventually-below family: every antichain ``{n}``, ``{a}``,
     ``{inf}`` or ``{n, a}`` whose upper set traps the net up to the ideal.
 
-    The regions of ``{n}`` and ``{n, a}`` shrink as ``n`` grows, so their
+    The lim-inf predicates read a (net, ideal) pair only through it.  The
+    regions of ``{n}`` and ``{n, a}`` shrink as ``n`` grows, so their
     statuses must shrink too, and past the stabilization bound they stop
-    changing: the window ``n <= stabilization_bound(net)`` makes each kind
-    an initial segment of explicit members or a full schema.
+    changing: the window ``n <= checked_upto = stabilization_bound(net)``
+    makes each kind an initial segment of explicit members or a full schema.
     ``test_side_predicates_on_small_track_nets`` checks the predicates
     that read the family against Scott-topological convergence.
     """
@@ -804,17 +800,17 @@ def eventual_family(net: Net, idl: Ideal) -> SideFamily:
         explicit,
         singletons_from=0 if all(singles) else None,
         pairs_from=0 if all(pairs) else None,
+        checked_upto=window[-1],
     )
 
 
 @logged("sidenat.is_eventual_liminf")
-def is_eventual_liminf(net: Net, x: SideElement, idl: Ideal) -> Verdict:
+def is_eventual_liminf(fam: SideFamily, x: SideElement) -> Verdict:
     """Eventual lim-inf: family lim-inf convergence to ``x``, with ``x`` in
-    the meet of the upper sets of :func:`eventual_family`.  Oracle:
+    the meet of the upper sets of the eventually-below family ``fam``.  Oracle:
     ``test_side_predicates_on_small_track_nets`` checks that the verdicts
     imply family convergence and pins their count."""
-    fam = eventual_family(net, idl)
-    first = _family_verdict(fam, x, net)
+    first = converges_family_liminf(fam, x)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
     if x not in fam.upset_intersection():

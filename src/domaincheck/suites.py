@@ -158,25 +158,26 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
         _tally(run, name, p, _sample_net(p, rng, 200), outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
+        gi = sn.eventual_family(net, I)
         for x in (A, TOP, 0, 2, 5):
-            if sn.converges_liminf(net, x, I).holds:
-                ok = sn.converges_family_liminf(net, x, I).holds
-                run.check(f"side:{label}:{x}", ok)
+            if sn.converges_liminf(gi, x).holds:
+                run.check(f"side:{label}:{x}", sn.converges_family_liminf(gi, x).holds)
 
 
 def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
     """If a set is not way below a point, some family-convergent net escapes
-    its upper set: the constant net at the point, under the eventual ideal."""
+    its upper set: the constant net at the point, under the eventual ideal.
+    The net and its verdict depend on the point alone: each is made once."""
     I = cv.ideal("eventual")
     for name, p in ctx.corpus.items():
+        nets = [cv.track_net(cv.const_track(e)) for e in p.elements]
+        conv = [cv.converges_family_liminf(p, cv.trap_mask(p, n, I), ix).holds for ix, n in enumerate(nets)]
         for g, up_g in zip(p.antichain_masks, p.antichain_ups):
             for ix in range(p.n):
                 if wb.set_way_below(p, g, 1 << ix):
                     continue
-                net = cv.track_net(cv.const_track(p.elements[ix]))
-                conv = cv.converges_family_liminf(p, cv.trap_mask(p, net, I), ix).holds
-                escaped = not cv.ideal_member(I, cv.exception_set(p, net, up_g))
-                run.check(f"{name}:{sorted(p.ids_of(g))}:{p.elements[ix]}", conv and escaped)
+                escaped = not cv.ideal_member(I, cv.exception_set(p, nets[ix], up_g))
+                run.check(f"{name}:{sorted(p.ids_of(g))}:{p.elements[ix]}", conv[ix] and escaped)
 
 
 def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
@@ -209,8 +210,7 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
         gi = sn.eventual_family(net, I)
         for x in (A, TOP, 0, 3):
             if gi.includes(sn.fin_of(x)):
-                ok = sn.converges_family_liminf(net, x, I).holds
-                run.check(f"side:{label}:{x}", ok)
+                run.check(f"side:{label}:{x}", sn.converges_family_liminf(gi, x).holds)
 
 
 def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
@@ -386,7 +386,7 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
     gap_side = (
-        sn.is_eventual_liminf(net, A, I).holds
+        sn.is_eventual_liminf(sn.eventual_family(net, I), A).holds
         and not sn.converges_topological(net, A, I, "lawson").holds
     )
     run.check("pinned:periodic-net-gap:side", gap_side)
@@ -528,8 +528,9 @@ def _suite_sidenat(run: _Run, ctx: _Ctx) -> None:
     run.check("down-closure:side", sn.down_closure(sn.side_set_of((A,))) == sn.side_set_of((A,)))
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
     I = cv.ideal("eventual")
-    run.check("interleaved:family", sn.converges_family_liminf(net, A, I).holds)
-    run.check("interleaved:liminf", not sn.converges_liminf(net, A, I).holds)
+    gi = sn.eventual_family(net, I)
+    run.check("interleaved:family", sn.converges_family_liminf(gi, A).holds)
+    run.check("interleaved:liminf", not sn.converges_liminf(gi, A).holds)
     exc = sn.exception_set(net, sn.up_closure(sn.side_set_of((5, A))))
     lvl = sn.level_set(net, sn.up_closure(sn.side_set_of((5, A))))
     run.check("interleaved:exceptions", exc == cv.finite_omega([0, 2, 4, 6, 8]))

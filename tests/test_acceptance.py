@@ -36,9 +36,9 @@ def test_criterion_1_side_backend_reproduction():
     assert all(sn.set_way_below((n, A), (A,)) for n in range(101))
     assert sn.side_family(pairs_from=0).upset_intersection() == up_set(A)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
-    idl = cv.ideal("eventual")
-    assert sn.converges_family_liminf(net, A, idl).holds
-    assert not sn.converges_liminf(net, A, idl).holds
+    gi = sn.eventual_family(net, cv.ideal("eventual"))
+    assert sn.converges_family_liminf(gi, A).holds
+    assert not sn.converges_liminf(gi, A).holds
     rep = sn.classify()
     assert (rep.is_quasi_continuous, rep.is_continuous, rep.is_meet_continuous) == (
         True,

@@ -219,7 +219,8 @@ def test_waybelow_side_nat_table_is_pinned(capsys):
 
 
 # The predicate each ``converge --mode`` runs, on the side-point dcpo and
-# on a finite poset.
+# on a finite poset.  The side-point lim-inf predicates take the net's
+# eventually-below family, and topological convergence the net and ideal.
 CONVERGE_PREDICATES = {
     "liminf": (sn.converges_liminf, cv.converges_liminf),
     "family": (sn.converges_family_liminf, cv.converges_family_liminf),
@@ -227,19 +228,33 @@ CONVERGE_PREDICATES = {
     "topo": (sn.converges_topological, cv.converges_topological),
 }
 
-# The interleaved net on the naturals, and a net over a two-point chain.
+# The interleaved and the ascending net on the naturals, and a net over a
+# two-point chain, each with the points it is asked about.
 CONVERGE_NETS = {
-    "side_nat": (
-        {"index": "omega", "tracks": [{"kind": "ascend"}, {"kind": "const", "value": "a"}]},
-        ("a", "inf", "0"),
-    ),
-    "diamond": (
-        {
-            "index": {"name": "chain2", "elements": ["c0", "c1"], "le": [["c0", "c1"]]},
-            "map": {"c0": "bot", "c1": "l"},
-        },
-        ("bot", "l", "r", "top"),
-    ),
+    "side_nat": {
+        "interleaved": (
+            {"index": "omega", "tracks": [{"kind": "ascend"}, {"kind": "const", "value": "a"}]},
+            ("a", "inf", "0"),
+        ),
+        "ascending": ({"index": "omega", "tracks": [{"kind": "ascend"}]}, ("a", "inf", "0")),
+    },
+    "diamond": {
+        "chain2": (
+            {
+                "index": {"name": "chain2", "elements": ["c0", "c1"], "le": [["c0", "c1"]]},
+                "map": {"c0": "bot", "c1": "l"},
+            },
+            ("bot", "l", "r", "top"),
+        ),
+    },
+}
+
+# Witnesses at ``a`` that report the window the net's eventually-below
+# family was decided on, written out so that a wrong carried bound fails.
+SIDE_WITNESSES_AT_A = {
+    ("ascending", "liminf"): {"shape": "natural_chain", "checked_upto": 1},
+    ("ascending", "family"): {"shape": "singleton_schema", "checked_upto": 1},
+    ("interleaved", "family"): {"shape": "pair_schema", "checked_upto": 1},
 }
 
 
@@ -252,30 +267,37 @@ CONVERGE_NETS = {
 def test_converge_prints_the_backend_predicate(tmp_path, capsys, poset, mode, topology):
     """``converge`` resolves the backend once and prints the verdict of
     that backend's predicate: ``holds`` and ``witness`` equal the direct
-    library call's ``to_dict()`` at every listed point."""
-    doc, points = CONVERGE_NETS[poset]
-    net_path = tmp_path / "net.json"
-    net_path.write_text(json.dumps(doc))
+    library call's ``to_dict()`` at every listed point, and the side-point
+    witnesses of :data:`SIDE_WITNESSES_AT_A` are the literal ones."""
     ideal_path = tmp_path / "ideal.json"
     ideal_path.write_text(json.dumps({"kind": "eventual"}))
-    net = cv.net_from_json(net_path.read_text())
-    idl = cv.ideal("eventual", cv.net_index(net))
     side, finite = CONVERGE_PREDICATES[mode]
-    argv = ["converge", "--mode", mode, "--poset", poset, "--net", str(net_path)]
-    argv += ["--ideal", str(ideal_path)] + (["--topology", topology] if topology else [])
-    for point in points:
-        code, out, err = run_cli(capsys, *argv, "--point", point)
-        assert code == 0, err
-        printed = json.loads(out)
-        if poset == "side_nat":
-            extra = (topology,) if topology else ()
-            direct = side(net, sn.parse_side_element(point), idl, *extra)
-        else:
-            p = named_posets()[poset]
-            extra = (tp.finite_topology(p, topology),) if topology else ()
-            direct = finite(p, cv.trap_mask(p, net, idl), p.index(point), *extra)
-        expected = json.loads(json.dumps(direct.to_dict()))
-        assert {k: printed[k] for k in ("holds", "witness")} == expected, point
+    pinned = set()
+    for label, (doc, points) in CONVERGE_NETS[poset].items():
+        net_path = tmp_path / f"{label}.json"
+        net_path.write_text(json.dumps(doc))
+        net = cv.net_from_json(net_path.read_text())
+        idl = cv.ideal("eventual", cv.net_index(net))
+        argv = ["converge", "--mode", mode, "--poset", poset, "--net", str(net_path)]
+        argv += ["--ideal", str(ideal_path)] + (["--topology", topology] if topology else [])
+        for point in points:
+            code, out, err = run_cli(capsys, *argv, "--point", point)
+            assert code == 0, err
+            printed = json.loads(out)
+            if poset == "side_nat" and topology:
+                direct = side(net, sn.parse_side_element(point), idl, topology)
+            elif poset == "side_nat":
+                direct = side(sn.eventual_family(net, idl), sn.parse_side_element(point))
+            else:
+                p = named_posets()[poset]
+                extra = (tp.finite_topology(p, topology),) if topology else ()
+                direct = finite(p, cv.trap_mask(p, net, idl), p.index(point), *extra)
+            expected = json.loads(json.dumps(direct.to_dict()))
+            assert {k: printed[k] for k in ("holds", "witness")} == expected, (label, point)
+            if point == "a" and (label, mode) in SIDE_WITNESSES_AT_A:
+                assert printed["witness"] == SIDE_WITNESSES_AT_A[label, mode], label
+                pinned.add((label, mode))
+    assert pinned == {key for key in SIDE_WITNESSES_AT_A if key[1] == mode and poset == "side_nat"}
 
 
 def test_converge_finite_net(tmp_path, capsys):

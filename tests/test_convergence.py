@@ -8,6 +8,7 @@ for the finite reductions) and then frozen.
 from __future__ import annotations
 
 import dataclasses
+import json
 from collections import Counter
 from itertools import product
 
@@ -16,7 +17,9 @@ from hypothesis import given, strategies as st
 
 from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
+from domaincheck import suites
 from domaincheck import topology as tp
+from domaincheck.cli import main
 from domaincheck.corpus import generate_all_posets
 from domaincheck.errors import (
     BackendUnsupported,
@@ -199,12 +202,13 @@ def test_index_mismatch_guard():
 
 
 def test_interleaved_family_but_not_liminf():
-    assert sn.converges_family_liminf(INTERLEAVED, A, EVENTUAL).holds
-    assert not sn.converges_liminf(INTERLEAVED, A, EVENTUAL).holds
+    gi = sn.eventual_family(INTERLEAVED, EVENTUAL)
+    assert sn.converges_family_liminf(gi, A).holds
+    assert not sn.converges_liminf(gi, A).holds
 
 
 def test_interleaved_family_witness_is_pair_schema():
-    v = sn.converges_family_liminf(INTERLEAVED, A, EVENTUAL)
+    v = sn.converges_family_liminf(sn.eventual_family(INTERLEAVED, EVENTUAL), A)
     assert v.witness["shape"] == "pair_schema"
 
 
@@ -214,8 +218,9 @@ def test_interleaved_topological():
 
 
 def test_interleaved_converges_nowhere_else():
+    gi = sn.eventual_family(INTERLEAVED, EVENTUAL)
     for x in (0, 1, 5, TOP):
-        assert not sn.converges_family_liminf(INTERLEAVED, x, EVENTUAL).holds
+        assert not sn.converges_family_liminf(gi, x).holds
 
 
 def test_interleaved_eventual_family_frozen():
@@ -224,38 +229,62 @@ def test_interleaved_eventual_family_frozen():
     assert gi == sn.side_family(pairs_from=0)
     assert gi.contains((5, A)) and not gi.contains((5,)) and not gi.contains((A,))
     assert not gi.contains((TOP,))
+    # the window it was decided on rides along, outside equality and JSON
+    assert gi.checked_upto == cv.stabilization_bound(INTERLEAVED) == 1
+    assert "checked_upto" not in gi.to_dict()
 
 
 def test_interleaved_eventual_liminf_only_at_side_point():
-    v = sn.is_eventual_liminf(INTERLEAVED, A, EVENTUAL)
+    gi = sn.eventual_family(INTERLEAVED, EVENTUAL)
+    v = sn.is_eventual_liminf(gi, A)
     assert v.holds
     assert v.witness == {"family": {"explicit": [], "singletons_from": None, "pairs_from": 0}}
     for x in (0, 3, TOP):
-        assert not sn.is_eventual_liminf(INTERLEAVED, x, EVENTUAL).holds
+        assert not sn.is_eventual_liminf(gi, x).holds
 
 
-def test_side_eventual_liminf_builds_its_family_once(monkeypatch):
+def test_side_eventual_liminf_builds_its_family_once(monkeypatch, tmp_path, capsys):
+    """Each caller builds a net's eventually-below family once per (net,
+    ideal) and reads it at every point: ``converge --mode eventual`` on
+    the side-point dcpo, and the side block of every suite that has one
+    (six nets in each sampled suite, the interleaved net in the others)."""
     built = []
     build = sn.eventual_family
 
     def counting(net, idl):
-        built.append(net)
+        built.append((net, idl))
         return build(net, idl)
 
     monkeypatch.setattr(sn, "eventual_family", counting)
-    assert sn.is_eventual_liminf(INTERLEAVED, A, EVENTUAL).holds
-    assert len(built) == 1
+    net_path, ideal_path = tmp_path / "net.json", tmp_path / "ideal.json"
+    net_path.write_text(cv.net_to_json(INTERLEAVED))
+    ideal_path.write_text(json.dumps({"kind": "eventual"}))
+    argv = ["converge", "--mode", "eventual", "--poset", "side_nat", "--net", str(net_path)]
+    assert main(argv + ["--ideal", str(ideal_path), "--point", "a"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"]
+    assert built == [(INTERLEAVED, EVENTUAL)]
+    per_block = {}
+    for suite in ("liminf-to-family", "waybelow-forces-family", "sidenat", "eventual-liminf-lawson"):
+        built.clear()
+        assert suites.run_suite(suite, max_size=1, seed=0).ok, suite
+        assert len(set(built)) == len(built), suite
+        per_block[suite] = len(built)
+    assert per_block == {
+        "liminf-to-family": 6,
+        "waybelow-forces-family": 6,
+        "sidenat": 1,
+        "eventual-liminf-lawson": 1,
+    }
 
 
 def test_ascending_net_converges_everywhere():
     # the naturals form a directed set with supremum top that the net
     # eventually enters at every level, and the top dominates every point
-    net = cv.track_net(cv.ascend_track())
+    gi = sn.eventual_family(cv.track_net(cv.ascend_track()), EVENTUAL)
     for x in (0, 7, A, TOP):
-        v = sn.converges_liminf(net, x, EVENTUAL)
-        assert v.holds
-        assert sn.converges_family_liminf(net, x, EVENTUAL).holds
-    assert sn.converges_liminf(net, A, EVENTUAL).witness["shape"] == "natural_chain"
+        assert sn.converges_liminf(gi, x).holds
+        assert sn.converges_family_liminf(gi, x).holds
+    assert sn.converges_liminf(gi, A).witness["shape"] == "natural_chain"
 
 
 SMALL_TRACKS = [cv.const_track(v) for v in (0, 1, 2, 3, A, TOP)] + [cv.ascend_track()]
@@ -273,10 +302,11 @@ def test_side_predicates_on_small_track_nets():
     for net in SMALL_NETS:
         for kind in cv.IDEAL_KINDS:
             idl = cv.ideal(kind)
+            gi = sn.eventual_family(net, idl)
             for x in (A, TOP, 0, 1, 2, 3, 4):
-                fam = sn.converges_family_liminf(net, x, idl).holds
-                lim = sn.converges_liminf(net, x, idl).holds
-                ev = sn.is_eventual_liminf(net, x, idl).holds
+                fam = sn.converges_family_liminf(gi, x).holds
+                lim = sn.converges_liminf(gi, x).holds
+                ev = sn.is_eventual_liminf(gi, x).holds
                 topo = sn.converges_topological(net, x, idl, "scott").holds
                 assert fam == topo, (net, kind, x)
                 assert fam or not lim, (net, kind, x)
@@ -317,11 +347,11 @@ def test_side_binding_open_decides_like_every_cut():
 
 
 def test_constant_net_converges_below_value():
-    net = cv.track_net(cv.const_track(4))
+    gi = sn.eventual_family(cv.track_net(cv.const_track(4)), EVENTUAL)
     for x in (0, 4):
-        assert sn.converges_liminf(net, x, EVENTUAL).holds
+        assert sn.converges_liminf(gi, x).holds
     for x in (5, A, TOP):
-        assert not sn.converges_liminf(net, x, EVENTUAL).holds
+        assert not sn.converges_liminf(gi, x).holds
 
 
 # -- convergence modes on finite posets ----------------------------------------
@@ -500,11 +530,11 @@ def test_trap_mask_is_keyed_on_all_three():
 
 
 def test_predicates_leave_nets_unchanged():
-    """``trap_mask``, the finite predicates' one reader of a net, and
-    every side-point predicate only read their net: after each has run on
-    a finite-index net and a track net, under every compatible ideal and
-    at every point tried, each net holds its dataclass fields and nothing
-    else."""
+    """``trap_mask`` and ``eventual_family``, each backend's one reader of
+    a net for the lim-inf predicates, and side-point topological
+    convergence only read their net: after each has run on a finite-index
+    net and a track net, under every compatible ideal and at every point
+    tried, each net holds its dataclass fields and nothing else."""
     finite_nets = [
         cv.finite_net(CHAIN2, ["l", "top"]),
         cv.track_net(cv.const_track("l"), cv.const_track("top")),
@@ -515,11 +545,11 @@ def test_predicates_leave_nets_unchanged():
             cv.trap_mask(DIAMOND, net, idl)
     for net in side_nets:
         for idl in _compatible_ideals(net):
-            sn.eventual_family(net, idl)
+            gi = sn.eventual_family(net, idl)
             for x in (0, 2, A, TOP):
-                sn.converges_liminf(net, x, idl)
-                sn.converges_family_liminf(net, x, idl)
-                sn.is_eventual_liminf(net, x, idl)
+                sn.converges_liminf(gi, x)
+                sn.converges_family_liminf(gi, x)
+                sn.is_eventual_liminf(gi, x)
                 for kind in ("scott", "lawson"):
                     sn.converges_topological(net, x, idl, kind)
     for net in finite_nets + side_nets:

@@ -240,9 +240,10 @@ def _literal_liminf_to_family(run, ctx):
                 run.check(f"{name}:{i}", fam, suites._triple_witness(p, net, x, idl))
     I = cv.ideal("eventual")
     for label, net in suites._side_nets():
+        gi = sn.eventual_family(net, I)
         for x in (A, TOP, 0, 2, 5):
-            if sn.converges_liminf(net, x, I).holds:
-                ok = sn.converges_family_liminf(net, x, I).holds
+            if sn.converges_liminf(gi, x).holds:
+                ok = sn.converges_family_liminf(gi, x).holds
                 run.check(f"side:{label}:{x}", ok)
 
 
@@ -267,7 +268,7 @@ def _literal_waybelow_forces_family(run, ctx):
         gi = sn.eventual_family(net, I)
         for x in (A, TOP, 0, 3):
             if gi.includes(sn.fin_of(x)):
-                ok = sn.converges_family_liminf(net, x, I).holds
+                ok = sn.converges_family_liminf(gi, x).holds
                 run.check(f"side:{label}:{x}", ok)
 
 
@@ -473,7 +474,7 @@ def _literal_eventual_liminf_lawson(run, ctx):
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
     gap_side = (
-        sn.is_eventual_liminf(net, A, I).holds
+        sn.is_eventual_liminf(sn.eventual_family(net, I), A).holds
         and not sn.converges_topological(net, A, I, "lawson").holds
     )
     run.check("pinned:periodic-net-gap:side", gap_side)
