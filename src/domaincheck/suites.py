@@ -75,11 +75,26 @@ def parse_report(data: bytes) -> SuiteReport:
 
 @dataclass
 class _Ctx:
+    """What the suites of one ``run_suite`` call share: the seed, the corpus
+    and a memo, ``ctx.once(build, p, *args)``, that builds each (builder,
+    poset, arguments) artefact once, however many suites read it.  The memo
+    lives on the context, not on a builder, so every run still calls each
+    builder op that ``coverage:all-ops`` asks for; callers look the builder
+    up on its module at call time (``tp.lawson_topology``), so a name
+    rebound there is the one that runs."""
+
     seed: int
     corpus: dict[str, FinitePoset] = field(default_factory=dict)
+    built: dict = field(default_factory=dict)
 
     def rng(self, suite: str) -> random.Random:
         return random.Random(self.seed ^ zlib.crc32(suite.encode()))
+
+    def once(self, build, p: FinitePoset, *args):
+        key = (build, p.name, args)
+        if key not in self.built:
+            self.built[key] = build(p, *args)
+        return self.built[key]
 
 
 class _Run:
@@ -131,8 +146,8 @@ def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
 def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
     """The topology induced by lim-inf convergence is the Scott topology."""
     for name, p in ctx.corpus.items():
-        derived = cv.derive_convergence_topology(p, "liminf")
-        sc = tp.scott_topology(p)
+        derived = ctx.once(cv.derive_convergence_topology, p, "liminf")
+        sc = ctx.once(tp.scott_topology, p)
         run.check(
             f"{name}:liminf=scott",
             derived.opens == sc.opens,
@@ -144,8 +159,8 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     """Lim-inf convergence implies family lim-inf convergence.
 
     On a finite poset both predicates take a triple's trap mask, which
-    is known from the draw (:func:`_sample_net`), so :func:`_tally`
-    decides each (mask, point) key once per poset.  Every sampled triple
+    is known from the draw, so :func:`_sample_net` decides each (mask,
+    point) key once per poset, on its first draw.  Every sampled triple
     is still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
@@ -155,7 +170,7 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
                 return None
             return cv.converges_family_liminf(p, mask, x).holds or ""
 
-        _tally(run, name, p, _sample_net(p, rng, 200), outcome)
+        _sample_net(run, name, p, rng, 200, outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         gi = sn.eventual_family(net, I)
@@ -185,11 +200,11 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     point family-converges to that point.
 
     On a finite poset the family verdict takes a triple's trap mask
-    (:func:`convergence.trap_mask`), which is known from the draw
-    (:func:`_sample_net`).  The net is trapped by every set way below
-    ``x`` iff its mask lies inside the meet of their upper sets, so the
-    premise is one subset test, and :func:`_tally` decides each (mask,
-    point) key whose premise holds once per poset.  Every sampled triple
+    (:func:`convergence.trap_mask`), which is known from the draw.  The
+    net is trapped by every set way below ``x`` iff its mask lies inside
+    the meet of their upper sets, so the premise is one subset test, and
+    :func:`_sample_net` decides each (mask, point) key whose premise holds
+    once per poset, on its first draw.  Every sampled triple
     is still one case (``test_sampled_suites_match_literal_triple_loop``)."""
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
@@ -204,7 +219,7 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
                 return None
             return cv.converges_family_liminf(p, mask, x).holds or ""
 
-        _tally(run, name, p, _sample_net(p, rng, 200), outcome)
+        _sample_net(run, name, p, rng, 200, outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         gi = sn.eventual_family(net, I)
@@ -228,12 +243,12 @@ def _suite_finest_topology(run: _Run, ctx: _Ctx) -> None:
     each pair is decided once."""
     probe_class = cv.NetClass(max_index_size=2, max_track_period=2)
     for name, p in ctx.corpus.items():
-        derived = cv.derive_convergence_topology(p, "family")
+        derived = ctx.once(cv.derive_convergence_topology, p, "family")
         pool = {
-            "indiscrete": tp.indiscrete_topology(p),
-            "scott": tp.scott_topology(p),
-            "lawson": tp.lawson_topology(p),
-            "discrete": tp.discrete_topology(p),
+            "indiscrete": ctx.once(tp.indiscrete_topology, p),
+            "scott": ctx.once(tp.scott_topology, p),
+            "lawson": ctx.once(tp.lawson_topology, p),
+            "discrete": ctx.once(tp.discrete_topology, p),
         }
         probes = [
             (mask, ix)
@@ -253,7 +268,7 @@ def _suite_family_topology_reduction(run: _Run, ctx: _Ctx) -> None:
     as the poset's upper sets; ``family-topology-is-scott`` checks that
     the family-defined topology has exactly those opens."""
     for name, p in ctx.corpus.items():
-        derived = cv.derive_convergence_topology(p, "family")
+        derived = ctx.once(cv.derive_convergence_topology, p, "family")
         run.check(f"{name}", derived.opens == frozenset(p.upper_masks))
 
 
@@ -268,8 +283,8 @@ def _suite_family_topology_is_scott(run: _Run, ctx: _Ctx) -> None:
     definition, every mask tested for being upper and inaccessible by
     directed suprema (:func:`_scott_opens_by_definition`)."""
     for name, p in ctx.corpus.items():
-        sc = tp.scott_topology(p)
-        family = tp.family_liminf_topology(p)
+        sc = ctx.once(tp.scott_topology, p)
+        family = ctx.once(tp.family_liminf_topology, p)
         run.check(f"{name}:upper-sets", family.opens == sc.opens)
         run.check(f"{name}:definition", family.opens == _scott_opens_by_definition(p))
 
@@ -286,9 +301,9 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     everywhere.
 
     On a finite poset all three predicates take a triple's trap mask
-    (:func:`convergence.trap_mask`), which is known from the draw
-    (:func:`_sample_net`), so :func:`_tally` decides each (mask, point)
-    key once per poset; the case logic still gives each triple its own
+    (:func:`convergence.trap_mask`), which is known from the draw, so
+    :func:`_sample_net` decides each (mask, point) key once per poset, on
+    its first draw; the case logic still gives each triple its own
     label and witness (``test_sampled_suites_match_literal_triple_loop``).
     So the roughly 104,000 cases at size 5 rest on about 9,700 distinct
     keys, and ``test_sampled_verdicts_depend_on_class_and_point`` checks
@@ -302,7 +317,7 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     """
     rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
-        sc = tp.scott_topology(p)
+        sc = ctx.once(tp.scott_topology, p)
 
         def outcome(mask, x):
             fam = cv.converges_family_liminf(p, mask, x).holds
@@ -312,7 +327,7 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
                 return ":liminf"
             return fam or mask != 0 or ":trivial"
 
-        verdicts = _tally(run, name, p, _sample_net(p, rng, 1000), outcome)
+        verdicts = _sample_net(run, name, p, rng, 1000, outcome)
         trivial = [v for key, v in verdicts.items() if key < p.n]
         run.check(f"{name}:trivial-sampled", True in trivial or ":trivial" in trivial)
 
@@ -321,8 +336,8 @@ def _suite_lawson_below_eventual(run: _Run, ctx: _Ctx) -> None:
     """The Lawson topology is contained in the derived eventual-liminf
     topology (over finite-index net classes)."""
     for name, p in ctx.corpus.items():
-        law = tp.lawson_topology(p)
-        derived = cv.derive_convergence_topology(p, "eventual")
+        law = ctx.once(tp.lawson_topology, p)
+        derived = ctx.once(cv.derive_convergence_topology, p, "eventual")
         run.check(f"{name}", law.opens <= derived.opens)
 
 
@@ -357,7 +372,7 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     for name, p in ctx.corpus.items():
         if p.n > 4:
             continue
-        law = tp.lawson_topology(p)
+        law = ctx.once(tp.lawson_topology, p)
         verdicts: dict = {}
         for net in cv.generate_nets(p, netclass):
             trap = cv.trap_mask(p, net, eventual[net.index.name])
@@ -381,7 +396,7 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     alt = cv.trap_mask(d, cv.track_net(cv.const_track("l"), cv.const_track("top")), I)
     gap_finite = (
         cv.is_eventual_liminf(d, alt, d.index("l")).holds
-        and not cv.converges_topological(d, alt, d.index("l"), tp.lawson_topology(d)).holds
+        and not cv.converges_topological(d, alt, d.index("l"), ctx.once(tp.lawson_topology, d)).holds
     )
     run.check("pinned:periodic-net-gap:diamond", gap_finite)
     net = cv.track_net(cv.ascend_track(), cv.const_track(A))
@@ -576,9 +591,9 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
             for h in p.iter_antichain_masks()
         )
         run.check(f"{name}:sets", ok_sets)
-        law = tp.lawson_topology(p)
+        law = ctx.once(tp.lawson_topology, p)
         run.check(f"{name}:lawson-discrete", len(law.opens) == 1 << p.n)
-        sc = tp.scott_topology(p)
+        sc = ctx.once(tp.scott_topology, p)
         run.check(f"{name}:scott-upper", sc.opens == _scott_opens_by_definition(p))
         probe = p.up[0]
         run.check(f"{name}:interior-dual", sc.interior(probe) == probe)
@@ -622,11 +637,11 @@ def _suite_topology_axioms(run: _Run, ctx: _Ctx) -> None:
     ``discrete`` and ``indiscrete`` are closed by construction."""
     for name, p in ctx.corpus.items():
         families = {
-            "scott": tp.scott_topology(p),
-            "lower": tp.lower_topology(p),
-            "lawson": tp.lawson_topology(p),
-            "glim": tp.family_liminf_topology(p),
-            "net-family": cv.derive_convergence_topology(p, "family"),
+            "scott": ctx.once(tp.scott_topology, p),
+            "lower": ctx.once(tp.lower_topology, p),
+            "lawson": ctx.once(tp.lawson_topology, p),
+            "glim": ctx.once(tp.family_liminf_topology, p),
+            "net-family": ctx.once(cv.derive_convergence_topology, p, "family"),
         }
         for label, topo in families.items():
             run.check(f"{name}:{label}", _closed_by_neighborhoods(topo))
@@ -656,66 +671,63 @@ def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
     return finite, tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
 
 
-def _sample_net(p: FinitePoset, rng: random.Random, count: int) -> tuple[list[int], list[tuple]]:
-    """``count`` random triples over ``p``, each a draw of a (net, ideal)
-    pair and a point ``x``: with even odds, a finite-index net under its
-    eventual or trivial ideal, or a constant-track net of period 1 to 3
-    under one of the four ideals on the naturals.
+def _sample_net(run: _Run, name: str, p: FinitePoset, rng: random.Random, count: int, outcome) -> dict:
+    """Draw ``count`` random triples over ``p``, count them as cases of
+    ``run`` in draw order, and return each drawn key's verdict.
 
-    Returns the key ``mask * p.n + x`` of each triple and its draw
-    ``(i, vals, idl)``: ``i >= 0`` names a finite index and
-    ``i = -period`` a track net, ``vals`` holds the value indexes into
-    ``p.elements`` and ``idl`` is the drawn ideal; :func:`_net_of_draw`
-    builds the net.  Every index and the point are drawn by the
-    ``getrandbits`` rejection loop that ``Random._randbelow_with_getrandbits``
-    runs for ``rng.choice`` and ``rng.randrange(n)`` on CPython 3.10 to
-    3.13, inlined, so the triples and the final generator state are those
-    of ``rng.choice`` over the same sequences, ``rng.randrange(3)`` and
+    A triple is a (net, ideal) pair and a point ``x``: with even odds, a
+    finite-index net under its eventual or trivial ideal, or a
+    constant-track net of period 1 to 3 under one of the four ideals on the
+    naturals.  Every index and the point are drawn by the ``getrandbits``
+    rejection loop that ``Random._randbelow_with_getrandbits`` runs for
+    ``rng.choice`` and ``rng.randrange(n)`` on CPython 3.10 to 3.13,
+    inlined, so the triples and the final generator state are those of
+    ``rng.choice`` over the same sequences, ``rng.randrange(3)`` and
     ``rng.randrange(p.n)``, at less cost.
 
-    No net is built: the mask is read from the draw in the closed form
-    of :func:`convergence.trap_mask` (``0`` under the trivial ideal, the
-    value at the index's top under the eventual ideal, the union of the
-    track values under a proper ideal on the naturals).
-    ``test_sample_net_draws_match_random_choice`` compares the draws, the
-    ideals, the points, the masks (with ``trap_mask`` of the built net)
-    and the generator state with the ``rng.choice`` formulation; the
-    pinned sha256s of ``test_small_all_report_bytes_are_pinned`` and
-    ``test_family_convergence_report_bytes_are_pinned_at_size_5`` guard
-    the report bytes."""
+    A triple's key is ``mask * p.n + x``, its mask read from the draw in
+    the closed form of :func:`convergence.trap_mask` (``0`` under the
+    trivial ideal, the value at the index's top under the eventual ideal,
+    the union of the track values under a proper ideal on the naturals).
+    ``outcome(mask, x)`` decides a key on its first draw: ``None`` if its
+    triples are no case, ``True`` if they pass, else the suffix of their
+    failure label.  Only a failing triple's net is built, for its label
+    ``{name}:{i}{suffix}`` and its witness (:func:`_net_of_draw`).
+    ``test_sample_net_draws_match_random_choice`` compares the draws,
+    masks and generator state with the ``rng.choice`` formulation."""
     finite, omega = _sampling_ideals()
     n, nf = p.n, len(finite)
     width, width_f = n.bit_length(), nf.bit_length()
+    # Per draw branch: index size, top position, ideals, their count and its bit width.
+    branches = [(idx.n, top, ideals, len(ideals), len(ideals).bit_length()) for idx, top, ideals in finite]
+    k_omega, w_omega = len(omega), len(omega).bit_length()
     random_, getrandbits = rng.random, rng.getrandbits
-    keys, draws = [], []
-    for _ in range(count):
+    verdicts: dict = {}
+    for i in range(count):
         if random_() < 0.5:
-            i = getrandbits(width_f)
-            while i >= nf:
-                i = getrandbits(width_f)
-            idx, top, ideals = finite[i]
-            size = idx.n
+            j = getrandbits(width_f)
+            while j >= nf:
+                j = getrandbits(width_f)
+            size, top, ideals, k, w = branches[j]
         else:
             size = getrandbits(2)
             while size >= 3:
                 size = getrandbits(2)
             size += 1
-            i, ideals = -size, omega
+            j, top, ideals, k, w = -size, -1, omega, k_omega, w_omega
         vals = []
         for _ in range(size):
             r = getrandbits(width)
             while r >= n:
                 r = getrandbits(width)
             vals.append(r)
-        k = len(ideals)
-        w = k.bit_length()
         r = getrandbits(w)
         while r >= k:
             r = getrandbits(w)
         idl = ideals[r]
         if idl.kind == "trivial":
             mask = 0
-        elif i >= 0:
+        elif top >= 0:
             mask = 1 << vals[top]
         else:
             mask = 0
@@ -724,43 +736,26 @@ def _sample_net(p: FinitePoset, rng: random.Random, count: int) -> tuple[list[in
         x = getrandbits(width)
         while x >= n:
             x = getrandbits(width)
-        keys.append(mask * n + x)
-        draws.append((i, vals, idl))
-    return keys, draws
-
-
-def _net_of_draw(p: FinitePoset, draw: tuple) -> tuple[cv.Net, cv.Ideal]:
-    """The (net, ideal) pair of a :func:`_sample_net` draw, for a failure
-    witness."""
-    i, vals, idl = draw
-    values = tuple([p.elements[v] for v in vals])
-    if i >= 0:
-        return cv.FiniteNet(_sampling_ideals()[0][i][0], values), idl
-    return cv.TrackNet(len(values), tuple(map(cv.const_track, values))), idl
-
-
-def _tally(run: _Run, name: str, p: FinitePoset, block: tuple, outcome) -> dict:
-    """Count one poset's sampled triples (a :func:`_sample_net` block) as
-    cases, in draw order, and return each drawn key's verdict.
-
-    ``outcome(mask, x)`` decides a key: ``None`` if its triples are no
-    case, ``True`` if they pass, else the suffix of their failure label.
-    Each key is decided once, on its first draw, and each failing triple
-    keeps its label ``{name}:{i}{suffix}`` and its own witness, built from
-    its draw; ``test_sampled_suites_report_failures_like_literal_loop``
-    compares the reports with the literal per-triple loops."""
-    verdicts: dict = {}
-    for i, (key, draw) in enumerate(zip(*block)):
+        key = mask * n + x
         if key in verdicts:
             v = verdicts[key]
         else:
-            v = verdicts[key] = outcome(*divmod(key, p.n))
+            v = verdicts[key] = outcome(mask, x)
         if v is True:
             run.cases += 1
         elif v is not None:
-            net, idl = _net_of_draw(p, draw)
-            run.check(f"{name}:{i}{v}", False, _triple_witness(p, net, key % p.n, idl))
+            run.check(f"{name}:{i}{v}", False, _triple_witness(p, _net_of_draw(p, j, vals), x, idl))
     return verdicts
+
+
+def _net_of_draw(p: FinitePoset, i: int, vals: list[int]) -> cv.Net:
+    """The net of a :func:`_sample_net` draw: ``i >= 0`` names a finite
+    index and ``i = -period`` a track net, and ``vals`` holds the value
+    indexes into ``p.elements``."""
+    values = tuple([p.elements[v] for v in vals])
+    if i >= 0:
+        return cv.FiniteNet(_sampling_ideals()[0][i][0], values)
+    return cv.TrackNet(len(values), tuple(map(cv.const_track, values)))
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

@@ -148,6 +148,35 @@ def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
     assert "suites.run" not in coverage["missing"]
 
 
+def test_all_builds_each_artefact_once_per_run(monkeypatch):
+    """The suites of an ``all`` run read the per-poset topologies through
+    the run's memo (``_Ctx.once``): with counting wrappers on three
+    builders, each of two runs in one process builds every (builder,
+    poset, arguments) artefact exactly once, three derived modes per
+    poset, and passes ``coverage:all-ops``, since the memo lives on the
+    run, not on the builder."""
+    builds: Counter = Counter()
+    builders = (
+        (tp, "lawson_topology"),
+        (tp, "family_liminf_topology"),
+        (cv, "derive_convergence_topology"),
+    )
+    for module, attr in builders:
+
+        def counting(p, *args, original=getattr(module, attr), attr=attr):
+            builds[attr, p.name, args] += 1
+            return original(p, *args)
+
+        monkeypatch.setattr(module, attr, counting)
+    names = set(corpus.all_corpus(3))
+    for _ in range(2):
+        builds.clear()
+        report = suites.run_suite("all", max_size=3)
+        assert report.ok, report.failures[:3]
+        assert set(builds.values()) == {1}
+        assert len(builds) == 5 * len(names) and {name for _, name, _ in builds} == names
+
+
 def test_logged_op_names_are_unique():
     """No two ``@logged`` functions register the same operation name, so
     the coverage gate, which sees only names, fails while any one of them
@@ -180,29 +209,36 @@ def _sample_net_with_random_choice(p, rng):
     return cv.TrackNet(period, tracks), idl, (-period, vals, idl)
 
 
+def _fail_every_key(mask, x):
+    """A ``_sample_net`` outcome that fails every key with the mask and the
+    point in the label suffix, so each triple's label and witness show its
+    draw."""
+    return f":{mask}:{x}"
+
+
 def test_sample_net_draws_match_random_choice():
-    """A ``_sample_net`` block gives the draws (the ideals as the same
-    objects), the points and the generator state of the
+    """A ``_sample_net`` block gives the triples (net, ideal kind, point,
+    as the failure witness shows them) and the generator state of the
     ``rng.choice``/``randrange`` formulation, triple by triple, for 5
     seeds on every poset of the size-4 corpus (named posets of up to 8
     elements included), with the state compared after each poset's
-    block.  The net ``_net_of_draw`` builds is the formulation's net, the
-    key's mask is that net's trap mask (``trap_mask``), and the
-    mask is ``0`` iff the ideal is trivial, the fact ``trivial-sampled``
-    reads."""
+    block.  Each triple's label holds the mask ``_sample_net`` read from
+    the draw, which is the formulation's net's trap mask (``trap_mask``),
+    and the mask is ``0`` iff the ideal is trivial, the fact
+    ``trivial-sampled`` reads."""
     for seed in range(5):
         fast, slow = random.Random(seed), random.Random(seed)
         for p in corpus.all_corpus(4).values():
-            keys, draws = suites._sample_net(p, fast, 300)
-            assert len(keys) == len(draws) == 300
-            for key, draw in zip(keys, draws):
-                mask, x = divmod(key, p.n)
-                net_ref, idl_ref, draw_ref = _sample_net_with_random_choice(p, slow)
-                assert draw[:2] == draw_ref[:2] and x == slow.randrange(p.n), (seed, p.name)
-                net, idl = suites._net_of_draw(p, draw)
-                assert draw[2] is idl is idl_ref and net == net_ref, (seed, p.name)
-                assert mask == cv.trap_mask(p, net, idl), (seed, p.name)
-                assert (mask == 0) == (idl.kind == "trivial"), (seed, p.name)
+            run = suites._Run("sampled", seed)
+            suites._sample_net(run, p.name, p, fast, 300, _fail_every_key)
+            assert run.cases == len(run.failures) == 300
+            for i, failure in enumerate(run.failures):
+                net_ref, idl_ref, _ = _sample_net_with_random_choice(p, slow)
+                x = slow.randrange(p.n)
+                mask = cv.trap_mask(p, net_ref, idl_ref)
+                witness = suites._triple_witness(p, net_ref, x, idl_ref)
+                assert failure == {"case": f"{p.name}:{i}:{mask}:{x}", **witness}, (seed, p.name)
+                assert (mask == 0) == (idl_ref.kind == "trivial"), (seed, p.name)
             assert fast.getstate() == slow.getstate(), (seed, p.name)
 
 
@@ -215,13 +251,16 @@ def test_sample_net_mask_reads_the_value_at_the_index_top(monkeypatch):
     monkeypatch.setattr(suites.cp, "directed_index_posets", lambda _n: (top_first,))
     suites._sampling_ideals.cache_clear()
     try:
-        keys, draws = suites._sample_net(chain3, random.Random(0), 200)
+        fast, slow = random.Random(0), random.Random(0)
+        run = suites._Run("sampled", 0)
+        suites._sample_net(run, "chain3", chain3, fast, 200, _fail_every_key)
+        assert len(run.failures) == 200
         telling = 0
-        for key, draw in zip(keys, draws):
-            net, idl = suites._net_of_draw(chain3, draw)
-            assert key // chain3.n == cv.trap_mask(chain3, net, idl), draw
-            i, vals, _ = draw
-            telling += i >= 0 and idl.kind == "eventual" and vals[0] != vals[-1]
+        for i, failure in enumerate(run.failures):
+            net, idl, (j, vals, _) = _sample_net_with_random_choice(chain3, slow)
+            x = slow.randrange(chain3.n)
+            assert failure["case"] == f"chain3:{i}:{cv.trap_mask(chain3, net, idl)}:{x}", failure
+            telling += j >= 0 and idl.kind == "eventual" and vals[0] != vals[-1]
         assert telling > 0
     finally:
         suites._sampling_ideals.cache_clear()
@@ -345,7 +384,7 @@ def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypat
     """With the predicates of ``FLIPS[case]`` answering wrongly at chosen
     points and ideals, each sampled suite fails, and its report at size 4
     (seeds 0 and 1) is byte for byte that of the literal per-triple loop:
-    the ordered loop of ``suites._tally`` keeps each failure's label,
+    the ordered loop of ``suites._sample_net`` keeps each failure's label,
     order and witness, and ``trivial-sampled`` holds only where a
     trivial-ideal triple reached the trivial check.  The flips read the
     point and whether the mask is ``0`` (the trivial ideal)."""
@@ -389,9 +428,10 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
     suite may decide each (mask, point) key once.  On the suite's sampled
     triples at size 4, seeds 0 to 2, it decides each key whose premise
     holds by exactly one call at that key, which the report alone does
-    not show where every case passes.  The premise of
-    ``waybelow-forces-family`` is read from the upper sets way below the
-    point, each built here."""
+    not show where every case passes.  The keys are drawn by the
+    ``rng.choice`` formulation, each mask read from the built net
+    (``trap_mask``), and the premise of ``waybelow-forces-family`` from
+    the upper sets way below the point, each built here."""
     decider, per_poset = SAMPLED_SUITES[suite]
     for seed in range(3):
         ctx = suites._Ctx(seed=seed, corpus=corpus.all_corpus(4))
@@ -402,8 +442,10 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
                 [p.up_of_mask(g) for g in p.antichain_masks if wb.set_way_below(p, g, 1 << ix)]
                 for ix in range(p.n)
             ]
-            for key in suites._sample_net(p, rng, per_poset)[0]:
-                mask, x = divmod(key, p.n)
+            for _ in range(per_poset):
+                net, idl, _ = _sample_net_with_random_choice(p, rng)
+                x = rng.randrange(p.n)
+                mask = cv.trap_mask(p, net, idl)
                 if suite != "waybelow-forces-family" or all(mask & ~u == 0 for u in waydown_ups[x]):
                     needed[name, mask, x] = 1
         calls: Counter = Counter()
