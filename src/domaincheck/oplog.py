@@ -4,17 +4,21 @@ Every operation that a suite is expected to exercise registers itself at
 import time and records each call.  The aggregate runner uses this to
 assert that a full run leaves no registered operation untouched, which
 guards against suites silently bypassing the code they claim to verify.
+
+Each operation owns one counter cell, a one-item list registered under
+its name in :data:`_CALLS`; its wrapper bumps the cell it closed over, so
+a counted call costs one list-item increment and no dictionary lookup.
+:func:`all_ops` is every registered name, and :func:`call_counts` lists
+only the operations called at least once, with their exact counts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from functools import wraps
 from typing import TypeVar
 
-_ALL: set[str] = set()
-_CALLS: Counter[str] = Counter()
+_CALLS: dict[str, list[int]] = {}
 
 F = TypeVar("F", bound=Callable)
 
@@ -23,11 +27,11 @@ def logged(name: str) -> Callable[[F], F]:
     """Register ``name`` and count every call of the decorated function."""
 
     def deco(fn: F) -> F:
-        _ALL.add(name)
+        cell = _CALLS.setdefault(name, [0])
 
         @wraps(fn)
         def wrapper(*args, **kwargs):
-            _CALLS[name] += 1
+            cell[0] += 1
             return fn(*args, **kwargs)
 
         return wrapper  # type: ignore[return-value]
@@ -36,16 +40,12 @@ def logged(name: str) -> Callable[[F], F]:
 
 
 def all_ops() -> frozenset[str]:
-    return frozenset(_ALL)
-
-
-def seen_ops() -> frozenset[str]:
-    return frozenset(n for n, c in _CALLS.items() if c > 0)
-
-
-def missing_ops() -> frozenset[str]:
-    return frozenset(_ALL) - seen_ops()
+    return frozenset(_CALLS)
 
 
 def call_counts() -> dict[str, int]:
-    return dict(_CALLS)
+    return {name: cell[0] for name, cell in _CALLS.items() if cell[0]}
+
+
+def missing_ops() -> frozenset[str]:
+    return frozenset(name for name, cell in _CALLS.items() if not cell[0])

@@ -106,9 +106,11 @@ class FinitePoset:
     # -- upper sets ----------------------------------------------------
 
     def up_of_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= self.up[i]
+        up, out = self.up, 0
+        while mask:
+            low = mask & -mask
+            out |= up[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def is_upper_mask(self, mask: int) -> bool:

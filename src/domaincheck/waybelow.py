@@ -5,7 +5,8 @@ On a finite poset every directed set contains its supremum, so the
 way-below condition collapses to the Smyth preorder: ``g << h`` iff
 ``up(h) <= up(g)``, and :func:`set_way_below` decides it in closed form.
 :func:`_set_way_below_definitional` keeps the literal quantification over
-all directed subsets; the ``finite-collapse`` suite and
+all directed subsets, read once per ``g`` as a row of escaping suprema
+(:func:`_escape_mask`); the ``finite-collapse`` suite and
 ``test_finite_set_way_below_matches_definition`` check the closed form
 against it.  The side-point dcpo's counterparts, with their shape oracle,
 live in :mod:`~domaincheck.sidenat`.
@@ -51,14 +52,25 @@ def set_way_below(p: FinitePoset, g: int, h: int) -> bool:
     return h & ~p.up_of_mask(g) == 0
 
 
+def _escape_mask(p: FinitePoset, upg: int) -> int:
+    """The mask of suprema of the directed subsets that miss ``upg``,
+    quantifying over every directed subset in ``p.directed_sups``."""
+    out = 0
+    for d, sup in p.directed_sups:
+        if d & upg == 0:
+            out |= 1 << sup
+    return out
+
+
 def _set_way_below_definitional(p: FinitePoset, g: int, h: int) -> bool:
     """Way-below of masks on a finite poset, by the definition: no
-    directed subset with supremum in ``up(h)`` misses ``up(g)``."""
-    upg, uph = p.up_of_mask(g), p.up_of_mask(h)
-    for d, sup in p.directed_sups:
-        if uph >> sup & 1 and d & upg == 0:
-            return False
-    return True
+    directed subset with supremum in ``up(h)`` misses ``up(g)``.
+
+    Grouped by ``g``, the definition reads ``up(h)`` against one row,
+    :func:`_escape_mask` of ``up(g)``, the suprema of the directed subsets
+    that miss ``up(g)``: ``g << h`` iff ``up(h)`` holds none of them.  A
+    caller comparing many ``h`` with one ``g`` builds the row once."""
+    return p.up_of_mask(h) & _escape_mask(p, p.up_of_mask(g)) == 0
 
 
 @logged("waybelow.waydown")

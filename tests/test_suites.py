@@ -137,15 +137,38 @@ def test_continuity_suite_green_small():
 
 
 def test_coverage_gate_counts_only_calls_of_this_run(monkeypatch):
-    # Every op already counted earlier in the process, and a registry whose
-    # only suite calls nothing: the run itself exercises no suite op.
-    monkeypatch.setattr(oplog, "_CALLS", Counter({op: 1 for op in oplog.all_ops()}))
+    # Every op already counted earlier in the process, by a real ``all``
+    # run, and a registry whose only suite calls nothing: the run itself
+    # exercises no suite op.
+    suites.run_suite("all", max_size=1)
+    assert not oplog.missing_ops()
     monkeypatch.setattr(suites, "SUITES", {"noop": lambda run, ctx: None})
     rep = suites.run_suite("all", max_size=1)
     assert not rep.ok
     (coverage,) = [f for f in rep.failures if f["case"] == "coverage:all-ops"]
     assert "rudin.extract" in coverage["missing"]
     assert "suites.run" not in coverage["missing"]
+
+
+def test_ledger_counts_each_call_exactly():
+    """Each op's cell counts the calls of that op and nothing else: around
+    ``k`` calls of ``set_way_below`` and one of ``converges_family_liminf``
+    the deltas are exactly ``k`` and 1, every other op's is 0, and
+    ``call_counts()`` lists exactly the ops called at least once.  Only
+    the package's own ops are called, so no name outlives the test."""
+    p = corpus.all_corpus(3)["p3_0"]
+    k = 5
+    before = oplog.call_counts()
+    for g in range(1, k + 1):
+        wb.set_way_below(p, g, p.universe)
+    cv.converges_family_liminf(p, p.universe, 0)
+    after = oplog.call_counts()
+    delta = {op: after.get(op, 0) - before.get(op, 0) for op in oplog.all_ops()}
+    assert delta.pop("waybelow.set") == k
+    assert delta.pop("convergence.family_liminf") == 1
+    assert set(delta.values()) == {0}
+    assert 0 not in after.values()
+    assert set(after) == oplog.all_ops() - oplog.missing_ops()
 
 
 def test_all_builds_each_artefact_once_per_run(monkeypatch):
