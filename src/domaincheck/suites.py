@@ -144,9 +144,12 @@ def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
 
 
 def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
-    """The topology induced by lim-inf convergence is the Scott topology."""
+    """The topology induced by lim-inf convergence is the Scott topology.
+    The derived ``liminf`` topology is read as the ``family`` one: both use
+    ``_derivation_class`` and the principal test of ``_limits_of_trap``
+    (``test_derived_naive_matches_reduced`` derives it net by net)."""
     for name, p in ctx.corpus.items():
-        derived = ctx.once(cv.derive_convergence_topology, p, "liminf")
+        derived = ctx.once(cv.derive_convergence_topology, p, "family")
         sc = ctx.once(tp.scott_topology, p)
         run.check(
             f"{name}:liminf=scott",
@@ -286,7 +289,7 @@ def _suite_family_topology_is_scott(run: _Run, ctx: _Ctx) -> None:
         sc = ctx.once(tp.scott_topology, p)
         family = ctx.once(tp.family_liminf_topology, p)
         run.check(f"{name}:upper-sets", family.opens == sc.opens)
-        run.check(f"{name}:definition", family.opens == _scott_opens_by_definition(p))
+        run.check(f"{name}:definition", family.opens == ctx.once(_scott_opens_by_definition, p))
 
 
 def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
@@ -348,15 +351,14 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     elements.  Only the eventual ideal is checked: under the trivial
     ideal the two disagree on most such triples.
 
-    Every net of the class is enumerated (:func:`convergence.generate_nets`
-    at track period ``0``), and each failing (net, point) pair keeps its own
-    label.  Both predicates take a net's trap mask
-    (:func:`convergence.trap_mask`), built once per net, so on one poset
-    their verdicts are fixed by the key ``mask * p.n + x``, and each key
-    is decided on its first net.  The eventual mask of a finite-index
-    net is one value, so a poset has at most ``p.n ** 2`` keys.
-    ``test_enumerating_suites_match_literal_net_loop`` compares the
-    report with the literal per-net loop, and
+    Both predicates take a net's trap mask (:func:`convergence.trap_mask`),
+    and a finite-index net's eventual mask is the singleton of its value
+    at the index's top, so the verdicts are fixed by the ``p.n ** 2``
+    classes (mask of :meth:`convergence.NetClass.traps`, point), each
+    decided once.  Only if one fails are the nets enumerated
+    (:func:`convergence.generate_nets`), so each failing (net, point)
+    keeps its own label.  ``test_enumerating_suites_match_literal_net_loop``
+    compares the report with the literal per-net loop, and
     ``test_enumerated_verdicts_depend_on_mask_and_point`` checks the key.
 
     Periodic nets over the naturals are excluded from the equivalence:
@@ -365,31 +367,28 @@ def _suite_eventual_liminf_lawson(run: _Run, ctx: _Ctx) -> None:
     the gap stays visible.
     """
     netclass = cv.NetClass(max_index_size=3, max_track_period=0)
-    eventual = {
-        idx.name: cv.ideal("eventual", idx)
-        for idx in cp.directed_index_posets(netclass.max_index_size)
-    }
     for name, p in ctx.corpus.items():
         if p.n > 4:
             continue
         law = ctx.once(tp.lawson_topology, p)
-        verdicts: dict = {}
-        for net in cv.generate_nets(p, netclass):
-            trap = cv.trap_mask(p, net, eventual[net.index.name])
-            for ix in range(p.n):
-                key = trap * p.n + ix
-                if key not in verdicts:
-                    verdicts[key] = (
-                        cv.is_eventual_liminf(p, trap, ix).holds,
-                        cv.converges_topological(p, trap, ix, law).holds,
-                    )
-                a, b = verdicts[key]
-                if a != b:
-                    run.check(
-                        f"{name}:{net.index.name}:{net.values}:{p.elements[ix]}",
-                        False,
-                        {"eventual": a, "lawson": b},
-                    )
+        verdicts = {
+            trap * p.n + ix: (
+                cv.is_eventual_liminf(p, trap, ix).holds,
+                cv.converges_topological(p, trap, ix, law).holds,
+            )
+            for trap in netclass.traps(p) for ix in range(p.n)
+        }
+        if any(a != b for a, b in verdicts.values()):
+            for net in cv.generate_nets(p, netclass):
+                trap = cv.trap_mask(p, net, cv.ideal("eventual", net.index))
+                for ix in range(p.n):
+                    a, b = verdicts[trap * p.n + ix]
+                    if a != b:
+                        run.check(
+                            f"{name}:{net.index.name}:{net.values}:{p.elements[ix]}",
+                            False,
+                            {"eventual": a, "lawson": b},
+                        )
         run.check(f"{name}:exhaustive", True)
     d = ctx.corpus["diamond"]
     I = cv.ideal("eventual")
@@ -597,7 +596,7 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
         law = ctx.once(tp.lawson_topology, p)
         run.check(f"{name}:lawson-discrete", len(law.opens) == 1 << p.n)
         sc = ctx.once(tp.scott_topology, p)
-        run.check(f"{name}:scott-upper", sc.opens == _scott_opens_by_definition(p))
+        run.check(f"{name}:scott-upper", sc.opens == ctx.once(_scott_opens_by_definition, p))
         probe = p.up[0]
         run.check(f"{name}:interior-dual", sc.interior(probe) == probe)
         down = sum(1 << x for x in range(p.n) if p.up[x] & probe)
@@ -633,8 +632,8 @@ def _suite_topology_axioms(run: _Run, ctx: _Ctx) -> None:
     ``Topology`` checks only the first part on construction, so this is
     where closure is checked (:func:`_closed_by_neighborhoods`), for the
     five kinds below on every corpus poset.  The other kinds are pinned to
-    these by equalities that other suites check: the derived ``liminf``
-    topology equals ``scott`` (``liminf-topology``), and the derived
+    these: the derived ``liminf`` topology is the derived ``family`` one
+    (see ``liminf-topology``), and the derived
     ``eventual`` topology contains ``lawson`` (``lawson-below-eventual``),
     which is every subset (``finite-collapse:lawson-discrete``).
     ``discrete`` and ``indiscrete`` are closed by construction."""

@@ -146,9 +146,10 @@ def lower_topology(p: FinitePoset) -> Topology:
 
 @logged("topology.lawson")
 def lawson_topology(p: FinitePoset) -> Topology:
-    """Join of the Scott and lower topologies."""
-    subs = list(scott_topology(p).opens) + [p.universe & ~u for u in p.up]
-    return topology_from_subbasis(p, subs, "lawson")
+    """Join of the Scott and lower topologies.  On a finite poset the
+    principal upper sets ``p.up`` generate the Scott opens, so they and
+    their complements form the subbasis (``test_lawson_discrete_on_finite``)."""
+    return topology_from_subbasis(p, [*p.up, *(p.universe & ~u for u in p.up)], "lawson")
 
 
 def finite_topology(p: FinitePoset, kind: str) -> Topology:

@@ -153,10 +153,10 @@ def classify(p: FinitePoset) -> ClassifyReport:
             break
 
     meet = True
-    scott = tp.scott_topology(p)
+    scott = frozenset(p.upper_masks)  # the Scott opens, as ``scott_topology`` states
     for x in range(p.n):
-        for u in scott.opens:
-            if p.up_of_mask(u & p.down[x]) not in scott.opens:
+        for u in scott:
+            if p.up_of_mask(u & p.down[x]) not in scott:
                 meet = False
                 witnesses["meet_continuous"] = {"point": p.elements[x], "open": p.ids_of(u)}
                 break

@@ -172,17 +172,21 @@ def test_ledger_counts_each_call_exactly():
 
 
 def test_all_builds_each_artefact_once_per_run(monkeypatch):
-    """The suites of an ``all`` run read the per-poset topologies through
-    the run's memo (``_Ctx.once``): with counting wrappers on three
+    """The suites of an ``all`` run read the per-poset artefacts through
+    the run's memo (``_Ctx.once``): with counting wrappers on five
     builders, each of two runs in one process builds every (builder,
-    poset, arguments) artefact exactly once, three derived modes per
-    poset, and passes ``coverage:all-ops``, since the memo lives on the
-    run, not on the builder."""
+    poset, arguments) artefact exactly once, two derived modes
+    (``family`` and ``eventual``) per poset, and passes
+    ``coverage:all-ops``, since the memo lives on the run, not on the
+    builder.  No builder builds Scott outside the memo: neither
+    ``lawson_topology`` nor ``classify`` calls ``scott_topology``."""
     builds: Counter = Counter()
     builders = (
+        (tp, "scott_topology"),
         (tp, "lawson_topology"),
         (tp, "family_liminf_topology"),
         (cv, "derive_convergence_topology"),
+        (suites, "_scott_opens_by_definition"),
     )
     for module, attr in builders:
 
@@ -197,7 +201,13 @@ def test_all_builds_each_artefact_once_per_run(monkeypatch):
         report = suites.run_suite("all", max_size=3)
         assert report.ok, report.failures[:3]
         assert set(builds.values()) == {1}
-        assert len(builds) == 5 * len(names) and {name for _, name, _ in builds} == names
+        assert {name for _, name, _ in builds} == names
+        per_builder = Counter(attr for attr, _, _ in builds)
+        assert per_builder == {attr: len(names) for _, attr in builders} | {
+            "derive_convergence_topology": 2 * len(names)
+        }
+        modes = {args for attr, _, args in builds if attr == "derive_convergence_topology"}
+        assert modes == {("family",), ("eventual",)}
 
 
 def test_logged_op_names_are_unique():

@@ -68,8 +68,16 @@ def test_lower_topology():
 
 
 def test_lawson_discrete_on_finite():
-    law = tp.lawson_topology(DIAMOND)
-    assert len(law.opens) == 1 << DIAMOND.n
+    """The Lawson topology built from the principal upper sets and their
+    complements is the one built with every Scott open in the subbasis,
+    and it is discrete, on every poset of size at most 4 and every named
+    poset."""
+    posets = [p for n in range(1, 5) for p in generate_all_posets(n)]
+    for p in posets + list(named_posets().values()):
+        law = tp.lawson_topology(p)
+        subbasis = [*tp.scott_topology(p).opens, *(p.universe & ~u for u in p.up)]
+        assert law.opens == tp.topology_from_subbasis(p, subbasis, "lawson").opens, p.name
+        assert len(law.opens) == 1 << p.n, p.name
 
 
 def test_family_liminf_topology_is_scott():

@@ -131,11 +131,51 @@ def test_side_fin_of_schemas():
     assert fam_3.contains((2,)) and not fam_3.contains((4,))
 
 
+def _family_by_list_dedup(explicit, singletons_from, pairs_from):
+    """``side_family`` with duplicates removed by a scan of the list kept so far."""
+    covers = sn.SideFamily((), singletons_from, pairs_from)._schema_covers
+    norm = []
+    for m in explicit:
+        mm = sn.antichain_of(m)
+        if mm not in norm and not covers(mm):
+            norm.append(mm)
+    norm.sort(key=lambda m: tuple(map(sn.element_sort_key, m)))
+    return sn.SideFamily(tuple(norm), singletons_from, pairs_from)
+
+
+def _meet_by_inter(fam):
+    """The meet of a family's upper sets as the fold through ``sn.inter``."""
+    out = sn.FULL
+    for m in fam.explicit:
+        out = sn.inter(out, sn.up_closure(sn.side_set_of(m)))
+    if fam.singletons_from is not None:
+        out = sn.inter(out, sn.up_set(TOP))
+    if fam.pairs_from is not None:
+        out = sn.inter(out, sn.up_set(A))
+    return out
+
+
 def test_side_family_upset_intersection():
+    """The schemas' meets, and on the families of the prefix tests below,
+    with every member given twice, the dict dedup and the meet folded by
+    tails agree with the list dedup and the fold through ``sn.inter``."""
     fam = sn.side_family(pairs_from=0)
     assert fam.upset_intersection() == sn.up_set(A)
     fam = sn.side_family(singletons_from=0)
     assert fam.upset_intersection() == sn.up_set(TOP)
+    families = [sn.fin_of(x) for x in (A, TOP, *range(6))]
+    families += [sn.side_family([(2,), (3, A)]), sn.side_family([(0,)], pairs_from=2)]
+    families += [
+        sn.side_family(explicit, singletons_from=s, pairs_from=q)
+        for explicit in ([], [(1,)], [(0, A), (A,)], [(TOP,), (2,)])
+        for s in (None, 0, 3)
+        for q in (None, 0, 2)
+    ]
+    for fam in families:
+        twice = [*fam.explicit, *reversed(fam.explicit), *fam.members_upto(6)]
+        args = fam.singletons_from, fam.pairs_from
+        assert sn.side_family(twice, *args) == _family_by_list_dedup(twice, *args), fam
+        assert fam.upset_intersection() == _meet_by_inter(fam), fam
 
 
 def test_interpolation_side():
