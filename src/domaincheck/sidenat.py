@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import convergence as cv
 from . import waybelow as wb
@@ -132,6 +131,7 @@ def sideset(
 
 EMPTY = sideset()
 FULL = sideset(tail=0, has_a=True, has_top=True)
+NATS = sideset(tail=0)
 
 
 def side_set_of(elements: Iterable[SideElement]) -> SideSet:
@@ -407,119 +407,107 @@ def waydown_of(x: SideElement) -> SideSet:
 
 @dataclass(frozen=True)
 class SideFamily:
-    """A family of finite antichains, possibly with two infinite schemas.
+    """A family of finite antichains, held by shape.
 
-    ``explicit`` lists concrete members.  ``singletons_from = s`` adds
-    every ``{n}`` with ``n >= s``; ``pairs_from = q`` adds every
-    ``{n, a}`` with ``n >= q``.  These schemas are the only infinite
-    families the workbench needs: approximating families and ideal-level
-    families on the side-point dcpo all take this form.  Equality and
-    :meth:`to_dict` ignore ``checked_upto``, the window of :func:`eventual_family`.
+    Every antichain here is ``{n}``, ``{n, a}``, ``{a}`` or ``{inf}``.
+    ``singles`` and ``pairs`` hold the ``n`` of the members ``{n}`` and
+    ``{n, a}``, each a canonical :class:`SideSet` of naturals whose tail
+    is an infinite schema; ``has_a`` and ``has_top`` flag ``{a}`` and
+    ``{inf}``.  So dataclass equality is family equality.  Equality and
+    :meth:`to_dict` ignore ``checked_upto``, the net's stabilization bound.
     """
 
-    explicit: tuple[tuple[SideElement, ...], ...] = ()
-    singletons_from: int | None = None
-    pairs_from: int | None = None
+    singles: SideSet = EMPTY
+    pairs: SideSet = EMPTY
+    has_a: bool = False
+    has_top: bool = False
     checked_upto: int | None = field(default=None, compare=False)
-
-    def _schema_covers(self, m: tuple[SideElement, ...]) -> bool:
-        if len(m) == 1 and isinstance(m[0], int) and self.singletons_from is not None:
-            return m[0] >= self.singletons_from
-        if len(m) == 2 and isinstance(m[0], int) and m[1] == A and self.pairs_from is not None:
-            return m[0] >= self.pairs_from
-        return False
 
     def contains(self, member: Iterable[SideElement]) -> bool:
         m = antichain_of(member)
-        return m in self.explicit or self._schema_covers(m)
+        if len(m) == 2:
+            return m[0] in self.pairs
+        if m == (A,):
+            return self.has_a
+        if m == (TOP,):
+            return self.has_top
+        return len(m) == 1 and m[0] in self.singles
 
     def members_upto(self, k: int) -> tuple[tuple[SideElement, ...], ...]:
-        out = list(self.explicit)
-        if self.singletons_from is not None:
-            out.extend((n,) for n in range(self.singletons_from, k))
-        if self.pairs_from is not None:
-            out.extend((n, A) for n in range(self.pairs_from, k))
-        return tuple(dict.fromkeys(out))
+        """The :meth:`to_dict` order: the members outside the schemas,
+        ``{n}`` before ``{n, a}`` by ascending ``n``, then ``{a}`` and
+        ``{inf}``; then the schema members whose natural is below ``k``."""
+        out: list[tuple[SideElement, ...]] = []
+        for n in sorted(self.singles.nats | self.pairs.nats):
+            if n in self.singles.nats:
+                out.append((n,))
+            if n in self.pairs.nats:
+                out.append((n, A))
+        out += [(e,) for e, flag in ((A, self.has_a), (TOP, self.has_top)) if flag]
+        if self.singles.tail is not None:
+            out += [(n,) for n in range(self.singles.tail, k)]
+        if self.pairs.tail is not None:
+            out += [(n, A) for n in range(self.pairs.tail, k)]
+        return tuple(out)
 
     def includes(self, other: SideFamily) -> bool:
-        """Is every member of ``other`` a member of this family?  Past both
-        stabilization bounds membership is constant in ``n``, so a window
-        decides.  Oracle: ``test_side_family_includes_matches_prefixes``."""
-        k = max(self._stab(), other._stab())
-        return all(self.contains(m) for m in other.members_upto(k))
+        """Is every member of ``other`` a member of this family?  Shape by
+        shape: each set of naturals inside ours, each flag implying ours.
+        Oracle: ``test_side_family_includes_matches_prefixes``."""
+        flags = (self.has_a or not other.has_a) and (self.has_top or not other.has_top)
+        return flags and _subset(other.singles, self.singles) and _subset(other.pairs, self.pairs)
+
+    def first_outside(self, x: SideElement) -> tuple[SideElement, ...] | None:
+        """The first member, in :meth:`to_dict` order, whose upper set
+        misses ``x``; ``None`` when ``x`` is in the meet of the upper
+        sets.  A schema member ``{n}`` or ``{n, a}`` past ``x`` misses a
+        natural ``x``, and ``{n}`` misses ``a``, so the scan stops one
+        past ``x`` and both tails.  Oracle:
+        ``test_side_family_upset_intersection``."""
+        k = max(self.singles.span(), self.pairs.span(), x + 1 if isinstance(x, int) else 0) + 1
+        return next((m for m in self.members_upto(k) if not any(side_leq(e, x) for e in m)), None)
 
     def to_dict(self) -> dict:
         return {
-            "explicit": [[str(e) for e in m] for m in self.explicit],
-            "singletons_from": self.singletons_from,
-            "pairs_from": self.pairs_from,
+            "explicit": [[str(e) for e in m] for m in self.members_upto(0)],
+            "singletons_from": self.singles.tail,
+            "pairs_from": self.pairs.tail,
         }
 
-    def _stab(self) -> int:
-        data = [e for m in self.explicit for e in m if isinstance(e, int)]
-        for t in (self.singletons_from, self.pairs_from):
-            if t is not None:
-                data.append(t)
-        return max(data, default=0) + 2
-
-    def _has_member_below(self, target: SideSet, explicit_ups: list[SideSet]) -> bool:
-        """Is some member's upper set contained in ``target``?
-        ``explicit_ups`` holds the upper sets of the explicit members.
-
-        Schema members have arbitrarily late tails, so a schema witness
-        exists iff ``target`` holds the top and a full tail of naturals
-        (plus the side point, for the pair schema).
-        """
-        if any(_subset(u, target) for u in explicit_ups):
-            return True
-        if self.singletons_from is not None and target.has_top and target.tail is not None:
-            return True
-        if self.pairs_from is not None and target.has_top and target.has_a and target.tail is not None:
-            return True
-        return False
-
     def is_directed(self) -> bool:
-        """Smyth-directedness, decided exactly.
-
-        Concrete members are checked pairwise.  Schema members with
-        parameters beyond the stabilization bound produce intersections
-        of a fixed shape, so a single representative at the bound covers
-        every larger parameter.  ``test_side_family_is_directed_matches_prefixes``
-        compares this with the literal pairwise definition on finite
-        prefixes.
+        """Smyth-directedness in closed form: each two members' upper sets
+        meet around some member's.  ``{inf}`` fits in every meet, and two
+        members of one shape, or ``{n, a}`` and ``{a}``, meet in one of
+        their upper sets.  ``{n}`` and ``{a}`` meet in ``{inf}``.
+        ``up(n) ∩ up({m, a})`` is ``up(max(n, m))``, which for ``n < m``
+        only a ``{k}`` with ``k >= m`` fits: no pair lies past every single.
+        Oracle: ``test_side_family_is_directed_matches_prefixes``, the
+        literal pairwise definition on finite prefixes.
         """
-        k = self._stab()
-        ms = self.members_upto(k + 2)
-        if not ms:
-            return False
-        ups = {m: _upset(m) for m in ms}
-        explicit_ups = [ups[m] for m in self.explicit]
-        for u1, u2 in combinations(ups.values(), 2):
-            if not self._has_member_below(inter(u1, u2), explicit_ups):
-                return False
-        return True
+        s, p = self.singles, self.pairs
+        if self.has_top:
+            return True
+        if s.is_empty:
+            return self.has_a or not p.is_empty
+        return not self.has_a and (s.tail is not None or (p.tail is None and p.span() <= s.span()))
 
     def upset_intersection(self) -> SideSet:
         """Intersection of the members' upper sets, schemas included.
 
-        An up-closure holds no scattered naturals, so the members' upper
-        sets are folded by their tails: the larger tail (none if either
-        has none), and the AND of each flag.  Tails with arbitrarily late
-        cut points intersect to nothing, so the singleton schema
-        contributes exactly the top and the pair schema exactly the side
-        point with the top.  ``test_side_family_upset_intersection``
+        Every upper set holds the top; ``a`` stays unless some ``{n}`` or
+        ``{inf}`` is a member.  Since ``up(n) ∩ up({m, a})`` is
+        ``up(max(n, m))``, the naturals from the largest ``n`` of a member
+        ``{n}`` or ``{n, a}`` stay, and none when a schema is present or
+        ``{a}`` or ``{inf}`` is a member.  ``test_side_family_upset_intersection``
         compares this with the fold through :func:`inter`.
         """
-        tail, has_a, has_top = 0, True, True
-        for m in self.explicit:
-            u = _upset(m)
-            tail = None if tail is None or u.tail is None else max(tail, u.tail)
-            has_a, has_top = has_a and u.has_a, has_top and u.has_top
-        if self.singletons_from is not None:
-            tail, has_a = None, False
-        if self.pairs_from is not None:
-            tail = None
-        return sideset(tail=tail, has_a=has_a, has_top=has_top)
+        bounded = self.singles.tail is None and self.pairs.tail is None
+        bounded = bounded and not (self.has_a or self.has_top)
+        return sideset(
+            tail=max([*self.singles.nats, *self.pairs.nats], default=0) if bounded else None,
+            has_a=self.singles.is_empty and not self.has_top,
+            has_top=True,
+        )
 
 
 def side_family(
@@ -528,17 +516,14 @@ def side_family(
     pairs_from: int | None = None,
     checked_upto: int | None = None,
 ) -> SideFamily:
-    """Build a :class:`SideFamily` with normalized, deduplicated members."""
-    fam = SideFamily((), singletons_from, pairs_from)
-    norm: dict[tuple[SideElement, ...], None] = {}
-    for m in explicit:
-        mm = antichain_of(m)
-        if not mm:
-            raise PreconditionFailed("family members must be nonempty")
-        if not fam._schema_covers(mm):
-            norm[mm] = None
-    members = sorted(norm, key=lambda m: tuple(map(element_sort_key, m)))
-    return SideFamily(tuple(members), singletons_from, pairs_from, checked_upto)
+    """Build a :class:`SideFamily` from a member list and the starts of the
+    singleton and pair schemas, each member filed under its shape."""
+    ms = [antichain_of(m) for m in explicit]
+    if not all(ms):
+        raise PreconditionFailed("family members must be nonempty")
+    singles = sideset((m[0] for m in ms if len(m) == 1 and isinstance(m[0], int)), singletons_from)
+    pairs = sideset((m[0] for m in ms if len(m) == 2), pairs_from)
+    return SideFamily(singles, pairs, (A,) in ms, (TOP,) in ms, checked_upto)
 
 
 @logged("sidenat.fin_of")
@@ -546,10 +531,11 @@ def fin_of(x: SideElement) -> SideFamily:
     """The approximating family of ``x``: finite sets way below it."""
     check_side_element(x)
     if x == A:
-        return side_family(pairs_from=0)
+        return SideFamily(pairs=NATS)
     if x == TOP:
-        return side_family(singletons_from=0, pairs_from=0)
-    return side_family([(m,) for m in range(x + 1)] + [(m, A) for m in range(x + 1)])
+        return SideFamily(NATS, NATS)
+    below = sideset(nats=range(x + 1))
+    return SideFamily(below, below)
 
 
 @logged("sidenat.interpolate")
@@ -741,7 +727,7 @@ def converges_liminf(fam: SideFamily, x: SideElement) -> Verdict:
     """
     if fam.contains((x,)):
         return Verdict(True, {"directed_set": [str(x)], "shape": "principal"})
-    if fam.singletons_from == 0:
+    if fam.singles == NATS:
         return Verdict(True, {"shape": "natural_chain", "checked_upto": fam.checked_upto})
     return Verdict(False, {"point": str(x)})
 
@@ -758,9 +744,9 @@ def converges_family_liminf(fam: SideFamily, x: SideElement) -> Verdict:
     """
     if fam.contains((x,)):
         return Verdict(True, {"family": [[str(x)]], "shape": "principal"})
-    if fam.singletons_from == 0:
+    if fam.singles == NATS:
         return Verdict(True, {"shape": "singleton_schema", "checked_upto": fam.checked_upto})
-    if x == A and fam.pairs_from == 0:
+    if x == A and fam.pairs == NATS:
         return Verdict(True, {"shape": "pair_schema", "checked_upto": fam.checked_upto})
     return Verdict(False, {"point": str(x)})
 
@@ -787,38 +773,43 @@ def eventual_family(net: Net, idl: Ideal) -> SideFamily:
 
     The lim-inf predicates read a (net, ideal) pair only through it.  The
     regions of ``{n}`` and ``{n, a}`` shrink as ``n`` grows, so their
-    statuses must shrink too, and past the stabilization bound they stop
-    changing: the window ``n <= checked_upto = stabilization_bound(net)``
-    makes each kind an initial segment of explicit members or a full schema.
-    ``test_side_predicates_on_small_track_nets`` checks the predicates
-    that read the family against Scott-topological convergence.
+    statuses must shrink too.  Raising ``n`` to ``n + 1`` drops the
+    natural ``n``, which leaves the exceptions' ideal status alone unless
+    ``n`` is a constant value of the net (an ascending track's exceptions
+    stay finite, and every ideal on the naturals holds the finite sets).
+    So each status is read through :func:`exception_set` at ``0`` and at
+    ``v + 1`` for each natural value ``v``: each kind is an initial
+    segment or every natural.  Oracles: ``test_eventual_family_matches_per_natural_window``
+    (every ``n`` up to the stabilization bound), and
+    ``test_side_predicates_on_small_track_nets`` for the predicates.
     """
     cv._check_compat(net, idl)
-    window = range(cv.stabilization_bound(net) + 1)
-    singles = [_eventually_inside(net, up_set(n), idl) for n in window]
-    pairs = [_eventually_inside(net, up_closure(side_set_of((n, A))), idl) for n in window]
-    for statuses in (singles, pairs):
+    values = net.values if isinstance(net, FiniteNet) else [t[1] for t in net.tracks if t[0] == CONST]
+    cuts = sorted({0} | {v + 1 for v in map(check_side_element, values) if isinstance(v, int)})
+
+    def initial(region_of) -> SideSet:
+        statuses = [_eventually_inside(net, region_of(n), idl) for n in cuts]
         if any(later and not earlier for earlier, later in zip(statuses, statuses[1:])):
             raise PreconditionFailed("level statuses must shrink as regions shrink")
-    explicit = [(e,) for e in (A, TOP) if _eventually_inside(net, up_set(e), idl)]
-    explicit += [(n,) for n in window if singles[n]] + [(n, A) for n in window if pairs[n]]
-    return side_family(
-        explicit,
-        singletons_from=0 if all(singles) else None,
-        pairs_from=0 if all(pairs) else None,
-        checked_upto=window[-1],
-    )
+        return NATS if all(statuses) else sideset(nats=range(cuts[statuses.index(False)]))
+
+    singles, pairs = initial(up_set), initial(lambda n: up_closure(side_set_of((n, A))))
+    flags = [_eventually_inside(net, up_set(e), idl) for e in (A, TOP)]
+    return SideFamily(singles, pairs, *flags, cv.stabilization_bound(net))
 
 
 @logged("sidenat.is_eventual_liminf")
 def is_eventual_liminf(fam: SideFamily, x: SideElement) -> Verdict:
     """Eventual lim-inf: family lim-inf convergence to ``x``, with ``x`` in
-    the meet of the upper sets of the eventually-below family ``fam``.  Oracle:
-    ``test_side_predicates_on_small_track_nets`` checks that the verdicts
-    imply family convergence and pins their count."""
+    the meet of the upper sets of the eventually-below family ``fam``.  A
+    failure of the second names the first member whose upper set misses
+    ``x`` (:meth:`SideFamily.first_outside`), as the finite backend does.
+    Oracle: ``test_side_predicates_on_small_track_nets`` checks that the
+    verdicts imply family convergence and pins their count."""
     first = converges_family_liminf(fam, x)
     if not first.holds:
         return Verdict(False, {"failed": "family_liminf", **first.witness})
-    if x not in fam.upset_intersection():
-        return Verdict(False, {"failed": "membership", "family": fam.to_dict()})
+    member = fam.first_outside(x)
+    if member is not None:
+        return Verdict(False, {"failed": "membership", "member": [str(e) for e in member]})
     return Verdict(True, {"family": fam.to_dict()})

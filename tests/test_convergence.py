@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from domaincheck import convergence as cv
+from domaincheck import oplog
 from domaincheck import sidenat as sn
 from domaincheck import suites
 from domaincheck import topology as tp
@@ -352,6 +353,62 @@ def test_constant_net_converges_below_value():
         assert sn.converges_liminf(gi, x).holds
     for x in (5, A, TOP):
         assert not sn.converges_liminf(gi, x).holds
+
+
+def _eventual_family_by_window(net, idl):
+    """The eventually-below family from the status of ``{n}`` and of
+    ``{n, a}`` at every ``n`` up to the stabilization bound, each through
+    ``exception_set``; a kind true on the whole window is every natural."""
+    window = range(cv.stabilization_bound(net) + 1)
+
+    def inside(member):
+        return sn._eventually_inside(net, sn.up_closure(sn.side_set_of(member)), idl)
+
+    singles = [inside((n,)) for n in window]
+    pairs = [inside((n, A)) for n in window]
+    for statuses in (singles, pairs):
+        assert not any(later and not earlier for earlier, later in zip(statuses, statuses[1:]))
+    explicit = [(e,) for e in (A, TOP) if inside((e,))]
+    explicit += [(n,) for n in window if singles[n]] + [(n, A) for n in window if pairs[n]]
+    return sn.side_family(
+        explicit, 0 if all(singles) else None, 0 if all(pairs) else None, window[-1]
+    )
+
+
+def test_eventual_family_matches_per_natural_window():
+    """``eventual_family`` reads each status at 0 and past each natural
+    value of the net; the per-natural window gives the same family, JSON
+    and ``checked_upto`` on every track net of period at most 3 over {0,
+    1, 2, 3, a, inf, ascend} under every ideal kind, and on every net over
+    a directed index of size at most 3 with those values (no ascending
+    track) under the eventual and trivial ideals."""
+    from domaincheck.corpus import directed_index_posets
+
+    track_nets = [
+        cv.track_net(*c) for period in (1, 2, 3) for c in product(SMALL_TRACKS, repeat=period)
+    ]
+    assert len(track_nets) == 399
+    cases = [(net, cv.ideal(kind)) for net in track_nets for kind in cv.IDEAL_KINDS]
+    for idx in directed_index_posets(3):
+        for values in product((0, 1, 2, 3, A, TOP), repeat=idx.n):
+            net = cv.finite_net(idx, values)
+            cases += [(net, cv.ideal(kind, idx)) for kind in ("eventual", "trivial")]
+    for net, idl in cases:
+        got, want = sn.eventual_family(net, idl), _eventual_family_by_window(net, idl)
+        assert got == want, (net, idl)
+        assert got.to_dict() == want.to_dict() and got.checked_upto == want.checked_upto
+
+
+def test_eventual_family_reads_few_exception_sets():
+    """On the constant net at 100000 the family takes six exception sets:
+    ``{n}`` and ``{n, a}`` at 0 and at 100001, ``{a}`` and ``{inf}``."""
+    net = cv.track_net(cv.const_track(100000))
+    before = oplog.call_counts().get("sidenat.exception_set", 0)
+    gi = sn.eventual_family(net, EVENTUAL)
+    assert oplog.call_counts()["sidenat.exception_set"] - before <= 6
+    below = sn.sideset(nats=range(100001))
+    assert gi == sn.SideFamily(below, below) and gi.checked_upto == 100001
+    assert sn.is_eventual_liminf(gi, 3).witness == {"failed": "membership", "member": ["4"]}
 
 
 # -- convergence modes on finite posets ----------------------------------------

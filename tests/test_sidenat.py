@@ -48,7 +48,7 @@ def test_operations_reject_points_outside_the_carrier(bad):
     net = cv.track_net(cv.ascend_track())
     idl = cv.ideal("eventual")
     gi = sn.eventual_family(net, idl)
-    assert gi.singletons_from == 0
+    assert gi.singles == sn.NATS
     calls = [
         lambda: sn.converges_liminf(gi, bad),
         lambda: sn.converges_family_liminf(gi, bad),

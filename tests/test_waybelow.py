@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from domaincheck import waybelow as wb
@@ -131,34 +133,51 @@ def test_side_fin_of_schemas():
     assert fam_3.contains((2,)) and not fam_3.contains((4,))
 
 
-def _family_by_list_dedup(explicit, singletons_from, pairs_from):
-    """``side_family`` with duplicates removed by a scan of the list kept so far."""
-    covers = sn.SideFamily((), singletons_from, pairs_from)._schema_covers
-    norm = []
-    for m in explicit:
-        mm = sn.antichain_of(m)
-        if mm not in norm and not covers(mm):
-            norm.append(mm)
-    norm.sort(key=lambda m: tuple(map(sn.element_sort_key, m)))
-    return sn.SideFamily(tuple(norm), singletons_from, pairs_from)
+def _item12_families():
+    """Every family of at most two antichains from ``iter_antichains_upto(3)``,
+    with each schema absent or starting at 0 or 2: 333 constructions."""
+    return [
+        sn.side_family(members, singletons_from=s, pairs_from=q)
+        for r in range(3)
+        for members in combinations(sn.iter_antichains_upto(3), r)
+        for s in (None, 0, 2)
+        for q in (None, 0, 2)
+    ]
+
+
+def test_side_family_equality_is_family_equality():
+    """A family is held by shape, so two constructions are equal exactly
+    when they have the same members: the 333 constructions give 169
+    values, and the same 169 classes as their members below 30."""
+    families = _item12_families()
+    assert len(families) == 333
+    values = set(families)
+    by_members = {fam: frozenset(fam.members_upto(30)) for fam in values}
+    assert len(values) == len(set(by_members.values())) == 169
+    assert sn.side_family([(0,), (1,)], 2, 2) == sn.side_family(singletons_from=0, pairs_from=2)
 
 
 def _meet_by_inter(fam):
-    """The meet of a family's upper sets as the fold through ``sn.inter``."""
+    """The meet of a family's upper sets as the fold through ``sn.inter``:
+    the members outside the schemas one by one, then each schema's meet."""
     out = sn.FULL
-    for m in fam.explicit:
+    for m in fam.members_upto(0):
         out = sn.inter(out, sn.up_closure(sn.side_set_of(m)))
-    if fam.singletons_from is not None:
+    if fam.singles.tail is not None:
         out = sn.inter(out, sn.up_set(TOP))
-    if fam.pairs_from is not None:
+    if fam.pairs.tail is not None:
         out = sn.inter(out, sn.up_set(A))
     return out
 
 
 def test_side_family_upset_intersection():
-    """The schemas' meets, and on the families of the prefix tests below,
-    with every member given twice, the dict dedup and the meet folded by
-    tails agree with the list dedup and the fold through ``sn.inter``."""
+    """The schemas' meets, and on the families of the prefix tests below
+    and the 169 distinct families of ``_item12_families``: the meet read
+    off the shape fields agrees with the fold through ``sn.inter``;
+    building a family again from its members, each given twice, gives the
+    same family; and at each point, ``first_outside`` names the first
+    member below 30, in ``to_dict`` order, whose upper set misses the
+    point, and none exactly when the point lies in the meet."""
     fam = sn.side_family(pairs_from=0)
     assert fam.upset_intersection() == sn.up_set(A)
     fam = sn.side_family(singletons_from=0)
@@ -171,11 +190,18 @@ def test_side_family_upset_intersection():
         for s in (None, 0, 3)
         for q in (None, 0, 2)
     ]
+    families += sorted(set(_item12_families()), key=repr)
     for fam in families:
-        twice = [*fam.explicit, *reversed(fam.explicit), *fam.members_upto(6)]
-        args = fam.singletons_from, fam.pairs_from
-        assert sn.side_family(twice, *args) == _family_by_list_dedup(twice, *args), fam
-        assert fam.upset_intersection() == _meet_by_inter(fam), fam
+        explicit = fam.members_upto(0)
+        twice = [*explicit, *reversed(explicit), *fam.members_upto(6)]
+        assert sn.side_family(twice, fam.singles.tail, fam.pairs.tail) == fam, fam
+        meet = fam.upset_intersection()
+        assert meet == _meet_by_inter(fam), fam
+        ups = [(m, sn.up_closure(sn.side_set_of(m))) for m in fam.members_upto(30)]
+        for x in (A, TOP, 0, 1, 2, 3, 7):
+            scan = [m for m, up in ups if x not in up]
+            assert fam.first_outside(x) == (scan[0] if scan else None), (fam, x)
+            assert (fam.first_outside(x) is None) == (x in meet), (fam, x)
 
 
 def test_interpolation_side():
@@ -213,7 +239,7 @@ def test_side_family_sorts_mixed_members():
     for members in ([(0,), (A,)], [(TOP,), (1,)]):
         fam = sn.side_family(members)
         assert fam == sn.side_family(list(reversed(members)))
-        assert isinstance(fam.explicit[0][0], int)
+        assert isinstance(fam.members_upto(0)[0][0], int)
 
 
 def _literal_prefix_directed(fam, k: int) -> bool:
@@ -221,24 +247,29 @@ def _literal_prefix_directed(fam, k: int) -> bool:
     def up(m):
         return sn.up_closure(sn.side_set_of(m))
 
-    pairs = fam.members_upto(k)
+    ups = [up(m) for m in fam.members_upto(k)]
     witnesses = [up(h) for h in fam.members_upto(k + 4)]
-    return bool(pairs) and all(
-        any(sn.diff(w, sn.inter(up(f), up(g))).is_empty for w in witnesses)
-        for f in pairs
-        for g in pairs
+    return bool(ups) and all(
+        any(sn.diff(w, meet).is_empty for w in witnesses)
+        for meet in (sn.inter(u, v) for u in ups for v in ups)
     )
 
 
 def test_side_family_is_directed_matches_prefixes():
+    """The closed form agrees with the literal pairwise definition on
+    prefixes, on the approximating families, two undirected families and
+    the 169 distinct families of ``_item12_families``, 116 of them directed."""
     families = [sn.fin_of(x) for x in (A, TOP, *range(6))]
     families += [sn.side_family([(2,), (3, A)]), sn.side_family([(0,)], pairs_from=2)]
+    families += sorted(set(_item12_families()), key=repr)
     verdicts = []
-    for fam in families:
+    for i, fam in enumerate(families):
         verdicts.append(fam.is_directed())
-        for k in (3, 6, 9):
+        # a prefix decides once it passes every natural the family names
+        for k in (3, 6, 9) if i < 10 else (6, 9):
             assert _literal_prefix_directed(fam, k) == verdicts[-1], (fam, k)
-    assert verdicts == [True] * 8 + [False, False]
+    assert verdicts[:10] == [True] * 8 + [False, False]
+    assert sum(verdicts[10:]) == 116
 
 
 def test_side_family_includes_matches_prefixes():
