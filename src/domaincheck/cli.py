@@ -212,7 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, help="suite name or 'all'")
     v.add_argument("--max-size", type=int, default=5, help="largest exhaustive poset size")
-    v.add_argument("--seed", type=int, help="sampling seed (default: $DOMAINCHECK_SEED or 0)")
+    v.add_argument(
+        "--seed",
+        type=int,
+        help="seed recorded in the report; no suite reads it (default: $DOMAINCHECK_SEED or 0)",
+    )
     v.add_argument("--format", choices=("json", "text"), default="json")
     v.set_defaults(fn=_cmd_verify)
 

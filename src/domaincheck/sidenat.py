@@ -434,9 +434,9 @@ class SideFamily:
         return len(m) == 1 and m[0] in self.singles
 
     def members_upto(self, k: int) -> tuple[tuple[SideElement, ...], ...]:
-        """The :meth:`to_dict` order: the members outside the schemas,
-        ``{n}`` before ``{n, a}`` by ascending ``n``, then ``{a}`` and
-        ``{inf}``; then the schema members whose natural is below ``k``."""
+        """The members outside the schemas, ``{n}`` before ``{n, a}`` by
+        ascending ``n``, then ``{a}`` and ``{inf}``; then the schema
+        members whose natural is below ``k``."""
         out: list[tuple[SideElement, ...]] = []
         for n in sorted(self.singles.nats | self.pairs.nats):
             if n in self.singles.nats:
@@ -458,7 +458,7 @@ class SideFamily:
         return flags and _subset(other.singles, self.singles) and _subset(other.pairs, self.pairs)
 
     def first_outside(self, x: SideElement) -> tuple[SideElement, ...] | None:
-        """The first member, in :meth:`to_dict` order, whose upper set
+        """The first member, in :meth:`members_upto` order, whose upper set
         misses ``x``; ``None`` when ``x`` is in the meet of the upper
         sets.  A schema member ``{n}`` or ``{n, a}`` past ``x`` misses a
         natural ``x``, and ``{n}`` misses ``a``, so the scan stops one
@@ -468,8 +468,11 @@ class SideFamily:
         return next((m for m in self.members_upto(k) if not any(side_leq(e, x) for e in m)), None)
 
     def to_dict(self) -> dict:
+        """The family's shape: how many members lie outside the schemas,
+        and where the two schemas start.  A count, not a member list, so
+        the size does not grow with the net's values."""
         return {
-            "explicit": [[str(e) for e in m] for m in self.members_upto(0)],
+            "explicit_members": len(self.singles.nats) + len(self.pairs.nats) + self.has_a + self.has_top,
             "singletons_from": self.singles.tail,
             "pairs_from": self.pairs.tail,
         }

@@ -3,19 +3,20 @@
 Each suite replays one proposition or theorem across the corpus and
 returns a report of cases run, cases passed, and machine-checkable
 failure witnesses.  Failures never abort a suite; everything runs to
-completion and aggregates.  Sampled suites draw from a generator seeded
-per suite name, so reruns with the same seed are byte-identical.
+completion and aggregates.  No suite draws at random: the three suites
+over the triple class (:func:`_sample_net`) decide every (trap mask,
+point) class of it, so a report depends on the corpus alone, records the
+seed it was given, and reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
-import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from . import convergence as cv
 from . import corpus as cp
@@ -87,9 +88,6 @@ class _Ctx:
     corpus: dict[str, FinitePoset] = field(default_factory=dict)
     built: dict = field(default_factory=dict)
 
-    def rng(self, suite: str) -> random.Random:
-        return random.Random(self.seed ^ zlib.crc32(suite.encode()))
-
     def once(self, build, p: FinitePoset, *args):
         key = (build, p.name, args)
         if key not in self.built:
@@ -159,13 +157,12 @@ def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
 
 
 def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
-    """Lim-inf convergence implies family lim-inf convergence.
+    """Lim-inf convergence implies family lim-inf convergence, on every
+    triple of the triple class (:func:`_sample_net`) over each corpus
+    poset, then on the side-point dcpo's nets.
 
-    On a finite poset both predicates take a triple's trap mask, which
-    is known from the draw, so :func:`_sample_net` decides each (mask,
-    point) key once per poset, on its first draw.  Every sampled triple
-    is still one case (``test_sampled_suites_match_literal_triple_loop``)."""
-    rng = ctx.rng(run.suite)
+    On a finite poset both predicates take a triple's trap mask, so
+    each (mask, point) class is decided once and counts its triples."""
     for name, p in ctx.corpus.items():
 
         def outcome(mask, x):
@@ -173,7 +170,7 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
                 return None
             return cv.converges_family_liminf(p, mask, x).holds or ""
 
-        _sample_net(run, name, p, rng, 200, outcome)
+        _sample_net(run, name, p, outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         gi = sn.eventual_family(net, I)
@@ -200,16 +197,15 @@ def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
 
 def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     """On quasi-continuous posets, a net trapped by every set way below a
-    point family-converges to that point.
+    point family-converges to that point: on every triple of the triple
+    class (:func:`_sample_net`) over each corpus poset, then on the
+    side-point dcpo's nets.
 
     On a finite poset the family verdict takes a triple's trap mask
-    (:func:`convergence.trap_mask`), which is known from the draw.  The
-    net is trapped by every set way below ``x`` iff its mask lies inside
-    the meet of their upper sets, so the premise is one subset test, and
-    :func:`_sample_net` decides each (mask, point) key whose premise holds
-    once per poset, on its first draw.  Every sampled triple
-    is still one case (``test_sampled_suites_match_literal_triple_loop``)."""
-    rng = ctx.rng(run.suite)
+    (:func:`convergence.trap_mask`).  The net is trapped by every set
+    way below ``x`` iff its mask lies inside the meet of their upper
+    sets, so the premise is one subset test, and each (mask, point)
+    class whose premise holds is decided once and counts its triples."""
     for name, p in ctx.corpus.items():
         waydown_meets = [p.universe] * p.n
         for g, up_g in zip(p.antichain_masks, p.antichain_ups):
@@ -222,7 +218,7 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
                 return None
             return cv.converges_family_liminf(p, mask, x).holds or ""
 
-        _sample_net(run, name, p, rng, 200, outcome)
+        _sample_net(run, name, p, outcome)
     I = cv.ideal("eventual")
     for label, net in _side_nets():
         gi = sn.eventual_family(net, I)
@@ -295,7 +291,8 @@ def _suite_family_topology_is_scott(run: _Run, ctx: _Ctx) -> None:
 def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     """Family lim-inf convergence coincides with Scott-topological ideal
     convergence; lim-inf convergence implies it; the trivial ideal makes
-    every net converge to every point.
+    every net converge to every point.  Checked on every triple of the
+    triple class (:func:`_sample_net`) over each corpus poset.
 
     Lim-inf convergence is decided only on triples whose family and
     Scott verdicts are both False: "lim-inf implies family" cannot fail
@@ -304,21 +301,15 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     everywhere.
 
     On a finite poset all three predicates take a triple's trap mask
-    (:func:`convergence.trap_mask`), which is known from the draw, so
-    :func:`_sample_net` decides each (mask, point) key once per poset, on
-    its first draw; the case logic still gives each triple its own
-    label and witness (``test_sampled_suites_match_literal_triple_loop``).
-    So the roughly 104,000 cases at size 5 rest on about 9,700 distinct
-    keys, and ``test_sampled_verdicts_depend_on_class_and_point`` checks
-    that each is decided by one call.  A mask
-    is ``0`` iff the ideal is trivial: an eventual mask is one bit and a
-    proper ideal's mask on the naturals is the union of at least one
-    value.  So the trivial-ideal case reads the mask, and a
+    (:func:`convergence.trap_mask`), so each (mask, point) class is
+    decided once: the 538,044 cases at size 5 rest on 11,878 classes.
+    A mask is ``0`` iff the ideal is trivial: an eventual mask is one
+    bit and a proper ideal's mask on the naturals is the union of at
+    least one value.  So the trivial-ideal case reads the mask, and a
     trivial-ideal triple reached the trivial check (passed the Scott
-    and lim-inf checks) iff some key below ``p.n`` has the verdict
-    ``True`` or ``":trivial"``, which ``trivial-sampled`` reads.
+    and lim-inf checks) iff some class of mask ``0`` has the verdict
+    ``True`` or ``":trivial"``, which ``trivial-checked`` reads.
     """
-    rng = ctx.rng(run.suite)
     for name, p in ctx.corpus.items():
         sc = ctx.once(tp.scott_topology, p)
 
@@ -330,9 +321,9 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
                 return ":liminf"
             return fam or mask != 0 or ":trivial"
 
-        verdicts = _sample_net(run, name, p, rng, 1000, outcome)
-        trivial = [v for key, v in verdicts.items() if key < p.n]
-        run.check(f"{name}:trivial-sampled", True in trivial or ":trivial" in trivial)
+        verdicts = _sample_net(run, name, p, outcome)
+        trivial = [verdicts[x] for x in range(p.n)]
+        run.check(f"{name}:trivial-checked", True in trivial or ":trivial" in trivial)
 
 
 def _suite_lawson_below_eventual(run: _Run, ctx: _Ctx) -> None:
@@ -654,110 +645,99 @@ def _suite_inject_failure(run: _Run, ctx: _Ctx) -> None:
     run.check("synthetic", False, {"reason": "injected failure for harness tests"})
 
 
-# -- net sampling -------------------------------------------------------------
+# -- the triple class ---------------------------------------------------------
+
+
+# The nets of the triple class: a finite-index net over each directed index
+# of at most 3 points, under its eventual and trivial ideals, and a
+# constant-track net of period 1 to 3, under the four ideals on the naturals.
+_TRIPLE_NETS = cv.NetClass(max_index_size=3)
+
+
+def _net_ideals(net: cv.Net) -> tuple[cv.Ideal, ...]:
+    if isinstance(net, cv.FiniteNet):
+        return cv.ideal("eventual", net.index), cv.ideal("trivial", net.index)
+    return tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
 
 
 @lru_cache(maxsize=None)
-def _sampling_ideals() -> tuple[tuple, tuple[cv.Ideal, ...]]:
-    """The indexes ``_sample_net`` draws from, each with the position of
-    its greatest element and its eventual and trivial ideals,
-    and the four ideals on the naturals, built once."""
-    finite = tuple(
-        (
-            idx,
-            idx.greatest_of_mask(idx.universe),
-            (cv.ideal("eventual", idx), cv.ideal("trivial", idx)),
-        )
-        for idx in cp.directed_index_posets(3)
-    )
-    return finite, tuple(cv.ideal(kind) for kind in cv.IDEAL_KINDS)
+def _class_weights(n: int) -> dict[int, int]:
+    """Each trap mask of the triple class on an ``n``-point poset, in
+    increasing order, with the number of its (net, ideal) pairs that have
+    that mask (:func:`convergence.trap_mask`):
+
+    - a finite index ``D`` gives ``{v}`` to the ``n ** (|D| - 1)`` nets
+      with value ``v`` at its top under the eventual ideal, and ``0`` to
+      its ``n ** |D|`` nets under the trivial ideal;
+    - a constant-track net of period ``k`` has its value set as mask
+      under each of the three proper ideals, so a mask of ``c`` points
+      goes to ``3 * surj(k, c)`` nets, ``surj`` counting the maps of
+      ``k`` positions onto ``c`` values; and ``0`` to its ``n ** k``
+      nets under the trivial ideal.
+
+    ``test_class_weights_count_built_nets`` compares the weights with the
+    masks of every built net on every poset of at most 3 points."""
+    sizes = [idx.n for idx in cp.directed_index_posets(_TRIPLE_NETS.max_index_size)]
+    periods = range(1, _TRIPLE_NETS.max_track_period + 1)
+    proper = len(cv.IDEAL_KINDS) - 1
+
+    def surj(k: int, c: int) -> int:
+        return sum((-1) ** j * comb(c, j) * (c - j) ** k for j in range(c + 1))
+
+    # by_points[c]: the weight of a mask of c points; no mask has more
+    # points than the longest track has values.
+    by_points = [sum(n**s for s in sizes) + sum(n**k for k in periods)]
+    by_points += [
+        (c == 1) * sum(n ** (s - 1) for s in sizes) + proper * sum(surj(k, c) for k in periods)
+        for c in range(1, periods[-1] + 1)
+    ]
+    return {m: by_points[c] for m in range(1 << n) if (c := bin(m).count("1")) < len(by_points)}
 
 
-def _sample_net(run: _Run, name: str, p: FinitePoset, rng: random.Random, count: int, outcome) -> dict:
-    """Draw ``count`` random triples over ``p``, count them as cases of
-    ``run`` in draw order, and return each drawn key's verdict.
+def _sample_net(run: _Run, name: str, p: FinitePoset, outcome) -> dict:
+    """Decide every (trap mask, point) class of the triple class on ``p``
+    once, count its triples as cases of ``run``, and return each class's
+    verdict under its key ``mask * p.n + x``.
 
-    A triple is a (net, ideal) pair and a point ``x``: with even odds, a
-    finite-index net under its eventual or trivial ideal, or a
-    constant-track net of period 1 to 3 under one of the four ideals on the
-    naturals.  Every index and the point are drawn by the ``getrandbits``
-    rejection loop that ``Random._randbelow_with_getrandbits`` runs for
-    ``rng.choice`` and ``rng.randrange(n)`` on CPython 3.10 to 3.13,
-    inlined, so the triples and the final generator state are those of
-    ``rng.choice`` over the same sequences, ``rng.randrange(3)`` and
-    ``rng.randrange(p.n)``, at less cost.
+    A triple is a (net, ideal) pair of :data:`_TRIPLE_NETS` and
+    :func:`_net_ideals` and a point ``x``.  The finite predicates read a
+    pair only through its trap mask, so a triple's verdict depends on its
+    class alone (``test_sampled_verdicts_depend_on_class_and_point``).
+    ``outcome(mask, x)`` decides a class: ``None`` if its triples are no
+    case, ``True`` if they pass, else the suffix of their failure label.
 
-    A triple's key is ``mask * p.n + x``, its mask read from the draw in
-    the closed form of :func:`convergence.trap_mask` (``0`` under the
-    trivial ideal, the value at the index's top under the eventual ideal,
-    the union of the track values under a proper ideal on the naturals).
-    ``outcome(mask, x)`` decides a key on its first draw: ``None`` if its
-    triples are no case, ``True`` if they pass, else the suffix of their
-    failure label.  Only a failing triple's net is built, for its label
-    ``{name}:{i}{suffix}`` and its witness (:func:`_net_of_draw`).
-    ``test_sample_net_draws_match_random_choice`` compares the draws,
-    masks and generator state with the ``rng.choice`` formulation."""
-    finite, omega = _sampling_ideals()
-    n, nf = p.n, len(finite)
-    width, width_f = n.bit_length(), nf.bit_length()
-    # Per draw branch: index size, top position, ideals, their count and its bit width.
-    branches = [(idx.n, top, ideals, len(ideals), len(ideals).bit_length()) for idx, top, ideals in finite]
-    k_omega, w_omega = len(omega), len(omega).bit_length()
-    random_, getrandbits = rng.random, rng.getrandbits
+    A case is still a triple: a passing class adds its multiplicity
+    (:func:`_class_weights`) to ``run.cases``.  Criterion 4 and the
+    benchmark's per-suite case floors count triples; as classes, size 5
+    would give 11,878 cases and fail both.  If a class fails, the pairs
+    are replayed net by net in :func:`convergence.generate_nets` order,
+    and each triple of a failing class gets its own failing case,
+    labelled ``{name}:{t}{suffix}`` with ``t`` its position in that
+    order, and its witness; so ``passed == cases - len(failures)``.
+
+    The name is kept from when these suites drew random triples: the
+    benchmark's tracer (``perfbench/tracer.py``) wraps this attribute
+    and counts its calls per suite as the ``sampled`` metric."""
+    n = p.n
     verdicts: dict = {}
-    for i in range(count):
-        if random_() < 0.5:
-            j = getrandbits(width_f)
-            while j >= nf:
-                j = getrandbits(width_f)
-            size, top, ideals, k, w = branches[j]
-        else:
-            size = getrandbits(2)
-            while size >= 3:
-                size = getrandbits(2)
-            size += 1
-            j, top, ideals, k, w = -size, -1, omega, k_omega, w_omega
-        vals = []
-        for _ in range(size):
-            r = getrandbits(width)
-            while r >= n:
-                r = getrandbits(width)
-            vals.append(r)
-        r = getrandbits(w)
-        while r >= k:
-            r = getrandbits(w)
-        idl = ideals[r]
-        if idl.kind == "trivial":
-            mask = 0
-        elif top >= 0:
-            mask = 1 << vals[top]
-        else:
-            mask = 0
-            for v in vals:
-                mask |= 1 << v
-        x = getrandbits(width)
-        while x >= n:
-            x = getrandbits(width)
-        key = mask * n + x
-        if key in verdicts:
-            v = verdicts[key]
-        else:
-            v = verdicts[key] = outcome(mask, x)
-        if v is True:
-            run.cases += 1
-        elif v is not None:
-            run.check(f"{name}:{i}{v}", False, _triple_witness(p, _net_of_draw(p, j, vals), x, idl))
+    passed = 0
+    for mask, weight in _class_weights(n).items():
+        for x in range(n):
+            v = verdicts[mask * n + x] = outcome(mask, x)
+            if v is True:
+                passed += weight
+    run.cases += passed
+    if any(isinstance(v, str) for v in verdicts.values()):
+        t = 0
+        for net in cv.generate_nets(p, _TRIPLE_NETS):
+            for idl in _net_ideals(net):
+                key = cv.trap_mask(p, net, idl) * n
+                for x in range(n):
+                    v = verdicts[key + x]
+                    if isinstance(v, str):
+                        run.check(f"{name}:{t}{v}", False, _triple_witness(p, net, x, idl))
+                    t += 1
     return verdicts
-
-
-def _net_of_draw(p: FinitePoset, i: int, vals: list[int]) -> cv.Net:
-    """The net of a :func:`_sample_net` draw: ``i >= 0`` names a finite
-    index and ``i = -period`` a track net, and ``vals`` holds the value
-    indexes into ``p.elements``."""
-    values = tuple([p.elements[v] for v in vals])
-    if i >= 0:
-        return cv.FiniteNet(_sampling_ideals()[0][i][0], values)
-    return cv.TrackNet(len(values), tuple(map(cv.const_track, values)))
 
 
 def _triple_witness(p: FinitePoset, net: cv.Net, x: int, idl: cv.Ideal) -> dict:

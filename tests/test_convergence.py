@@ -239,7 +239,7 @@ def test_interleaved_eventual_liminf_only_at_side_point():
     gi = sn.eventual_family(INTERLEAVED, EVENTUAL)
     v = sn.is_eventual_liminf(gi, A)
     assert v.holds
-    assert v.witness == {"family": {"explicit": [], "singletons_from": None, "pairs_from": 0}}
+    assert v.witness == {"family": {"explicit_members": 0, "singletons_from": None, "pairs_from": 0}}
     for x in (0, 3, TOP):
         assert not sn.is_eventual_liminf(gi, x).holds
 
