@@ -24,9 +24,11 @@ from .convergence import (
     finite_net,
     ideal,
     is_eventual_liminf,
+    limits,
     net_from_json,
     net_to_json,
     omega_set,
+    topological_limits,
     track_net,
     trap_mask,
 )
@@ -88,6 +90,7 @@ __all__ = [
     "is_directed_family",
     "is_eventual_liminf",
     "lawson_topology",
+    "limits",
     "lower_topology",
     "named_posets",
     "net_from_json",
@@ -104,6 +107,7 @@ __all__ = [
     "sideset",
     "smyth_leq",
     "suite_names",
+    "topological_limits",
     "track_net",
     "trap_mask",
     "waydown_of",

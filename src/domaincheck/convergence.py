@@ -24,11 +24,14 @@ trap mask (:func:`trap_mask`), the one int that decides in which regions
 the net is trapped.  The predicates take the poset, that mask, the limit
 as the index of a point and, for topological convergence, a
 :class:`Topology` object; element ids and topology names are resolved by
-the command line.  The definitional oracles and :func:`_derive_naive`
-read nets through :func:`exception_set` and :func:`ideal_member`
-instead.  :mod:`~domaincheck.sidenat` has the predicates of the
-side-point dcpo; its lim-inf ones take a pair's eventually-below family
-(``sidenat.eventual_family``), its topological one the net and ideal.
+the command line.  :func:`limits` and :func:`topological_limits` give a
+mask's verdicts at every point at once, as the mask of its limits; the
+derivation and the class suites read those.  The definitional oracles
+and :func:`_derive_naive` read nets through :func:`exception_set` and
+:func:`ideal_member` instead.  :mod:`~domaincheck.sidenat` has the
+predicates of the side-point dcpo; its lim-inf ones take a pair's
+eventually-below family (``sidenat.eventual_family``), its topological
+one the net and ideal.
 """
 
 from __future__ import annotations
@@ -548,19 +551,51 @@ _MODE_PREDICATES = {
 }
 
 
-def _limits_of_trap(p: FinitePoset, trap: int, antichain_ups: tuple[int, ...]) -> int:
-    """The mode-limits of a net whose trap regions are the supersets of
-    ``trap``: the principal witness ``up(x)`` must contain the trap, and
-    ``x`` must lie in every given antichain upper set that contains it
-    (the eventual mode passes them all, the other modes none)."""
-    limits = 0
-    for ix in range(p.n):
-        if trap & ~p.up[ix] == 0:
-            limits |= 1 << ix
-    for u in antichain_ups:
+@logged("convergence.limits")
+def limits(p: FinitePoset, trap: int, mode: str) -> int:
+    """The mask of points that a net with trap mask ``trap``
+    (:func:`trap_mask`) converges to in ``mode``: ``"liminf"``,
+    ``"family"`` or ``"eventual"``, the set forms of
+    :func:`converges_liminf`, :func:`converges_family_liminf` and
+    :func:`is_eventual_liminf`.
+
+    In every mode the principal witness ``up(x)`` must contain the trap.
+    The eventual mode then keeps only the points inside every antichain
+    upper set that contains the trap (the members of
+    :func:`eventual_family`).  Oracle:
+    ``test_limits_match_the_point_predicates`` compares each mode with its
+    predicate at every point, for every mask of every poset of size at
+    most 4 and every named poset of at most 5 points.  An unknown mode
+    raises :class:`UnknownElement`; in the eventual mode, a poset of more
+    than :data:`topology.MAX_TOPOLOGY_ELEMENTS` elements is refused as
+    :func:`eventual_family` refuses it.
+    """
+    if mode not in _MODE_PREDICATES:
+        raise UnknownElement(f"unknown convergence mode {mode!r}")
+    out = 0
+    for ix, u in enumerate(p.up):
         if trap & ~u == 0:
-            limits &= u
-    return limits
+            out |= 1 << ix
+    if mode == "eventual":
+        tp._guard_size(p, "antichain enumeration")
+        for u in p.antichain_ups:
+            if trap & ~u == 0:
+                out &= u
+    return out
+
+
+@logged("convergence.topological_limits")
+def topological_limits(p: FinitePoset, trap: int, topo: Topology) -> int:
+    """The mask of points that a net with trap mask ``trap`` converges to
+    in the topology ``topo``, the set form of
+    :func:`converges_topological`: the points ``x`` whose minimal
+    neighbourhood ``m(x)`` contains the trap.  Oracle:
+    ``test_topological_limits_match_the_point_predicate``."""
+    out = 0
+    for ix, m in enumerate(topo.neighborhoods):
+        if trap & ~m == 0:
+            out |= 1 << ix
+    return out
 
 
 @logged("convergence.derive_topology")
@@ -580,21 +615,21 @@ def derive_convergence_topology(p: FinitePoset, mode: str) -> Topology:
     exception sets definitionally over every net of the class.
 
     This function enumerates the class's trap masks
-    (:meth:`NetClass.traps`) instead of its nets.  The condition "for
-    every trap ``t`` with limits ``L``, either ``L`` misses ``U`` or ``t``
-    lies inside ``U``" holds exactly when ``mins[x]`` lies inside ``U``
-    for every ``x`` in ``U``, where ``mins[x]`` is the OR of the traps
-    whose limits contain ``x``; so the opens come from those
-    neighbourhood masks.
+    (:meth:`NetClass.traps`) instead of its nets, and reads each mask's
+    limits ``L`` from :func:`limits`.  The condition "for every trap
+    ``t`` with limits ``L``, either ``L`` misses ``U`` or ``t`` lies
+    inside ``U``" holds exactly when ``mins[x]`` lies inside ``U`` for
+    every ``x`` in ``U``, where ``mins[x]`` is the OR of the traps whose
+    limits contain ``x``; so the opens come from those neighbourhood
+    masks.
     ``test_derived_naive_matches_reduced`` compares this function with
     :func:`_derive_naive` in every mode on every poset of size at most 4.
     """
     if mode not in _MODE_PREDICATES:
         raise UnknownElement(f"unknown convergence mode {mode!r}")
-    antichain_ups = p.antichain_ups if mode == "eventual" else ()
     mins = [0] * p.n
     for t in _derivation_class(mode).traps(p):
-        for x in bits(_limits_of_trap(p, t, antichain_ups)):
+        for x in bits(limits(p, t, mode)):
             mins[x] |= t
     return tp._from_neighborhoods(p, mins, f"net_{mode}")
 

@@ -119,19 +119,19 @@ class _Run:
 
 
 def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
-    """Between a set way below a point there is an interpolating finite set."""
+    """Between a set way below a point there is an interpolating finite set.
+    A finite case's label and witness are built only if it fails."""
     for name, p in ctx.corpus.items():
         for h in p.iter_antichain_masks():
             for ix in range(p.n):
                 if not wb.set_way_below(p, h, 1 << ix):
                     continue
                 f = wb.interpolate(p, h, ix)
-                ok = wb.set_way_below(p, h, f) and wb.set_way_below(p, f, 1 << ix)
-                run.check(
-                    f"{name}:{sorted(p.ids_of(h))}<<{p.elements[ix]}",
-                    ok,
-                    {"between": list(p.ids_of(f))} if not ok else None,
-                )
+                if wb.set_way_below(p, h, f) and wb.set_way_below(p, f, 1 << ix):
+                    run.cases += 1
+                else:
+                    label = f"{name}:{sorted(p.ids_of(h))}<<{p.elements[ix]}"
+                    run.check(label, False, {"between": list(p.ids_of(f))})
     for h in sn.iter_antichains_upto(4):
         for x in (A, TOP, 0, 1, 3, 6):
             if not sn.set_way_below(h, (x,)):
@@ -144,8 +144,9 @@ def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
 def _suite_liminf_topology(run: _Run, ctx: _Ctx) -> None:
     """The topology induced by lim-inf convergence is the Scott topology.
     The derived ``liminf`` topology is read as the ``family`` one: both use
-    ``_derivation_class`` and the principal test of ``_limits_of_trap``
-    (``test_derived_naive_matches_reduced`` derives it net by net)."""
+    ``_derivation_class``, and :func:`convergence.limits` gives the two
+    modes the same principal test (``test_derived_naive_matches_reduced``
+    derives it net by net)."""
     for name, p in ctx.corpus.items():
         derived = ctx.once(cv.derive_convergence_topology, p, "family")
         sc = ctx.once(tp.scott_topology, p)
@@ -162,13 +163,26 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
     poset, then on the side-point dcpo's nets.
 
     On a finite poset both predicates take a triple's trap mask, so
-    each (mask, point) class is decided once and counts its triples."""
+    each (mask, point) class is decided once and counts its triples.
+    This suite keeps the per-point predicates, and checks the lim-inf one
+    against its set form, :func:`convergence.limits` in ``"liminf"``
+    mode, read once per mask: a class where the two differ fails with the
+    suffix ``:set-form``.  A green run adds no case for it, and a lim-inf
+    rule that is wrong in just one of the two forms fails ``verify``."""
     for name, p in ctx.corpus.items():
 
-        def outcome(mask, x):
-            if not cv.converges_liminf(p, mask, x).holds:
-                return None
-            return cv.converges_family_liminf(p, mask, x).holds or ""
+        def outcome(mask):
+            set_form = cv.limits(p, mask, "liminf")
+            row = []
+            for x in range(p.n):
+                lim = cv.converges_liminf(p, mask, x).holds
+                if lim != bool(set_form >> x & 1):
+                    row.append(":set-form")
+                elif lim:
+                    row.append(cv.converges_family_liminf(p, mask, x).holds or "")
+                else:
+                    row.append(None)
+            return row
 
         _sample_net(run, name, p, outcome)
     I = cv.ideal("eventual")
@@ -182,7 +196,8 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
 def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
     """If a set is not way below a point, some family-convergent net escapes
     its upper set: the constant net at the point, under the eventual ideal.
-    The net and its verdict depend on the point alone: each is made once."""
+    The net and its verdict depend on the point alone: each is made once.
+    A case's label is built only if it fails."""
     I = cv.ideal("eventual")
     for name, p in ctx.corpus.items():
         nets = [cv.track_net(cv.const_track(e)) for e in p.elements]
@@ -192,7 +207,10 @@ def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
                 if wb.set_way_below(p, g, 1 << ix):
                     continue
                 escaped = not cv.ideal_member(I, cv.exception_set(p, nets[ix], up_g))
-                run.check(f"{name}:{sorted(p.ids_of(g))}:{p.elements[ix]}", conv[ix] and escaped)
+                if conv[ix] and escaped:
+                    run.cases += 1
+                else:
+                    run.check(f"{name}:{sorted(p.ids_of(g))}:{p.elements[ix]}", False)
 
 
 def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
@@ -202,10 +220,11 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     side-point dcpo's nets.
 
     On a finite poset the family verdict takes a triple's trap mask
-    (:func:`convergence.trap_mask`).  The net is trapped by every set
-    way below ``x`` iff its mask lies inside the meet of their upper
-    sets, so the premise is one subset test, and each (mask, point)
-    class whose premise holds is decided once and counts its triples."""
+    (:func:`convergence.trap_mask`), and each mask's family limits are
+    read once, from :func:`convergence.limits`.  The net is trapped by
+    every set way below ``x`` iff its mask lies inside the meet of their
+    upper sets, so the premise is one subset test per point, and each
+    (mask, point) class whose premise holds counts its triples."""
     for name, p in ctx.corpus.items():
         waydown_meets = [p.universe] * p.n
         for g, up_g in zip(p.antichain_masks, p.antichain_ups):
@@ -213,10 +232,12 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
                 if wb.set_way_below(p, g, 1 << ix):
                     waydown_meets[ix] &= up_g
 
-        def outcome(mask, x):
-            if mask & ~waydown_meets[x]:
-                return None
-            return cv.converges_family_liminf(p, mask, x).holds or ""
+        def outcome(mask):
+            fam = cv.limits(p, mask, "family")
+            return [
+                None if mask & ~meet else bool(fam >> x & 1) or ""
+                for x, meet in enumerate(waydown_meets)
+            ]
 
         _sample_net(run, name, p, outcome)
     I = cv.ideal("eventual")
@@ -294,15 +315,17 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     every net converge to every point.  Checked on every triple of the
     triple class (:func:`_sample_net`) over each corpus poset.
 
-    Lim-inf convergence is decided only on triples whose family and
-    Scott verdicts are both False: "lim-inf implies family" cannot fail
-    where family holds, and a triple whose two verdicts differ already
-    fails, so the verdicts and the failures are those of deciding it
-    everywhere.
+    A triple fails ``:scott`` where its family and Scott verdicts differ,
+    else ``:liminf`` where it lim-inf converges but does not family
+    converge, else ``:trivial`` where its ideal is trivial and it does not
+    family converge.
 
-    On a finite poset all three predicates take a triple's trap mask
-    (:func:`convergence.trap_mask`), so each (mask, point) class is
-    decided once: the 538,044 cases at size 5 rest on 11,878 classes.
+    On a finite poset all three verdicts take a triple's trap mask
+    (:func:`convergence.trap_mask`), so each mask is decided once, for
+    every point, by its set of limits in each sense:
+    :func:`convergence.limits` in ``"family"`` and ``"liminf"`` mode and
+    :func:`convergence.topological_limits` in the Scott topology.  The
+    538,044 cases at size 5 rest on 2,354 masks (11,878 classes).
     A mask is ``0`` iff the ideal is trivial: an eventual mask is one
     bit and a proper ideal's mask on the naturals is the union of at
     least one value.  So the trivial-ideal case reads the mask, and a
@@ -312,14 +335,20 @@ def _suite_family_convergence_topological(run: _Run, ctx: _Ctx) -> None:
     """
     for name, p in ctx.corpus.items():
         sc = ctx.once(tp.scott_topology, p)
+        green = [True] * p.n
 
-        def outcome(mask, x):
-            fam = cv.converges_family_liminf(p, mask, x).holds
-            if fam != cv.converges_topological(p, mask, x, sc).holds:
-                return ":scott"
-            if not fam and cv.converges_liminf(p, mask, x).holds:
-                return ":liminf"
-            return fam or mask != 0 or ":trivial"
+        def outcome(mask):
+            fam = cv.limits(p, mask, "family")
+            scott = fam ^ cv.topological_limits(p, mask, sc)
+            liminf = cv.limits(p, mask, "liminf") & ~fam
+            if not scott | liminf and (mask or fam == p.universe):
+                return green  # every point passes; the rows are read only
+            return [
+                ":scott" if scott >> x & 1
+                else ":liminf" if liminf >> x & 1
+                else bool(fam >> x & 1) or mask != 0 or ":trivial"
+                for x in range(p.n)
+            ]
 
         verdicts = _sample_net(run, name, p, outcome)
         trivial = [verdicts[x] for x in range(p.n)]
@@ -484,7 +513,8 @@ def _rudin_family(run: _Run, name: str, p: FinitePoset, fam: tuple, ups: tuple) 
     meets every member and stays inside their union, and the corollary's
     member for the meet ``ups[0]`` (the greatest member's upper set)
     lies inside it.  The member's upper set is rebuilt, not read from
-    the report.  Returns whether the corollary ran."""
+    the report.  A case's label is built only if it fails.  Returns
+    whether the corollary ran."""
     if not rd.is_directed_family(p, fam):
         run.check(f"{name}:extract:{fam}", False, {"directed": False})
         return False
@@ -494,7 +524,10 @@ def _rudin_family(run: _Run, name: str, p: FinitePoset, fam: tuple, ups: tuple) 
         and all(rep.directed_set & f for f in fam)
         and rep.directed_set & ~_union(fam) == 0
     )
-    run.check(f"{name}:extract:{fam}", ok, rep.to_dict(p) if not ok else None)
+    if ok:
+        run.cases += 1
+    else:
+        run.check(f"{name}:extract:{fam}", False, rep.to_dict(p))
     meet = ups[0]
     member = rd.rudin_corollary(p, rep, meet)
     if p.up_of_mask(member) & ~meet:
@@ -513,13 +546,17 @@ def _suite_sidenat(run: _Run, ctx: _Ctx) -> None:
     """The side-point dcpo behaves exactly as advertised: the pair sets
     are way below the side point, their upper sets intersect down to its
     upper set, the interleaved net separates the two convergence modes,
-    and the classification flags are reproduced."""
+    and the classification flags are reproduced.  An ``oracle`` case's
+    label and witness are built only if it fails."""
     for n in range(101):
         run.check(f"pair-waybelow:{n}", sn.set_way_below((n, A), (A,)))
     for g, h in product(sn.iter_antichains_upto(6), repeat=2):
         rule = sn.set_way_below(g, h)
         oracle = sn.way_below_oracle(g, h)
-        run.check(f"oracle:{g}:{h}", rule == oracle, {"rule": rule, "oracle": oracle})
+        if rule == oracle:
+            run.cases += 1
+        else:
+            run.check(f"oracle:{g}:{h}", False, {"rule": rule, "oracle": oracle})
     fam = sn.side_family(pairs_from=0)
     run.check("pairs-meet-is-upper-side", fam.upset_intersection() == sn.up_set(A))
     meet = sn.FULL
@@ -703,8 +740,11 @@ def _sample_net(run: _Run, name: str, p: FinitePoset, outcome) -> dict:
     :func:`_net_ideals` and a point ``x``.  The finite predicates read a
     pair only through its trap mask, so a triple's verdict depends on its
     class alone (``test_sampled_verdicts_depend_on_class_and_point``).
-    ``outcome(mask, x)`` decides a class: ``None`` if its triples are no
-    case, ``True`` if they pass, else the suffix of their failure label.
+    ``outcome(mask)`` decides the classes of one mask, once per mask
+    (``test_every_class_is_decided_once``): it returns the ``p.n``
+    verdicts of points ``0, 1, ...``, each ``None`` if the class's triples
+    are no case, ``True`` if they pass, else the suffix of their failure
+    label.
 
     A case is still a triple: a passing class adds its multiplicity
     (:func:`_class_weights`) to ``run.cases``.  Criterion 4 and the
@@ -722,10 +762,10 @@ def _sample_net(run: _Run, name: str, p: FinitePoset, outcome) -> dict:
     verdicts: dict = {}
     passed = 0
     for mask, weight in _class_weights(n).items():
-        for x in range(n):
-            v = verdicts[mask * n + x] = outcome(mask, x)
-            if v is True:
-                passed += weight
+        row = outcome(mask)
+        passed += weight * row.count(True)
+        for x, v in enumerate(row):
+            verdicts[mask * n + x] = v
     run.cases += passed
     if any(isinstance(v, str) for v in verdicts.values()):
         t = 0

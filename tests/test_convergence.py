@@ -711,6 +711,60 @@ def test_eventual_witness_matches_antichain_loop():
     assert set(witnesses) == {"holds", "family_liminf", "membership"}
 
 
+def _oracle_posets():
+    """Every poset of size at most 4, then every named poset of at most 5
+    points."""
+    from domaincheck.corpus import named_posets
+
+    small = [p for n in range(1, 5) for p in generate_all_posets(n)]
+    return small + [p for p in named_posets().values() if p.n <= 5]
+
+
+def _points_where(p, holds):
+    return sum(1 << ix for ix in range(p.n) if holds(ix))
+
+
+def test_limits_match_the_point_predicates():
+    """``limits(p, t, mode)`` is the set of points where the mode's
+    per-point predicate holds, for every trap mask ``0..p.universe`` of
+    every poset of ``_oracle_posets``."""
+    predicates = {
+        "liminf": cv.converges_liminf,
+        "family": cv.converges_family_liminf,
+        "eventual": cv.is_eventual_liminf,
+    }
+    posets = _oracle_posets()
+    assert max(p.n for p in posets) == 5
+    compared = 0
+    for p in posets:
+        for trap in range(p.universe + 1):
+            for mode, pred in predicates.items():
+                expected = _points_where(p, lambda ix: pred(p, trap, ix).holds)
+                assert cv.limits(p, trap, mode) == expected, (p.name, trap, mode)
+                compared += 1
+    assert compared == 3 * sum(p.universe + 1 for p in posets)
+    with pytest.raises(UnknownElement):
+        cv.limits(DIAMOND, 1, "cofinite")
+
+
+def test_topological_limits_match_the_point_predicate():
+    """``topological_limits(p, t, topo)`` is the set of points where
+    ``converges_topological`` holds, for every trap mask of every poset
+    of ``_oracle_posets``, in the ``scott``, ``lower``, ``lawson`` and
+    ``glim`` topologies and the derived ``family`` one."""
+    for p in _oracle_posets():
+        topologies = [
+            tp.scott_topology(p),
+            tp.lower_topology(p),
+            tp.lawson_topology(p),
+            tp.family_liminf_topology(p),
+            cv.derive_convergence_topology(p, "family"),
+        ]
+        for topo, trap in product(topologies, range(p.universe + 1)):
+            expected = _points_where(p, lambda ix: cv.converges_topological(p, trap, ix, topo).holds)
+            assert cv.topological_limits(p, trap, topo) == expected, (p.name, topo.kind, trap)
+
+
 def test_topology_neighborhoods_reject_non_closed_opens():
     """Opens that are not closed under intersection leave some point
     without a minimal neighbourhood, and the predicate refuses to answer."""

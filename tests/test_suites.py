@@ -278,7 +278,10 @@ def _witness(ok, p, net, x, idl):
 def _literal_liminf_to_family(run, ctx):
     for name, p in ctx.corpus.items():
         for t, net, idl, trap, x in _literal_triples(p):
-            if cv.converges_liminf(p, trap, x).holds:
+            lim = cv.converges_liminf(p, trap, x).holds
+            if lim != bool(cv.limits(p, trap, "liminf") >> x & 1):
+                run.check(f"{name}:{t}:set-form", False, suites._triple_witness(p, net, x, idl))
+            elif lim:
                 ok = cv.converges_family_liminf(p, trap, x).holds
                 run.check(f"{name}:{t}", ok, _witness(ok, p, net, x, idl))
     I = cv.ideal("eventual")
@@ -301,7 +304,7 @@ def _literal_waybelow_forces_family(run, ctx):
                 cv.ideal_member(idl, cv.exception_set(p, net, u)) for u in waydown_ups[x]
             )
             if premise:
-                ok = cv.converges_family_liminf(p, trap, x).holds
+                ok = bool(cv.limits(p, trap, "family") >> x & 1)
                 run.check(f"{name}:{t}", ok, _witness(ok, p, net, x, idl))
     I = cv.ideal("eventual")
     for label, net in suites._side_nets():
@@ -317,9 +320,9 @@ def _literal_family_convergence_topological(run, ctx):
         sc = tp.scott_topology(p)
         trivial_checked = False
         for t, net, idl, trap, x in _literal_triples(p):
-            fam = cv.converges_family_liminf(p, trap, x).holds
-            topo = cv.converges_topological(p, trap, x, sc).holds
-            lim = cv.converges_liminf(p, trap, x).holds
+            fam = cv.limits(p, trap, "family") >> x & 1
+            topo = cv.topological_limits(p, trap, sc) >> x & 1
+            lim = cv.limits(p, trap, "liminf") >> x & 1
             if fam != topo:
                 run.check(f"{name}:{t}:scott", False, suites._triple_witness(p, net, x, idl))
                 continue
@@ -357,10 +360,10 @@ def _triple_reports(suite):
 
 @pytest.mark.parametrize("suite", sorted(LITERAL_SUITES))
 def test_sampled_suites_match_literal_triple_loop(suite):
-    """Each sampled suite, which decides each (trap mask, point) class
-    once per poset and counts its triples, reports the bytes of a literal
-    loop that builds every triple of the class, its net and trap mask,
-    and decides every predicate on it (the premise of
+    """Each sampled suite, which decides each trap mask once per poset
+    and counts the triples of its (mask, point) classes, reports the
+    bytes of a literal loop that builds every triple of the class, its
+    net and trap mask, and decides every verdict on it (the premise of
     ``waybelow-forces-family`` by exception sets), on the posets of at
     most 4 points of the size-3 corpus."""
     fast, literal = _triple_reports(suite)
@@ -368,27 +371,60 @@ def test_sampled_suites_match_literal_triple_loop(suite):
     assert fast == literal
 
 
-# Verdicts the failure-path test turns wrong, per case: predicate -> a
+# Verdicts the failure-path test turns wrong, per case: function -> a
 # test on (point index, trap mask 0?) that picks where it answers the
-# opposite.  ``scattered`` makes every sampled suite fail at a few
-# points; ``trivial-scott`` makes every trivial-ideal triple fail the
-# Scott check, so none reaches the trivial check and
+# opposite.  A per-point predicate's verdict is negated there; a set
+# form (``limits`` in one mode, ``topological_limits``) has bit ``x`` of
+# its mask flipped.  ``scattered`` makes every sampled suite fail at a
+# few points: ``liminf-to-family`` reads the per-point predicates and
+# the lim-inf set form, which disagree at ``(0, True)`` and ``(1,
+# True)``, and the other two suites read the set forms.
+# ``trivial-scott`` makes every trivial-ideal triple fail the Scott
+# check, so none reaches the trivial check and
 # ``family-convergence-topological`` fails ``trivial-checked`` too.
 FLIPS = {
     "scattered": {
-        "converges_liminf": lambda x, trivial: (x, trivial) in {(2, False), (1, True)},
+        "converges_liminf": lambda x, trivial: (x, trivial) in {(2, False), (0, True)},
         "converges_family_liminf": lambda x, trivial: (x, trivial) in {(0, False), (1, True)},
-        "converges_topological": lambda x, trivial: (x, trivial) == (1, True),
+        "limits:liminf": lambda x, trivial: (x, trivial) in {(2, False), (1, True)},
+        "limits:family": lambda x, trivial: (x, trivial) in {(0, False), (1, True)},
+        "topological_limits": lambda x, trivial: (x, trivial) == (1, True),
     },
-    "trivial-scott": {"converges_topological": lambda x, trivial: trivial},
+    "trivial-scott": {"topological_limits": lambda x, trivial: trivial},
 }
 FLIP_CASES = [(suite, "scattered") for suite in sorted(LITERAL_SUITES)]
 FLIP_CASES.append(("family-convergence-topological", "trivial-scott"))
 
 
+def _flip(key, flips):
+    """The function ``cv.<name>`` of ``key`` (``name`` or
+    ``name:mode``), answering wrongly where ``flips`` picks."""
+    attr, _, mode = key.partition(":")
+    original = getattr(cv, attr)
+    if attr.startswith("converges_"):
+
+        def flipped(p, trap, x, *rest):
+            verdict = original(p, trap, x, *rest)
+            if flips(x, trap == 0):
+                return verdict._replace(holds=not verdict.holds)
+            return verdict
+
+        return attr, flipped
+
+    def flipped_mask(p, trap, *rest):
+        out = original(p, trap, *rest)
+        if not mode or rest == (mode,):
+            for x in range(p.n):
+                if flips(x, trap == 0):
+                    out ^= 1 << x
+        return out
+
+    return attr, flipped_mask
+
+
 @pytest.mark.parametrize(("suite", "case"), FLIP_CASES)
 def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypatch):
-    """With the predicates of ``FLIPS[case]`` answering wrongly at chosen
+    """With the functions of ``FLIPS[case]`` answering wrongly at chosen
     points and ideals, each sampled suite fails, and its report on the
     posets of ``_triple_reports`` is byte for byte that of the literal
     per-triple loop: the replay of
@@ -397,15 +433,8 @@ def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypat
     ``trivial-checked`` holds only where a trivial-ideal triple reached
     the trivial check.  The flips read the point and whether the mask is
     ``0`` (the trivial ideal)."""
-    for pred, flips in FLIPS[case].items():
-
-        def flipped(p, trap, x, *rest, original=getattr(cv, pred), flips=flips):
-            verdict = original(p, trap, x, *rest)
-            if flips(x, trap == 0):
-                return verdict._replace(holds=not verdict.holds)
-            return verdict
-
-        monkeypatch.setattr(cv, pred, flipped)
+    for key, flips in FLIPS[case].items():
+        monkeypatch.setattr(cv, *_flip(key, flips))
     fast, literal = _triple_reports(suite)
     report = suites.parse_report(fast)
     assert not report.ok
@@ -416,43 +445,84 @@ def test_sampled_suites_report_failures_like_literal_loop(suite, case, monkeypat
         assert suffixes == {"scott", "trivial-checked"}
     elif suite == "family-convergence-topological":
         assert {"scott", "liminf", "trivial"} <= suffixes
+    elif suite == "liminf-to-family":
+        assert "set-form" in suffixes and len(suffixes) > 1
 
 
-# The predicate each sampled suite calls first on a (mask, point) class.
+def _strict_liminf(p, trap, ix):
+    """Mutant 14: the lim-inf rule with ``{ix}`` for the limit's upper
+    set ``p.up[ix]``, so only a net trapped at the limit itself
+    converges."""
+    if trap & ~(1 << ix) == 0:
+        return cv.Verdict(True, {"directed_set": [p.elements[ix]], "shape": "principal"})
+    return cv.Verdict(False, {"point": p.elements[ix]})
+
+
+def _strict_limits(p, trap, mode, original=cv.limits):
+    if mode != "liminf":
+        return original(p, trap, mode)
+    return sum(1 << ix for ix in range(p.n) if trap & ~(1 << ix) == 0)
+
+
+@pytest.mark.parametrize("mutated", ["converges_liminf", "limits"])
+def test_too_strict_liminf_fails_the_set_form_check(mutated, monkeypatch):
+    """A lim-inf rule that is too strict in either form, the per-point
+    predicate or ``limits(..., "liminf")``, fails ``liminf-to-family``
+    with ``:set-form`` cases only: a stricter lim-inf never breaks "lim-inf
+    implies family", so only the comparison of the two forms sees it.
+    Each class that fails was a passing case of the correct run, so the
+    case count stays the same."""
+    green = suites.run_suite("liminf-to-family", max_size=3)
+    assert green.ok
+    strict = {"converges_liminf": _strict_liminf, "limits": _strict_limits}[mutated]
+    monkeypatch.setattr(cv, mutated, strict)
+    report = suites.run_suite("liminf-to-family", max_size=3)
+    assert not report.ok
+    assert {f["case"].rsplit(":", 1)[1] for f in report.failures} == {"set-form"}
+    assert report.cases == green.cases
+
+
+# The functions each sampled suite reads once per (trap mask, point)
+# class, and once per trap mask, at the given modes.
 SAMPLED_DECIDERS = {
-    "liminf-to-family": "converges_liminf",
-    "waybelow-forces-family": "converges_family_liminf",
-    "family-convergence-topological": "converges_family_liminf",
+    "liminf-to-family": ("converges_liminf", ("liminf",)),
+    "waybelow-forces-family": (None, ("family",)),
+    "family-convergence-topological": (None, ("family", "liminf")),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(SAMPLED_DECIDERS))
 def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
-    """The predicates take a triple's trap mask and point, so a sampled
-    suite may decide each (mask, point) class once.  At size 4 it decides
-    each class of the built triples whose premise holds by exactly one
-    call at that class, which the report alone does not show where every
-    case passes.  The masks are read from the built nets
-    (``trap_mask``), and the premise of ``waybelow-forces-family`` from
-    the upper sets way below the point, each built here."""
+    """The verdicts take a triple's trap mask and point, so a sampled
+    suite may decide each trap mask once.  At size 4 it reads
+    ``limits`` exactly once per (poset, mask of the built triples, mode
+    it uses), and ``liminf-to-family`` calls ``converges_liminf``
+    exactly once per (poset, mask, point), which the report alone does
+    not show where every case passes.  The masks are read from the built
+    nets (``trap_mask``)."""
+    per_point, modes = SAMPLED_DECIDERS[suite]
     needed: Counter = Counter()
     for name, p in corpus.all_corpus(4).items():
-        waydown_ups = [
-            [p.up_of_mask(g) for g in p.antichain_masks if wb.set_way_below(p, g, 1 << ix)]
-            for ix in range(p.n)
-        ]
         for mask in {cv.trap_mask(p, net, idl) for net, idl in _class_pairs(p)}:
-            for x in range(p.n):
-                if suite != "waybelow-forces-family" or all(mask & ~u == 0 for u in waydown_ups[x]):
-                    needed[name, mask, x] = 1
+            for mode in modes:
+                needed["limits", name, mask, mode] = 1
+            if per_point:
+                for x in range(p.n):
+                    needed[per_point, name, mask, x] = 1
     calls: Counter = Counter()
-    original = getattr(cv, SAMPLED_DECIDERS[suite])
 
-    def recording(p, trap, x):
-        calls[p.name, trap, x] += 1
-        return original(p, trap, x)
+    def recording(attr):
+        original = getattr(cv, attr)
 
-    monkeypatch.setattr(cv, SAMPLED_DECIDERS[suite], recording)
+        def record(p, trap, arg):
+            calls[attr, p.name, trap, arg] += 1
+            return original(p, trap, arg)
+
+        return record
+
+    for attr in ("limits", per_point):
+        if attr:
+            monkeypatch.setattr(cv, attr, recording(attr))
     assert suites.run_suite(suite, max_size=4, seed=0).ok
     monkeypatch.undo()
     assert calls == needed
@@ -461,29 +531,30 @@ def test_sampled_verdicts_depend_on_class_and_point(suite, monkeypatch):
 @pytest.mark.parametrize("max_size", [5, 6])
 def test_every_class_is_decided_once(max_size, monkeypatch):
     """At the sizes the benchmark and CI run, each sampled suite decides
-    every (trap mask, point) class of every corpus poset by exactly one
-    ``outcome`` call: the masks are ``0`` and every nonempty set of at
-    most 3 points (``NetClass.traps``), each with every point."""
+    every trap mask of every corpus poset by exactly one ``outcome``
+    call, which returns one verdict per point: the masks are ``0`` and
+    every nonempty set of at most 3 points (``NetClass.traps``)."""
     calls: Counter = Counter()
     original = suites._sample_net
 
     def counting(run, name, p, outcome):
-        def counted(mask, x):
-            calls[run.suite, name, mask, x] += 1
-            return outcome(mask, x)
+        def counted(mask):
+            calls[run.suite, name, mask] += 1
+            row = outcome(mask)
+            assert len(row) == p.n
+            return row
 
         return original(run, name, p, counted)
 
     monkeypatch.setattr(suites, "_sample_net", counting)
-    classes = [
-        (name, mask, x)
+    masks = [
+        (name, mask)
         for name, p in corpus.all_corpus(max_size).items()
         for mask in [0, *cv.NetClass(max_index_size=3).traps(p)]
-        for x in range(p.n)
     ]
     for suite in SAMPLED_DECIDERS:
         assert suites.run_suite(suite, max_size=max_size, seed=0).ok, suite
-    assert calls == Counter((suite, *c) for suite in SAMPLED_DECIDERS for c in classes)
+    assert calls == Counter((suite, *m) for suite in SAMPLED_DECIDERS for m in masks)
 
 
 # The net class ``finest-topology`` probes with.
