@@ -120,18 +120,28 @@ class _Run:
 
 def _suite_interpolation(run: _Run, ctx: _Ctx) -> None:
     """Between a set way below a point there is an interpolating finite set.
-    A finite case's label and witness are built only if it fails."""
+
+    On a finite poset an antichain ``h`` is way below ``x`` iff ``x`` is
+    in ``up(h)`` (checked on every pair by ``finite-collapse``), so the
+    points each ``h`` is way below are read off its row in
+    ``p.antichain_ups``, not asked of ``set_way_below`` one by one.  Each
+    such pair is a case: ``interpolate`` gives ``f`` and both
+    ``h << f`` and ``f << x`` are checked.  Where ``interpolate`` refuses
+    a row point, the case fails with the refusal as its witness.  A
+    finite case's label and witness are built only if it fails."""
     for name, p in ctx.corpus.items():
-        for h in p.iter_antichain_masks():
-            for ix in range(p.n):
-                if not wb.set_way_below(p, h, 1 << ix):
-                    continue
-                f = wb.interpolate(p, h, ix)
-                if wb.set_way_below(p, h, f) and wb.set_way_below(p, f, 1 << ix):
-                    run.cases += 1
+        for h, up_h in zip(p.antichain_masks, p.antichain_ups):
+            for ix in bits(up_h):
+                try:
+                    f = wb.interpolate(p, h, ix)
+                except PreconditionFailed as exc:
+                    witness = {"refused": str(exc)}
                 else:
-                    label = f"{name}:{sorted(p.ids_of(h))}<<{p.elements[ix]}"
-                    run.check(label, False, {"between": list(p.ids_of(f))})
+                    if wb.set_way_below(p, h, f) and wb.set_way_below(p, f, 1 << ix):
+                        run.cases += 1
+                        continue
+                    witness = {"between": list(p.ids_of(f))}
+                run.check(f"{name}:{sorted(p.ids_of(h))}<<{p.elements[ix]}", False, witness)
     for h in sn.iter_antichains_upto(4):
         for x in (A, TOP, 0, 1, 3, 6):
             if not sn.set_way_below(h, (x,)):
@@ -196,16 +206,32 @@ def _suite_liminf_to_family(run: _Run, ctx: _Ctx) -> None:
 def _suite_family_forces_waybelow(run: _Run, ctx: _Ctx) -> None:
     """If a set is not way below a point, some family-convergent net escapes
     its upper set: the constant net at the point, under the eventual ideal.
-    The net and its verdict depend on the point alone: each is made once.
-    A case's label is built only if it fails."""
+
+    A case is an (antichain ``g``, point ``x``) pair with ``g`` not way
+    below ``x``, that is with ``x`` outside ``up(g)``, read off the row
+    ``p.antichain_ups``.  The net and its verdict depend on ``x`` alone,
+    and so does its escape: ``R(x) = p.universe & ~p.down[x]`` is the
+    largest upper set missing ``x``, the union of every ``up(g)`` with
+    ``g`` not way below ``x``.  An exception set grows as its region
+    shrinks and an ideal is down-closed, so a net that escapes ``R(x)``
+    escapes each such ``up(g)``.  So each ``x`` is decided once, against
+    ``R(x)``, and its pairs pass together; only the pairs of a point that
+    fails are replayed one by one, each against ``up(g)``, in the same
+    order and with the same labels.  A case's label is built only if it
+    fails."""
     I = cv.ideal("eventual")
     for name, p in ctx.corpus.items():
         nets = [cv.track_net(cv.const_track(e)) for e in p.elements]
         conv = [cv.converges_family_liminf(p, cv.trap_mask(p, n, I), ix).holds for ix, n in enumerate(nets)]
+        good = 0
+        for ix, net in enumerate(nets):
+            region = p.universe & ~p.down[ix]
+            if conv[ix] and not cv.ideal_member(I, cv.exception_set(p, net, region)):
+                good |= 1 << ix
         for g, up_g in zip(p.antichain_masks, p.antichain_ups):
-            for ix in range(p.n):
-                if wb.set_way_below(p, g, 1 << ix):
-                    continue
+            outside = p.universe & ~up_g
+            run.cases += bin(outside & good).count("1")
+            for ix in bits(outside & ~good):
                 escaped = not cv.ideal_member(I, cv.exception_set(p, nets[ix], up_g))
                 if conv[ix] and escaped:
                     run.cases += 1
@@ -224,13 +250,15 @@ def _suite_waybelow_forces_family(run: _Run, ctx: _Ctx) -> None:
     read once, from :func:`convergence.limits`.  The net is trapped by
     every set way below ``x`` iff its mask lies inside the meet of their
     upper sets, so the premise is one subset test per point, and each
-    (mask, point) class whose premise holds counts its triples."""
+    (mask, point) class whose premise holds counts its triples.  An
+    antichain ``g`` is way below ``x`` iff ``x`` is in ``up(g)``
+    (checked on every pair by ``finite-collapse``), so each meet is built
+    from the rows ``p.antichain_ups``."""
     for name, p in ctx.corpus.items():
         waydown_meets = [p.universe] * p.n
-        for g, up_g in zip(p.antichain_masks, p.antichain_ups):
-            for ix in range(p.n):
-                if wb.set_way_below(p, g, 1 << ix):
-                    waydown_meets[ix] &= up_g
+        for up_g in p.antichain_ups:
+            for ix in bits(up_g):
+                waydown_meets[ix] &= up_g
 
         def outcome(mask):
             fam = cv.limits(p, mask, "family")
@@ -639,8 +667,11 @@ def _closed_by_neighborhoods(topo: tp.Topology) -> bool:
     """Closure of ``topo.opens`` under unions and intersections, by the
     Alexandrov fact: a finite family is closed under both iff every
     minimal neighbourhood ``m(x)`` is open and the opens are exactly the
-    sets holding ``m(x)`` for each of their points.  Not shared with
-    ``topology_from_subbasis``, which builds ``lower`` and ``lawson``.
+    sets holding ``m(x)`` for each of their points.  The second part is
+    the literal scan of all ``2**n`` masks, so it is a construction
+    independent of ``topology._from_neighborhoods``, which builds
+    ``lower``, ``lawson``, ``glim`` and the derived topologies as the
+    union-closure of least open sets.
     Oracle: ``test_closed_by_neighborhoods_matches_pairwise_closure``."""
     p = topo.poset
     try:
@@ -659,7 +690,11 @@ def _suite_topology_axioms(run: _Run, ctx: _Ctx) -> None:
 
     ``Topology`` checks only the first part on construction, so this is
     where closure is checked (:func:`_closed_by_neighborhoods`), for the
-    five kinds below on every corpus poset.  The other kinds are pinned to
+    five kinds below on every corpus poset.  Four of them are built by
+    ``topology._from_neighborhoods`` as the union-closure of least open
+    sets, and the check rebuilds the opens by the literal scan of every
+    mask against the minimal neighbourhoods, so each case compares two
+    independent constructions.  The other kinds are pinned to
     these: the derived ``liminf`` topology is the derived ``family`` one
     (see ``liminf-topology``), and the derived
     ``eventual`` topology contains ``lawson`` (``lawson-below-eventual``),
@@ -733,8 +768,10 @@ def _class_weights(n: int) -> dict[int, int]:
 
 def _sample_net(run: _Run, name: str, p: FinitePoset, outcome) -> dict:
     """Decide every (trap mask, point) class of the triple class on ``p``
-    once, count its triples as cases of ``run``, and return each class's
-    verdict under its key ``mask * p.n + x``.
+    once, count its triples as cases of ``run``, and return the verdicts
+    of the classes of mask ``0`` and of every mask with a failing class,
+    under their keys ``mask * p.n + x``; a missing key is a class that
+    passed or made no case.
 
     A triple is a (net, ideal) pair of :data:`_TRIPLE_NETS` and
     :func:`_net_ideals` and a point ``x``.  The finite predicates read a
@@ -760,20 +797,25 @@ def _sample_net(run: _Run, name: str, p: FinitePoset, outcome) -> dict:
     and counts its calls per suite as the ``sampled`` metric."""
     n = p.n
     verdicts: dict = {}
-    passed = 0
+    passed, failing = 0, False
     for mask, weight in _class_weights(n).items():
         row = outcome(mask)
-        passed += weight * row.count(True)
-        for x, v in enumerate(row):
-            verdicts[mask * n + x] = v
+        good = row.count(True)
+        passed += weight * good
+        # A verdict is None, True or a failure suffix.
+        failed = good + row.count(None) < n
+        failing = failing or failed
+        if failed or not mask:
+            for x, v in enumerate(row):
+                verdicts[mask * n + x] = v
     run.cases += passed
-    if any(isinstance(v, str) for v in verdicts.values()):
+    if failing:
         t = 0
         for net in cv.generate_nets(p, _TRIPLE_NETS):
             for idl in _net_ideals(net):
                 key = cv.trap_mask(p, net, idl) * n
                 for x in range(n):
-                    v = verdicts[key + x]
+                    v = verdicts.get(key + x)
                     if isinstance(v, str):
                         run.check(f"{name}:{t}{v}", False, _triple_witness(p, net, x, idl))
                     t += 1

@@ -76,20 +76,24 @@ def _set_way_below_definitional(p: FinitePoset, g: int, h: int) -> bool:
 @logged("waybelow.waydown")
 def waydown_of(p: FinitePoset, ix: int) -> int:
     """The mask of all points way below the point of index ``ix`` (its
-    pointwise approximants)."""
-    out = 0
-    for y in range(p.n):
-        if set_way_below(p, 1 << y, 1 << ix):
-            out |= 1 << y
-    return out
+    pointwise approximants), read off the poset's rows: ``y << x`` iff
+    ``x`` is in ``up(y)`` (:func:`set_way_below` with ``g = {y}``), that
+    is iff ``y <= x``, so the mask is ``p.down[ix]``.  The
+    ``finite-collapse`` suite checks the collapse on every pair against
+    the definition, and ``test_waydown_and_fin_match_per_pair_filters``
+    compares this row with the per-pair ``set_way_below`` filter."""
+    return p.down[ix]
 
 
 @logged("waybelow.fin")
 def fin_of(p: FinitePoset, ix: int) -> tuple[int, ...]:
     """The approximating family of the point of index ``ix``: the
     antichain masks way below it (a finite set generates the upper set of
-    its minimal elements)."""
-    return tuple(f for f in p.iter_antichain_masks() if set_way_below(p, f, 1 << ix))
+    its minimal elements).  An antichain ``g`` is way below ``x`` iff
+    ``x`` is in ``up(g)``, so the family is read off the cached rows
+    ``p.antichain_ups``; ``test_waydown_and_fin_match_per_pair_filters``
+    compares it with the per-pair ``set_way_below`` filter."""
+    return tuple(g for g, up_g in zip(p.antichain_masks, p.antichain_ups) if up_g >> ix & 1)
 
 
 @logged("waybelow.interpolate")

@@ -726,6 +726,122 @@ def test_enumerated_verdicts_depend_on_mask_and_point(suite, monkeypatch):
     assert calls == needed
 
 
+# The per-pair loops below rewrite a suite's finite part only; its
+# side-point part runs from the suite itself, on an empty corpus.
+
+
+def _per_pair_interpolation(run, ctx):
+    """``interpolation``'s finite part with way-below asked of
+    ``set_way_below`` per (antichain, point) pair."""
+    for name, p in ctx.corpus.items():
+        for h in p.antichain_masks:
+            for ix in range(p.n):
+                if wb.set_way_below(p, h, 1 << ix):
+                    f = wb.interpolate(p, h, ix)
+                    ok = wb.set_way_below(p, h, f) and wb.set_way_below(p, f, 1 << ix)
+                    label = f"{name}:{sorted(p.ids_of(h))}<<{p.elements[ix]}"
+                    run.check(label, ok, None if ok else {"between": list(p.ids_of(f))})
+    suites._suite_interpolation(run, suites._Ctx(seed=0))
+
+
+def _per_pair_family_forces_waybelow(run, ctx):
+    """``family-forces-waybelow`` with way-below asked per pair and the
+    escape decided per pair, against each ``up(g)``."""
+    I = cv.ideal("eventual")
+    for name, p in ctx.corpus.items():
+        for g in p.antichain_masks:
+            for ix, x in enumerate(p.elements):
+                if wb.set_way_below(p, g, 1 << ix):
+                    continue
+                net = cv.track_net(cv.const_track(x))
+                conv = cv.converges_family_liminf(p, cv.trap_mask(p, net, I), ix).holds
+                escaped = not cv.ideal_member(I, cv.exception_set(p, net, p.up_of_mask(g)))
+                run.check(f"{name}:{sorted(p.ids_of(g))}:{x}", conv and escaped)
+
+
+def _per_pair_waybelow_forces_family(run, ctx):
+    """``waybelow-forces-family`` with the meets of the upper sets way
+    below each point built from per-pair ``set_way_below`` calls."""
+    for name, p in ctx.corpus.items():
+        meets = [p.universe] * p.n
+        for g in p.antichain_masks:
+            for ix in range(p.n):
+                if wb.set_way_below(p, g, 1 << ix):
+                    meets[ix] &= p.up_of_mask(g)
+
+        def outcome(mask, p=p, meets=meets):
+            fam = cv.limits(p, mask, "family")
+            return [None if mask & ~m else bool(fam >> x & 1) or "" for x, m in enumerate(meets)]
+
+        suites._sample_net(run, name, p, outcome)
+    suites._suite_waybelow_forces_family(run, suites._Ctx(seed=0))
+
+
+PER_PAIR_LOOPS = {
+    "interpolation": _per_pair_interpolation,
+    "family-forces-waybelow": _per_pair_family_forces_waybelow,
+    "waybelow-forces-family": _per_pair_waybelow_forces_family,
+}
+
+
+def _per_pair_reports(suite):
+    """The report bytes of ``suite`` and of its per-pair loop at size 4."""
+    out = []
+    for loop in (suites.SUITES[suite], PER_PAIR_LOOPS[suite]):
+        run = suites._Run(suite, 0)
+        loop(run, suites._Ctx(seed=0, corpus=corpus.all_corpus(4)))
+        out.append(suites.emit_report(run.report(0.0)))
+    return out
+
+
+@pytest.mark.parametrize("suite", sorted(PER_PAIR_LOOPS))
+def test_waybelow_row_suites_match_per_pair_loop(suite):
+    """The suites that read way-below off the rows ``p.antichain_ups``
+    report, at size 4, the bytes of a loop that asks ``set_way_below``
+    of every (antichain, point) pair."""
+    fast, per_pair = _per_pair_reports(suite)
+    assert suites.parse_report(fast).ok
+    assert fast == per_pair
+
+
+def test_family_forces_waybelow_replays_a_failing_point_per_pair(monkeypatch):
+    """With ``exception_set`` making the constant net at each poset's
+    point of index 0 stay inside every region of at least two points
+    (its exceptions still grow as the region shrinks), that point fails
+    its one escape decision and its pairs are replayed, each against its
+    own ``up(g)``: the report at size 4 is byte for byte that of the
+    per-pair loop, each failing pair with its own label in order, while
+    the pairs whose ``up(g)`` is one point still pass."""
+    original = cv.exception_set
+
+    def stays_in_large_regions(p, net, region):
+        if net == cv.track_net(cv.const_track(p.elements[0])) and bin(region).count("1") > 1:
+            return cv.finite_omega([])
+        return original(p, net, region)
+
+    monkeypatch.setattr(cv, "exception_set", stays_in_large_regions)
+    fast, per_pair = _per_pair_reports("family-forces-waybelow")
+    report = suites.parse_report(fast)
+    assert not report.ok
+    assert report.passed == report.cases - len(report.failures)
+    assert fast == per_pair
+    assert "diamond:['top']:bot" not in {f["case"] for f in report.failures}
+    assert "diamond:['l', 'r']:bot" in {f["case"] for f in report.failures}
+
+
+def test_interpolation_fails_where_interpolate_refuses(monkeypatch):
+    """A too-strict ``set_way_below`` (a set way below only its own
+    points) makes ``interpolate`` refuse pairs the rows hold: each such
+    pair is a failing case with the refusal as witness, not an error, and
+    ``finite-collapse`` fails too."""
+    monkeypatch.setattr(wb, "set_way_below", lambda p, g, h: h & ~g == 0)
+    report = suites.run_suite("interpolation", max_size=2, seed=0)
+    refused = [f for f in report.failures if "refused" in f]
+    assert refused and len(refused) == len(report.failures)
+    assert "diamond:['bot']<<top" in {f["case"] for f in refused}
+    assert not suites.run_suite("finite-collapse", max_size=2, seed=0).ok
+
+
 def _literal_rudin(run, ctx):
     """The ``rudin`` suite as a loop over every family, each decided by
     calling the library on it."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ from domaincheck import convergence as cv
 from domaincheck import sidenat as sn
 from domaincheck import suites
 from domaincheck import topology as tp
-from domaincheck.corpus import generate_all_posets, named_posets
+from domaincheck.corpus import all_corpus, generate_all_posets, named_posets
 from domaincheck.errors import TooLarge
 from domaincheck.order import bits, build_finite_poset, smyth_meet
 from domaincheck.sidenat import A, TOP
@@ -158,6 +159,29 @@ def test_closed_by_neighborhoods_matches_pairwise_closure():
     for topo in (no_union, no_meet):
         assert not _closed_pairwise(topo.opens)
         assert suites._closed_by_neighborhoods(topo) is False
+
+
+def test_from_neighborhoods_matches_literal_scan():
+    """``_from_neighborhoods``, the union-closure of least open sets,
+    gives the opens of the literal scan of every mask, on arbitrary
+    neighbourhood lists: 20 lists of random masks per corpus poset of at
+    most 5 points, among them lists where some ``mins[x]`` lacks ``x``
+    and lists that are not transitive (``y`` in ``mins[x]`` but
+    ``mins[y]`` not inside ``mins[x]``)."""
+    rng = random.Random(36)
+    lacking = intransitive = 0
+    for p in all_corpus(5).values():
+        if p.n > 5:
+            continue
+        for _ in range(20):
+            mins = [rng.randrange(p.universe + 1) for _ in range(p.n)]
+            scan = frozenset(
+                u for u in range(p.universe + 1) if all(mins[x] & ~u == 0 for x in bits(u))
+            )
+            assert tp._from_neighborhoods(p, mins, "random").opens == scan, (p.name, mins)
+            lacking += any(not m >> x & 1 for x, m in enumerate(mins))
+            intransitive += any(mins[y] & ~m for m in mins for y in bits(m))
+    assert lacking > 100 and intransitive > 100
 
 
 def test_interior_closure_duality():

@@ -8,7 +8,7 @@ import pytest
 
 from domaincheck import waybelow as wb
 from domaincheck import sidenat as sn
-from domaincheck.corpus import generate_all_posets
+from domaincheck.corpus import all_corpus, generate_all_posets, named_posets
 from domaincheck.errors import PreconditionFailed
 from domaincheck.order import bits, build_finite_poset
 from domaincheck.sidenat import A, TOP
@@ -85,6 +85,22 @@ def test_finite_set_way_below_matches_definition():
                     assert fast == slow == literal == wb.smyth_leq(p, g, h), (p.name, g, h)
                     compared += 1
     assert compared == 1353
+
+
+def test_waydown_and_fin_match_per_pair_filters():
+    """``waydown_of`` and ``fin_of`` read the rows ``p.down`` and
+    ``p.antichain_ups``; they equal the per-pair ``set_way_below``
+    filters over points and antichains on every corpus poset of at most
+    5 points and every named poset."""
+    posets = [p for p in all_corpus(5).values() if p.n <= 5]
+    posets += [p for p in named_posets().values() if p.n > 5]
+    assert any(p.name == "cube" for p in posets)
+    for p in posets:
+        for x in range(p.n):
+            waydown = sum(1 << y for y in range(p.n) if wb.set_way_below(p, 1 << y, 1 << x))
+            fin = tuple(f for f in p.antichain_masks if wb.set_way_below(p, f, 1 << x))
+            assert wb.waydown_of(p, x) == waydown, (p.name, x)
+            assert wb.fin_of(p, x) == fin, (p.name, x)
 
 
 def test_fin_of_diamond_top():
