@@ -559,25 +559,27 @@ def limits(p: FinitePoset, trap: int, mode: str) -> int:
     :func:`converges_liminf`, :func:`converges_family_liminf` and
     :func:`is_eventual_liminf`.
 
-    In every mode the principal witness ``up(x)`` must contain the trap.
-    The eventual mode then keeps only the points inside every antichain
-    upper set that contains the trap (the members of
-    :func:`eventual_family`).  Oracle:
+    In every mode the principal witness ``up(x)`` must contain the trap,
+    and ``trap <= up(x)`` iff ``x`` is below every point of the trap: the
+    points allowed are the trap's common lower bounds, read from the
+    poset's table (:attr:`FinitePoset.lb_table`).  In the ``liminf`` and
+    ``family`` modes those are the limits; the per-point predicates test
+    ``trap <= up(x)`` on the rows ``p.up`` instead, so the
+    ``liminf-to-family`` suite compares two closed forms.  The eventual
+    mode then keeps only the points inside every antichain upper set that
+    contains the trap (the members of :func:`eventual_family`).  Oracle:
     ``test_limits_match_the_point_predicates`` compares each mode with its
     predicate at every point, for every mask of every poset of size at
     most 4 and every named poset of at most 5 points.  An unknown mode
-    raises :class:`UnknownElement`; in the eventual mode, a poset of more
-    than :data:`topology.MAX_TOPOLOGY_ELEMENTS` elements is refused as
-    :func:`eventual_family` refuses it.
+    raises :class:`UnknownElement`, and a poset of more than
+    :data:`topology.MAX_TOPOLOGY_ELEMENTS` elements, which has no table,
+    is refused in every mode.
     """
     if mode not in _MODE_PREDICATES:
         raise UnknownElement(f"unknown convergence mode {mode!r}")
-    out = 0
-    for ix, u in enumerate(p.up):
-        if trap & ~u == 0:
-            out |= 1 << ix
+    tp._guard_size(p, "lower-bound table")
+    out = p.lb_table[trap]
     if mode == "eventual":
-        tp._guard_size(p, "antichain enumeration")
         for u in p.antichain_ups:
             if trap & ~u == 0:
                 out &= u

@@ -17,6 +17,10 @@ from functools import cached_property
 from .oplog import logged
 from .errors import CycleError, DuplicateElement, NotDirected, PreconditionFailed, UnknownElement
 
+# The largest poset for which the library builds artefacts exponential in
+# its size: per-mask tables, antichain families and topologies.
+MAX_TOPOLOGY_ELEMENTS = 14
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -57,7 +61,13 @@ class FinitePoset:
     ``test_cached_artefacts_match_literal_scans`` compares them with the
     literal scans over all ``2**n`` masks.  So is the table of directed
     subsets and their suprema (:attr:`directed_sups`), which
-    ``test_scott_is_upper_family`` compares with the pairwise scan.
+    ``test_scott_is_upper_family`` compares with the pairwise scan.  So
+    are two tables over all ``2**n`` masks, indexed by the mask: the
+    upper set of each mask (:attr:`up_table`, read by :meth:`up_of_mask`)
+    and the common lower bounds of each mask (:attr:`lb_table`, read by
+    ``convergence.limits``).  They exist only up to
+    :data:`MAX_TOPOLOGY_ELEMENTS` points; ``test_mask_tables_match_the_rows``
+    compares them with folds of the rows ``up`` and ``down``.
     """
 
     name: str
@@ -105,7 +115,39 @@ class FinitePoset:
 
     # -- upper sets ----------------------------------------------------
 
+    @cached_property
+    def up_table(self) -> tuple[int, ...] | None:
+        """The upper set of every mask, indexed by the mask, or None over
+        :data:`MAX_TOPOLOGY_ELEMENTS` points.  Built in one pass from
+        ``up(m | 1 << i) = up(m) | up[i]`` for ``m < 2**i``."""
+        if self.n > MAX_TOPOLOGY_ELEMENTS:
+            return None
+        table = [0]
+        for u in self.up:
+            table += [t | u for t in table]
+        return tuple(table)
+
+    @cached_property
+    def lb_table(self) -> tuple[int, ...] | None:
+        """The common lower bounds ``{x : m <= up[x]}`` of every mask
+        ``m``, indexed by the mask, or None over
+        :data:`MAX_TOPOLOGY_ELEMENTS` points.  Built in one pass from
+        ``lb(m | 1 << i) = lb(m) & down[i]`` for ``m < 2**i``, with
+        ``lb(0)`` the whole carrier."""
+        if self.n > MAX_TOPOLOGY_ELEMENTS:
+            return None
+        table = [self.universe]
+        for d in self.down:
+            table += [t & d for t in table]
+        return tuple(table)
+
     def up_of_mask(self, mask: int) -> int:
+        """The upper set of ``mask``: its entry in :attr:`up_table`, or
+        over :data:`MAX_TOPOLOGY_ELEMENTS` points, where no table is
+        built, the OR of the rows ``up[i]`` over its bits."""
+        table = self.up_table
+        if table is not None:
+            return table[mask]
         up, out = self.up, 0
         while mask:
             low = mask & -mask

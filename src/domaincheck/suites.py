@@ -507,7 +507,7 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
     The ``:corollary-count`` case checks that the corollary ran on every
     family, counted without :func:`topology._greatest_members`: each
     antichain ``g`` with ``k`` antichains ``f`` Smyth-below it
-    (``up(g) ⊆ up(f)``, each upper set built once) heads
+    (``up(g) ⊆ up(f)``, read from ``p.antichain_ups``) heads
     ``1 + k + k(k-1)/2`` families."""
     for name, p in ctx.corpus.items():
         corollary_cases = 0
@@ -523,7 +523,7 @@ def _suite_rudin(run: _Run, ctx: _Ctx) -> None:
                 families = 1 + k + k * (k - 1) // 2
                 run.cases += families
                 corollary_cases += families
-        ups = [p.up_of_mask(g) for g in p.antichain_masks]
+        ups = p.antichain_ups
         expected = 0
         for up_g in ups:
             k = sum(up_g & ~up_f == 0 for up_f in ups) - 1  # g itself is one
@@ -630,7 +630,12 @@ def _suite_finite_collapse(run: _Run, ctx: _Ctx) -> None:
     uses and the relation it collapses to.  The definition is read as in
     ``waybelow._set_way_below_definitional``, grouped by ``g``: one row
     of escaping suprema (``waybelow._escape_mask``) per point and per
-    antichain, against which ``g << h`` iff ``up(h) & row == 0``."""
+    antichain, against which ``g << h`` iff ``up(h) & row == 0``.  The
+    three forms of ``:sets`` all read an antichain's upper set from the
+    poset's table (:attr:`FinitePoset.up_table`, through ``up_of_mask``
+    and ``p.antichain_ups``), so the case tests the quantification over
+    directed subsets, not the table; ``test_mask_tables_match_the_rows``
+    checks the table against the rows ``p.up``."""
     for name, p in ctx.corpus.items():
         rows = [wb._escape_mask(p, u) for u in p.up]
         ok_pts = all(

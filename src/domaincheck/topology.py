@@ -20,9 +20,7 @@ from itertools import combinations
 
 from .errors import PreconditionFailed, TooLarge, UnknownElement
 from .oplog import logged
-from .order import FinitePoset, bits
-
-MAX_TOPOLOGY_ELEMENTS = 14
+from .order import MAX_TOPOLOGY_ELEMENTS, FinitePoset, bits
 
 TOPOLOGY_KINDS = ("scott", "lower", "lawson")
 

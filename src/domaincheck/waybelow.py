@@ -44,7 +44,7 @@ def set_way_below(p: FinitePoset, g: int, h: int) -> bool:
     ``{y}`` with ``y`` in ``up(h)`` is directed and must meet ``up(g)``,
     and conversely a directed set whose supremum is in ``up(h)`` contains
     that supremum.  ``up(g)`` is an upper set, so ``up(h) <= up(g)`` iff
-    ``h <= up(g)``, and only ``up(g)`` is built.
+    ``h <= up(g)``, and only ``up(g)`` is read.
     :func:`_set_way_below_definitional` enumerates every directed subset
     instead; the ``finite-collapse`` suite and
     ``test_finite_set_way_below_matches_definition`` compare the two.

@@ -112,6 +112,21 @@ def test_waybelow_sets_rejects_oversized_poset_fast(tmp_path):
     assert "the limit is 14 elements" in err.decode()
 
 
+def test_waybelow_points_on_oversized_poset_fast(tmp_path):
+    """``waybelow`` without ``--sets`` answers on a poset too large for
+    the mask tables, folding each upper set from the rows: a 24-element
+    antichain exits 0 well inside the timeout and lists its 24 pairs
+    ``x << x``."""
+    path = tmp_path / "antichain24.json"
+    elements = [f"e{i}" for i in range(24)]
+    path.write_text(json.dumps({"name": "antichain24", "elements": elements, "le": []}))
+    out_path = tmp_path / "out.json"
+    with open(out_path, "wb") as out:
+        code, err = _cli_to(out, "waybelow", "--poset", str(path), timeout=10)
+    assert code == 0 and err == b""
+    assert json.loads(out_path.read_text())["points"] == [[e, e] for e in elements]
+
+
 def test_converge_eventual_rejects_oversized_poset_fast(tmp_path):
     """``converge --mode eventual`` refuses a poset too large for its
     eventually-below family before enumerating the antichains: a

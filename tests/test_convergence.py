@@ -28,6 +28,7 @@ from domaincheck.errors import (
     NetClassTooSmall,
     NotDirected,
     PreconditionFailed,
+    TooLarge,
     UnknownElement,
 )
 from domaincheck.order import build_finite_poset
@@ -745,6 +746,16 @@ def test_limits_match_the_point_predicates():
     assert compared == 3 * sum(p.universe + 1 for p in posets)
     with pytest.raises(UnknownElement):
         cv.limits(DIAMOND, 1, "cofinite")
+
+
+@pytest.mark.parametrize("mode", ["liminf", "family", "eventual"])
+def test_limits_refuse_a_poset_over_the_limit(mode):
+    """A poset of more than ``MAX_TOPOLOGY_ELEMENTS`` points has no
+    lower-bound table, and ``limits`` refuses it in every mode."""
+    names = [f"e{i}" for i in range(tp.MAX_TOPOLOGY_ELEMENTS + 1)]
+    p = build_finite_poset("antichain15", names, [])
+    with pytest.raises(TooLarge, match="lower-bound table over 15 elements"):
+        cv.limits(p, 1, mode)
 
 
 def test_topological_limits_match_the_point_predicate():

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from domaincheck.corpus import generate_all_posets, named_posets
 from domaincheck.errors import CycleError, DuplicateElement, UnknownElement
-from domaincheck.order import bits, build_finite_poset, poset_from_json, poset_to_json
+from domaincheck.order import (
+    MAX_TOPOLOGY_ELEMENTS,
+    bits,
+    build_finite_poset,
+    poset_from_json,
+    poset_to_json,
+)
 
 DIAMOND = build_finite_poset(
     "diamond",
@@ -71,18 +77,61 @@ def test_antichain_masks():
 def test_cached_artefacts_match_literal_scans():
     """The cached antichains, their upper sets and the upper sets equal the
     literal scans over all ``2**n`` masks, in the same order, on every
-    poset of size at most 4, every named corpus poset and the empty one."""
+    poset of size at most 4, every named corpus poset and the empty one.
+    The scans fold the rows ``p.up`` themselves, so they share no table
+    with ``up_of_mask``."""
     posets = [p for n in range(1, 5) for p in generate_all_posets(n)]
     posets += [*named_posets().values(), build_finite_poset("empty", [], [])]
     for p in posets:
         antichains = tuple(
             m for m in range(1, p.universe + 1) if all(p.up[i] & m == 1 << i for i in bits(m))
         )
-        uppers = tuple(m for m in range(p.universe + 1) if p.up_of_mask(m) == m)
+        uppers = tuple(m for m in range(p.universe + 1) if _fold_ups(p, m) == m)
         assert p.antichain_masks == tuple(p.iter_antichain_masks()) == antichains, p.name
-        assert p.antichain_ups == tuple(p.up_of_mask(m) for m in antichains), p.name
+        assert p.antichain_ups == tuple(_fold_ups(p, m) for m in antichains), p.name
         assert p.upper_masks == tuple(p.iter_upper_masks()) == uppers, p.name
     assert "cube" in {p.name for p in posets}
+
+
+def _fold_ups(p, mask):
+    """The OR of the rows ``p.up[i]`` over the bits of ``mask``."""
+    out = 0
+    for i in bits(mask):
+        out |= p.up[i]
+    return out
+
+
+def test_mask_tables_match_the_rows():
+    """For every mask ``m`` of every corpus poset of size at most 6 and
+    every named poset, ``up_table[m]`` (and so ``up_of_mask(m)``) is the
+    OR of the rows ``up[i]`` over the bits of ``m``, and ``lb_table[m]``
+    is ``{x : m <= up[x]}``, the points below every point of ``m``."""
+    posets = [p for n in range(1, 7) for p in generate_all_posets(n)]
+    posets += [*named_posets().values(), build_finite_poset("empty", [], [])]
+    for p in posets:
+        ups = tuple(_fold_ups(p, m) for m in range(p.universe + 1))
+        lbs = tuple(
+            sum(1 << x for x in range(p.n) if m & ~p.up[x] == 0) for m in range(p.universe + 1)
+        )
+        assert p.up_table == ups, p.name
+        assert p.lb_table == lbs, p.name
+        assert all(p.up_of_mask(m) == u for m, u in enumerate(ups)), p.name
+    assert len(posets) > 400
+
+
+def test_no_mask_table_over_the_limit():
+    """Over ``MAX_TOPOLOGY_ELEMENTS`` points no table is built, and
+    ``up_of_mask`` folds the rows: on a 15-point chain and a 15-point
+    antichain, for a spread of masks."""
+    n = MAX_TOPOLOGY_ELEMENTS + 1
+    names = [f"e{i}" for i in range(n)]
+    chain = build_finite_poset("chain15", names, list(zip(names, names[1:])))
+    antichain = build_finite_poset("antichain15", names, [])
+    for p in (chain, antichain):
+        masks = [0, 1, 1 << (n - 1), p.universe, *range(5, p.universe, 977)]
+        assert all(p.up_of_mask(m) == _fold_ups(p, m) for m in masks), p.name
+        assert p.up_table is None and p.lb_table is None, p.name
+    assert chain.up_of_mask(0b110) == chain.universe & ~1
 
 
 def test_duplicate_element_rejected():
